@@ -80,10 +80,12 @@ readIndex(const JsonValue *v, const char *site, const char *member)
     return static_cast<size_t>(v->asNumber());
 }
 
-/** The canonical per-cell JSON line (no trailing newline). */
-std::string
-cellLine(size_t cell, const SweepResult &partial, size_t v, size_t p)
+/** Append cell @p cell of @p partial as one newline-terminated line. */
+void
+appendCellLine(std::string &out, size_t cell, const SweepResult &partial)
 {
+    const size_t protocols = partial.spec.protocols.size();
+    size_t v = cell / protocols, p = cell % protocols;
     JsonValue::Object o;
     o["cell"] = JsonValue(static_cast<double>(cell));
     bool ok = !partial.cellFailed(v, p);
@@ -92,7 +94,8 @@ cellLine(size_t cell, const SweepResult &partial, size_t v, size_t p)
         o["result"] = mvaResultToJson(partial.results[v][p]);
     else
         o["error"] = solveErrorToJson(*partial.errors[v][p]);
-    return serializeJson(JsonValue(std::move(o)));
+    out += serializeJson(JsonValue(std::move(o)));
+    out += '\n';
 }
 
 /**
@@ -305,9 +308,12 @@ checkpointExists(const std::string &path)
     return std::ifstream(path).good();
 }
 
-Expected<void>
-writeSweepCheckpoint(const std::string &path, const SweepSpec &spec,
-                     const SweepResult &partial)
+namespace {
+
+/** writeSweepCheckpoint, returning the committed file's length. */
+Expected<uint64_t>
+createCheckpoint(const std::string &path, const SweepSpec &spec,
+                 const SweepResult &partial)
 {
     AtomicFile file(path);
     if (!file.ok()) {
@@ -318,7 +324,7 @@ writeSweepCheckpoint(const std::string &path, const SweepSpec &spec,
     }
     JsonValue header = headerWithoutChecksum(spec);
     header.set("check", JsonValue(fnv1aHex(serializeJson(header))));
-    file.stream() << serializeJson(header) << "\n";
+    std::string text = serializeJson(header) + "\n";
     const size_t protocols = spec.protocols.size();
     auto [begin, end] =
         spec.shard.cellRange(spec.values.size() * protocols);
@@ -326,12 +332,78 @@ writeSweepCheckpoint(const std::string &path, const SweepSpec &spec,
     // time for the same completed set, so identical progress writes
     // identical bytes regardless of scheduling.
     for (size_t cell = begin; cell < end; ++cell) {
-        size_t v = cell / protocols, p = cell % protocols;
-        if (!partial.cellEvaluated(v, p))
-            continue;
-        file.stream() << cellLine(cell, partial, v, p) << "\n";
+        if (partial.cellEvaluated(cell / protocols, cell % protocols))
+            appendCellLine(text, cell, partial);
     }
-    return file.commit();
+    file.stream() << text;
+    if (auto committed = file.commit(); !committed)
+        return committed.error();
+    return static_cast<uint64_t>(text.size());
+}
+
+} // namespace
+
+Expected<void>
+writeSweepCheckpoint(const std::string &path, const SweepSpec &spec,
+                     const SweepResult &partial)
+{
+    if (auto created = createCheckpoint(path, spec, partial); !created)
+        return std::move(created).error();
+    return {};
+}
+
+Expected<void>
+CheckpointLog::resume(const CheckpointData &data)
+{
+    // The reader guarantees strictly increasing cells inside the
+    // shard's range, so they are a contiguous prefix of it exactly
+    // when the last one sits at begin + count - 1.
+    size_t begin = data.shard.cellRange(data.gridCells).first;
+    if (!data.cells.empty() &&
+        data.cells.back().cell != begin + data.cells.size() - 1) {
+        return makeError(SolveErrorCode::InvalidArgument,
+                         "CheckpointLog::resume",
+                         "checkpoint '%s' holds cells that are not a "
+                         "contiguous prefix of its shard - an "
+                         "append-only log cannot fill the gap",
+                         spec_.checkpointPath.c_str());
+    }
+    auto opened = AppendFile::open(spec_.checkpointPath, data.validBytes);
+    if (!opened)
+        return std::move(opened).error();
+    if (data.tornBytes > 0) {
+        inform("runSweep: dropped a torn %llu-byte append from '%s' "
+               "(truncated back to its last commit, %llu bytes)",
+               static_cast<unsigned long long>(data.tornBytes),
+               spec_.checkpointPath.c_str(),
+               static_cast<unsigned long long>(data.validBytes));
+    }
+    file_.emplace(std::move(opened).value());
+    return {};
+}
+
+Expected<uint64_t>
+CheckpointLog::commit(const SweepResult &res,
+                      std::span<const size_t> cells)
+{
+    if (!file_) {
+        // A fresh run: the header and this first batch, atomically.
+        auto created = createCheckpoint(spec_.checkpointPath, spec_, res);
+        if (!created)
+            return created;
+        auto opened =
+            AppendFile::open(spec_.checkpointPath, created.value());
+        if (!opened)
+            return std::move(opened).error();
+        file_.emplace(std::move(opened).value());
+        return created;
+    }
+    std::string lines;
+    for (size_t cell : cells)
+        appendCellLine(lines, cell, res);
+    if (auto appended = file_->append(lines); !appended)
+        return appended.error();
+    return static_cast<uint64_t>(lines.size());
 }
 
 Expected<CheckpointData>
@@ -350,6 +422,10 @@ readSweepCheckpoint(const std::string &path)
                          "empty file (no header line)");
     }
     ++line_no;
+    // The header is written atomically with its newline (only appends
+    // can tear), so an unterminated header is corruption.
+    if (in.eof())
+        return readError(path, 1, 0, "header line is not terminated");
     auto parsed = parseJson(line);
     if (!parsed) {
         return readError(path, 1, 0,
@@ -463,6 +539,12 @@ readSweepCheckpoint(const std::string &path)
     offset = line.size() + 1;
     while (std::getline(in, line)) {
         ++line_no;
+        // getline hit EOF before a newline: the final line is a torn
+        // append (the torn-tail rule), dropped rather than parsed.
+        if (in.eof()) {
+            data.tornBytes = line.size();
+            break;
+        }
         if (line.empty()) {
             return readError(path, line_no, offset,
                              "empty cell line (truncated write?)");
@@ -528,6 +610,7 @@ readSweepCheckpoint(const std::string &path)
         data.cells.push_back(std::move(cell));
         offset += line.size() + 1;
     }
+    data.validBytes = offset;
     return data;
 }
 

@@ -6,12 +6,16 @@
  * runSweep's checkpoint/resume and the snoop_merge shard combiner
  * (docs/SHARDING.md).
  *
- * A checkpoint is a line-delimited JSON file, rewritten atomically at
- * every commit through util/atomic_file.hh (fsync'd temp + rename +
- * directory fsync), so the file on disk is always a complete,
- * internally consistent snapshot - a SIGKILL or power cut between
- * commits loses at most checkpointEvery cells of work, never the
- * file.
+ * A checkpoint is an append-only log of line-delimited JSON. The
+ * first commit creates the file atomically through
+ * util/atomic_file.hh (fsync'd temp + rename + directory fsync) with
+ * the header and the first batch of cells, so a file that exists
+ * always has a valid header. Every later commit appends only its new
+ * cell lines, in one write followed by fdatasync; a failed append is
+ * truncated back, leaving the file byte-identical to the previous
+ * commit. Each cell is therefore serialized and written once, and a
+ * SIGKILL or power cut loses at most checkpointEvery cells of work,
+ * never the committed prefix.
  *
  * Line 1 is a versioned, self-validating header: it carries the
  * format tag, the format version, a checksum of the header itself,
@@ -24,11 +28,19 @@
  * measures, or an error cell whose SolveError round-trips through the
  * shared JSON codec (util/json.hh) bit-identically.
  *
+ * Torn-tail rule: a crash mid-append can leave an unterminated final
+ * line. The reader drops it (CheckpointData::tornBytes) and a resume
+ * truncates the file back to CheckpointData::validBytes before it
+ * appends. A newline-terminated line that does not parse is not a
+ * torn append - it is rejected like any other corruption.
+ *
  * Versioning policy: readers accept exactly the versions they know
- * (currently 1). A bumped version, a checksum mismatch, a truncated
- * or garbled line, an out-of-range or duplicated cell - each is a
- * structured InvalidArgument/IoError naming the file and the offset,
- * and resume refuses to run rather than silently recompute or reuse.
+ * (currently 2, the append-only log; version 1 files, rewritten whole
+ * at each commit, are rejected rather than read). A bumped version, a
+ * checksum mismatch, a garbled line, an out-of-range or duplicated
+ * cell - each is a structured InvalidArgument/IoError naming the file
+ * and the offset, and resume refuses to run rather than silently
+ * recompute or reuse.
  *
  * What is *not* persisted: solver diagnostics (per-attempt ladder
  * records, the convergence trace) and the derived inputs, which no
@@ -38,17 +50,20 @@
  */
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/sweep.hh"
+#include "util/atomic_file.hh"
 #include "util/expected.hh"
 #include "util/json.hh"
 
 namespace snoop {
 
 /** The checkpoint format version this build reads and writes. */
-inline constexpr unsigned kCheckpointVersion = 1;
+inline constexpr unsigned kCheckpointVersion = 2;
 
 /** The header's format tag. */
 inline constexpr const char *kCheckpointFormat =
@@ -81,6 +96,11 @@ struct CheckpointData
 
     /** Completed cells, in strictly increasing cell order. */
     std::vector<CheckpointCell> cells;
+
+    /** Length of the valid prefix: the header and every cell line. */
+    uint64_t validBytes = 0;
+    /** Bytes of the dropped unterminated final line (a torn append). */
+    uint64_t tornBytes = 0;
 };
 
 /**
@@ -116,9 +136,10 @@ Expected<void> mvaResultFromJson(const JsonValue &value, MvaResult &out);
 bool checkpointExists(const std::string &path);
 
 /**
- * Atomically persist every evaluated cell of @p partial (results and
- * error cells) for the shard slice of @p spec. IoError when the
- * atomic commit fails; the previous checkpoint, if any, survives.
+ * Atomically write a complete checkpoint holding every evaluated cell
+ * of @p partial (results and error cells) for the shard slice of
+ * @p spec - the log's first commit. IoError when the atomic commit
+ * fails; the previous file, if any, survives.
  */
 Expected<void> writeSweepCheckpoint(const std::string &path,
                                     const SweepSpec &spec,
@@ -126,9 +147,11 @@ Expected<void> writeSweepCheckpoint(const std::string &path,
 
 /**
  * Read and structurally validate a checkpoint file: format tag,
- * version, header checksum, cell order/range/shape. Every rejection
- * is a structured error naming @p path and the offending line and
- * byte offset. Spec compatibility is applyCheckpoint's job.
+ * version, header checksum, cell order/range/shape. An unterminated
+ * final line is a torn append and is dropped (the torn-tail rule in
+ * the file comment); every rejection is a structured error naming
+ * @p path and the offending line and byte offset. Spec compatibility
+ * is applyCheckpoint's job.
  */
 Expected<CheckpointData> readSweepCheckpoint(const std::string &path);
 
@@ -141,5 +164,41 @@ Expected<CheckpointData> readSweepCheckpoint(const std::string &path);
  */
 Expected<void> applyCheckpoint(const CheckpointData &data,
                                const SweepSpec &spec, SweepResult &res);
+
+/**
+ * The writer one checkpointed sweep run holds across its commits: it
+ * owns the append fd and, through it, the committed length. On a
+ * fresh run the first commit creates the file through
+ * writeSweepCheckpoint's atomic path; a resume adopts the existing
+ * file's valid prefix, truncating a torn tail. Every later commit
+ * appends only the new cells.
+ */
+class CheckpointLog
+{
+  public:
+    /** A log for @p spec's checkpointPath (@p spec must outlive it). */
+    explicit CheckpointLog(const SweepSpec &spec) : spec_(spec) {}
+
+    /**
+     * Adopt @p data, just read from the existing file: truncate the
+     * file to data.validBytes (an inform() names any torn bytes) and
+     * append after it from now on. Rejects a file whose cells are not
+     * a contiguous prefix of the shard's range, since appending could
+     * never fill the gap in cell order.
+     */
+    Expected<void> resume(const CheckpointData &data);
+
+    /**
+     * Durably commit @p cells - global indices evaluated since the
+     * last commit, in increasing order - of @p res. Returns the bytes
+     * written; IoError leaves the file as the previous commit left it.
+     */
+    Expected<uint64_t> commit(const SweepResult &res,
+                              std::span<const size_t> cells);
+
+  private:
+    const SweepSpec &spec_;
+    std::optional<AppendFile> file_; ///< none until the file exists
+};
 
 } // namespace snoop

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <utility>
 
 #include "core/checkpoint.hh"
@@ -339,6 +340,7 @@ tryRunSweep(const SweepSpec &spec, const Analyzer &analyzer)
                          std::vector<char>(num_protocols, 0));
 
     const bool checkpointing = !spec.checkpointPath.empty();
+    CheckpointLog writer(spec);
     if (checkpointing && checkpointExists(spec.checkpointPath)) {
         auto data = readSweepCheckpoint(spec.checkpointPath);
         if (!data) {
@@ -352,6 +354,8 @@ tryRunSweep(const SweepSpec &spec, const Analyzer &analyzer)
                                       spec.checkpointPath.c_str()));
             return err;
         }
+        if (auto adopted = writer.resume(data.value()); !adopted)
+            return adopted.error();
         inform("runSweep: resumed %zu completed cells from '%s'",
                res.evaluatedCount(), spec.checkpointPath.c_str());
         metricAdd("sweep.resumed_cells",
@@ -458,16 +462,16 @@ tryRunSweep(const SweepSpec &spec, const Analyzer &analyzer)
         }
         if (checkpointing) {
             ++checkpoint_ordinal;
-            if (auto written = writeSweepCheckpoint(
-                    spec.checkpointPath, spec, res);
-                !written) {
-                SolveError err = written.error();
-                err.withContext(
+            auto written =
+                writer.commit(res, std::span(pending).subspan(start, batch));
+            if (!written) {
+                return std::move(written).error().withContext(
                     "checkpointing sweep progress (completed work up "
                     "to the previous commit survives)");
-                return err;
             }
             metricAdd("sweep.checkpoints");
+            metricAdd("sweep.checkpoint_bytes",
+                      static_cast<double>(written.value()));
             // The chaos harness's crash point: the commit above
             // SUCCEEDED, so aborting here is exactly "the process
             // died between checkpoints" - the strongest point to

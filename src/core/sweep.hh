@@ -75,10 +75,11 @@ struct SweepSpec
 
     /**
      * When non-empty, completed cells are persisted here every
-     * checkpointEvery cells (atomically, with the fsync durability
-     * contract of util/atomic_file.hh), and a restart with the same
-     * spec loads the file, skips the solved cells, and produces
-     * byte-identical output. A checkpoint whose spec fingerprint does
+     * checkpointEvery cells: the first commit creates the file
+     * atomically (util/atomic_file.hh), each later one appends only
+     * its new cells with write + fdatasync. A restart with the same
+     * spec loads the file, drops a torn final append, skips the
+     * solved cells, and produces byte-identical output. A checkpoint whose spec fingerprint does
      * not match is rejected with a structured error - never silently
      * reused (src/core/checkpoint.hh).
      */
@@ -187,11 +188,12 @@ struct SweepResult
  *
  * With a sharded spec only the shard's slice is evaluated; with a
  * checkpointPath the run is crash-safe: completed cells (results and
- * error cells alike) are committed atomically every checkpointEvery
- * cells, and a restart resumes from the last commit with output
- * byte-identical to an uninterrupted run. Restored cells carry every
- * performance measure bit-exactly but not the solver diagnostics
- * (attempts, convergenceTrace, derived inputs) - see
+ * error cells alike) are durably committed every checkpointEvery
+ * cells, each appended once to the checkpoint log
+ * (core/checkpoint.hh), and a restart resumes from the last commit
+ * with output byte-identical to an uninterrupted run. Restored cells
+ * carry every performance measure bit-exactly but not the solver
+ * diagnostics (attempts, convergenceTrace, derived inputs) - see
  * docs/SHARDING.md.
  *
  * Run-level failures (malformed spec, unreadable or mismatched

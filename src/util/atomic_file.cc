@@ -4,8 +4,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "util/fault.hh"
@@ -136,6 +138,92 @@ AtomicFile::discard()
         out_.close();
     std::remove(tmp_path_.c_str());
     discarded_ = true;
+}
+
+Expected<AppendFile>
+AppendFile::open(const std::string &path, uint64_t length)
+{
+    int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+    if (fd < 0) {
+        return makeError(SolveErrorCode::IoError, "AppendFile::open",
+                         "cannot open '%s' to append: %s",
+                         path.c_str(), std::strerror(errno));
+    }
+    // Constructed before any check so the destructor closes the fd on
+    // every early return.
+    AppendFile file(path, fd, length);
+    struct stat st;
+    if (::fstat(fd, &st) != 0 ||
+        static_cast<uint64_t>(st.st_size) < length) {
+        return makeError(SolveErrorCode::IoError, "AppendFile::open",
+                         "'%s' is shorter than its committed length "
+                         "%llu", path.c_str(),
+                         static_cast<unsigned long long>(length));
+    }
+    if (static_cast<uint64_t>(st.st_size) > length &&
+        ::ftruncate(fd, static_cast<off_t>(length)) != 0) {
+        return makeError(SolveErrorCode::IoError, "AppendFile::open",
+                         "cannot truncate '%s' to %llu bytes: %s",
+                         path.c_str(),
+                         static_cast<unsigned long long>(length),
+                         std::strerror(errno));
+    }
+    return file;
+}
+
+AppendFile::AppendFile(std::string path, int fd, uint64_t length)
+    : path_(std::move(path)), fd_(fd), length_(length)
+{
+}
+
+AppendFile::AppendFile(AppendFile &&other) noexcept
+    : path_(std::move(other.path_)), fd_(std::exchange(other.fd_, -1)),
+      length_(other.length_)
+{
+}
+
+AppendFile::~AppendFile()
+{
+    if (fd_ >= 0)
+        (void)::close(fd_);
+}
+
+Expected<void>
+AppendFile::append(std::string_view bytes)
+{
+    std::string failure;
+    if (faultArmed("io.commit"))
+        failure = "injected fault (io.commit)";
+    size_t done = 0;
+    while (failure.empty() && done < bytes.size()) {
+        ssize_t n = ::pwrite(fd_, bytes.data() + done,
+                             bytes.size() - done,
+                             static_cast<off_t>(length_ + done));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            failure = strprintf("write failed: %s",
+                                n < 0 ? std::strerror(errno)
+                                      : "no progress");
+        else
+            done += static_cast<size_t>(n);
+    }
+    // EINVAL is tolerated as in syncPath: no fdatasync on this mount.
+    if (failure.empty() && ::fdatasync(fd_) != 0 && errno != EINVAL)
+        failure = strprintf("fdatasync failed: %s", std::strerror(errno));
+    if (failure.empty() && faultArmed("io.fsync"))
+        failure = "fdatasync failed: injected fault (io.fsync)";
+    if (!failure.empty()) {
+        bool restored = ::ftruncate(fd_, static_cast<off_t>(length_)) == 0;
+        return makeError(SolveErrorCode::IoError, "AppendFile::append",
+                         "appending %zu bytes to '%s': %s (%s)",
+                         bytes.size(), path_.c_str(), failure.c_str(),
+                         restored ? "truncated back to the last commit"
+                                  : "could not truncate back to the "
+                                    "last commit");
+    }
+    length_ += bytes.size();
+    return {};
 }
 
 } // namespace snoop

@@ -27,10 +27,19 @@
  * commit() to fail before and after the flush-to-disk step
  * respectively, which is how tests prove the destination survives a
  * failed write and that fsync failures are reported.
+ *
+ * AppendFile is the append-only counterpart for logs whose prefix is
+ * already committed (the sweep checkpoint log, core/checkpoint.hh):
+ * the file is created once through an AtomicFile, then each later
+ * commit appends one buffer with one write(2) and fdatasync(2)s it.
+ * The same two fault sites guard it, and a failed append truncates
+ * the file back to its last committed length.
  */
 
+#include <cstdint>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "util/expected.hh"
 
@@ -83,6 +92,48 @@ class AtomicFile
     std::ofstream out_;
     bool committed_ = false;
     bool discarded_ = false;
+};
+
+/**
+ * An existing file extended by durable appends. Durability contract:
+ * a successful append() wrote every byte at the committed length in
+ * one write(2) (retried only on a short write) and fdatasync'd them.
+ * On any failure - the write, the fdatasync, or the io.commit (before
+ * the write) and io.fsync (after it) fault sites - the file is
+ * ftruncate'd back to the committed length and an IoError is
+ * returned, so the file stays byte-identical to the previous commit.
+ * A crash *during* append() can still leave a torn tail past the
+ * committed length; readers of such a log must drop it.
+ */
+class AppendFile
+{
+  public:
+    /**
+     * Open the existing @p path to append after its first @p length
+     * bytes, truncating anything past them (a torn earlier append).
+     * IoError when the file cannot be opened or is shorter than
+     * @p length.
+     */
+    static Expected<AppendFile> open(const std::string &path,
+                                     uint64_t length);
+
+    AppendFile(AppendFile &&other) noexcept;
+    AppendFile(const AppendFile &) = delete;
+    AppendFile &operator=(const AppendFile &) = delete;
+    AppendFile &operator=(AppendFile &&) = delete;
+
+    /** Closes the file; committed bytes are already durable. */
+    ~AppendFile();
+
+    /** Durably append @p bytes (the contract in the class comment). */
+    Expected<void> append(std::string_view bytes);
+
+  private:
+    AppendFile(std::string path, int fd, uint64_t length);
+
+    std::string path_;
+    int fd_ = -1;
+    uint64_t length_ = 0; ///< bytes committed so far
 };
 
 } // namespace snoop

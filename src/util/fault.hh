@@ -40,8 +40,10 @@
  *  | sim.replication           | keyed: replication throws             |
  *  | validate.point            | keyed: comparison point throws        |
  *  | serve.request             | keyed by request id: serve cell fails |
- *  | io.commit                 | AtomicFile::commit fails              |
- *  | io.fsync                  | AtomicFile fsync step fails           |
+ *  | io.commit                 | AtomicFile::commit or                 |
+ *  |                           | AppendFile::append fails              |
+ *  | io.fsync                  | AtomicFile fsync or AppendFile        |
+ *  |                           | fdatasync step fails                  |
  *
  * The no-fault fast path is one relaxed atomic load; production runs
  * with SNOOP_FAULT unset pay nothing measurable.

@@ -4,7 +4,9 @@
  * fields, and every corruption - garbled header, flipped bytes,
  * truncated cells, bumped version, out-of-order or out-of-range cells
  * - is rejected with a structured error naming the file and offset,
- * never silently reused.
+ * never silently reused. The append-only log writes each cell once,
+ * drops a torn final append, and leaves the file at its previous
+ * commit when an append fails.
  */
 
 #include <cmath>
@@ -18,8 +20,10 @@
 
 #include "core/checkpoint.hh"
 #include "core/sweep.hh"
+#include "observe/metrics.hh"
 #include "protocol/catalog.hh"
 #include "util/fault.hh"
+#include "util/logging.hh"
 
 namespace snoop {
 namespace {
@@ -389,6 +393,168 @@ TEST_F(Checkpoint, FailedCheckpointCommitIsAStructuredError)
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, SolveErrorCode::IoError);
     EXPECT_NE(res.error().message.find("fsync"), std::string::npos);
+}
+
+/**
+ * Run @p spec until the sweep.checkpoint crash point fires after
+ * commit @p commits; the file then holds exactly those commits.
+ */
+void
+runUntilCommit(const SweepSpec &spec, size_t commits)
+{
+    ASSERT_TRUE(
+        setFaultSpecs(strprintf("sweep.checkpoint:every=%zu", commits))
+            .ok());
+    auto res = tryRunSweep(spec);
+    clearFaultSpecs();
+    ASSERT_FALSE(res.ok());
+    ASSERT_EQ(res.error().code, SolveErrorCode::InjectedFault);
+}
+
+TEST_F(Checkpoint, V1HeaderIsRejectedAsAnUnsupportedVersion)
+{
+    SweepSpec spec = smallSpec();
+    spec.checkpointPath = path_;
+    ASSERT_TRUE(tryRunSweep(spec).ok());
+
+    // A v1 file differs from v2 only in how it was committed, so a
+    // header claiming version 1 (with a valid checksum) is the whole
+    // of what a leftover v1 file looks like.
+    std::string contents = slurp(path_);
+    size_t nl = contents.find('\n');
+    auto header = parseJson(contents.substr(0, nl));
+    ASSERT_TRUE(header.ok());
+    JsonValue h = std::move(header).value();
+    h.asObject().erase("check");
+    h.set("version", JsonValue(1u));
+    h.set("check", JsonValue(fnv1aHex(serializeJson(h))));
+    spit(path_, serializeJson(h) + contents.substr(nl));
+
+    auto data = readSweepCheckpoint(path_);
+    ASSERT_FALSE(data.ok());
+    EXPECT_EQ(data.error().code, SolveErrorCode::InvalidArgument);
+    EXPECT_NE(data.error().message.find("format version 1 is not the "
+                                        "supported version 2"),
+              std::string::npos)
+        << data.error().message;
+}
+
+TEST_F(Checkpoint, EachCellIsWrittenOnce)
+{
+    SweepSpec spec = smallSpec();
+    spec.checkpointPath = path_;
+    spec.checkpointEvery = 1;
+    metrics().reset();
+    metrics().setEnabled(true);
+    auto res = tryRunSweep(spec);
+    metrics().setEnabled(false);
+    ASSERT_TRUE(res.ok());
+
+    double written = -1.0, commits = -1.0;
+    for (const MetricEntry &e : metrics().snapshot()) {
+        if (e.name == "sweep.checkpoint_bytes")
+            written = e.total;
+        if (e.name == "sweep.checkpoints")
+            commits = e.total;
+    }
+    metrics().reset();
+    EXPECT_EQ(commits, 6.0);
+    // Six commits of one cell each wrote exactly the final file: the
+    // header once and every cell line once, nothing rewritten.
+    EXPECT_EQ(written, static_cast<double>(slurp(path_).size()));
+}
+
+TEST_F(Checkpoint, TornFinalLineIsDroppedAndTruncatedOnResume)
+{
+    SweepSpec spec = smallSpec();
+    spec.checkpointEvery = 2;
+    spec.checkpointPath = path_ + ".golden";
+    auto golden = tryRunSweep(spec);
+    ASSERT_TRUE(golden.ok());
+    std::string golden_file = slurp(spec.checkpointPath);
+    std::remove(spec.checkpointPath.c_str());
+
+    spec.checkpointPath = path_;
+    ASSERT_NO_FATAL_FAILURE(runUntilCommit(spec, 2));
+    std::string committed = slurp(path_);
+    // Half of the next cell line, no newline: an append cut short.
+    size_t next_end = golden_file.find('\n', committed.size());
+    ASSERT_NE(next_end, std::string::npos);
+    std::string torn =
+        golden_file.substr(committed.size(),
+                           (next_end - committed.size()) / 2);
+    spit(path_, committed + torn);
+
+    auto data = readSweepCheckpoint(path_);
+    ASSERT_TRUE(data.ok()) << data.error().describe();
+    EXPECT_EQ(data.value().cells.size(), 4u);
+    EXPECT_EQ(data.value().validBytes, committed.size());
+    EXPECT_EQ(data.value().tornBytes, torn.size());
+
+    testing::internal::CaptureStderr();
+    auto resumed = tryRunSweep(spec);
+    std::string log = testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(resumed.ok()) << resumed.error().describe();
+    EXPECT_NE(log.find(strprintf("torn %zu-byte append", torn.size())),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(slurp(path_), golden_file);
+    EXPECT_EQ(resumed.value().csv(), golden.value().csv());
+    EXPECT_EQ(resumed.value().cellCsv(), golden.value().cellCsv());
+    EXPECT_EQ(resumed.value().table().render(),
+              golden.value().table().render());
+}
+
+TEST_F(Checkpoint, FailedAppendLeavesTheFileAtThePreviousCommit)
+{
+    SweepSpec spec = smallSpec();
+    spec.checkpointPath = path_;
+    spec.checkpointEvery = 1;
+    // Commit 3 is an append; it fails before (io.commit) or after
+    // (io.fsync) its write, and the file must read exactly as commit
+    // 2 left it either way.
+    ASSERT_NO_FATAL_FAILURE(runUntilCommit(spec, 2));
+    const std::string after_commit_2 = slurp(path_);
+    for (const char *site : {"io.commit", "io.fsync"}) {
+        ASSERT_TRUE(setFaultSpecs(site).ok());
+        testing::internal::CaptureStderr();
+        auto res = tryRunSweep(spec);
+        testing::internal::GetCapturedStderr();
+        clearFaultSpecs();
+        ASSERT_FALSE(res.ok()) << site;
+        EXPECT_EQ(res.error().code, SolveErrorCode::IoError) << site;
+        EXPECT_NE(res.error().message.find(site), std::string::npos)
+            << res.error().message;
+        EXPECT_EQ(slurp(path_), after_commit_2) << site;
+    }
+    testing::internal::CaptureStderr();
+    auto finished = tryRunSweep(spec);
+    testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(finished.ok());
+    EXPECT_EQ(finished.value().evaluatedCount(), 6u);
+}
+
+TEST_F(Checkpoint, CellGapIsRejectedOnResume)
+{
+    SweepSpec spec = smallSpec();
+    spec.checkpointPath = path_;
+    ASSERT_TRUE(tryRunSweep(spec).ok());
+
+    // Drop cell 1's line: the rest still reads in order, but a resume
+    // would have to append cell 1 after cell 5.
+    std::string contents = slurp(path_);
+    size_t pos = contents.find("{\"cell\":1,");
+    ASSERT_NE(pos, std::string::npos);
+    contents.erase(pos, contents.find('\n', pos) + 1 - pos);
+    spit(path_, contents);
+    ASSERT_TRUE(readSweepCheckpoint(path_).ok());
+
+    auto res = tryRunSweep(spec);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.error().code, SolveErrorCode::InvalidArgument);
+    EXPECT_NE(res.error().message.find("contiguous prefix"),
+              std::string::npos)
+        << res.error().message;
 }
 
 TEST(ShardSlices, RangesAreContiguousExhaustiveAndOrdered)

@@ -15,8 +15,14 @@
 #     resumed, merged by snoop_merge, give byte-identical value-grid
 #     CSV, per-cell CSV, and winners to the single-process golden run.
 #
+#  3. Torn appends: a kill that leaves half a cell line (no newline)
+#     at the end of the checkpoint is recovered from - the resume
+#     drops the torn tail and still matches golden at SNOOP_JOBS=1
+#     and 8.
+#
 # Plus the rejection paths: an incomplete shard, a duplicated shard,
-# and a missing shard must each fail the merge loudly.
+# a missing shard, and an incomplete shard with a torn tail must each
+# fail the merge loudly.
 set -u
 
 DESIGN_SPACE=${1:?usage: run_chaos.sh <design_space> <snoop_merge> <workdir>}
@@ -52,9 +58,19 @@ cmp -s "$WORKDIR/golden.csv" "$WORKDIR/j8.csv" \
 cmp -s "$WORKDIR/golden_cells.csv" "$WORKDIR/j8_cells.csv" \
     || fail "cell CSV differs between SNOOP_JOBS=1 and 8"
 
+# Append the first half of the checkpoint's last cell line with no
+# newline: the tail a crash in the middle of an append leaves behind.
+tear_tail() {
+    local last
+    last=$(tail -n 1 "$1")
+    printf '%s' "${last:0:$((${#last} / 2))}" >> "$1"
+}
+
 # Run one checkpointed sweep to completion, SIGKILLing it at every
 # checkpoint boundary until the final resume has nothing left to do.
+# With TEAR_TAIL=1 every kill also leaves a torn append (tear_tail).
 # $1: jobs, $2: checkpoint path, $3: output prefix, $4...: extra args
+TEAR_TAIL=0
 kill_resume_loop() {
     local jobs=$1 ckpt=$2 prefix=$3; shift 3
     local kills=0 attempts=0
@@ -76,6 +92,7 @@ kill_resume_loop() {
             break
         elif [ "$rc" -eq 137 ]; then
             kills=$((kills + 1)) # SIGKILL at a checkpoint boundary
+            [ "$TEAR_TAIL" -eq 1 ] && tear_tail "$ckpt"
         else
             cat "$prefix.err" >&2
             fail "$prefix: unexpected exit code $rc"
@@ -97,6 +114,23 @@ for jobs in 1 8; do
     winners_of "$WORKDIR/golden.out" | cmp -s - "$WORKDIR/whole_j$jobs.win" \
         || fail "resumed winners differ from golden at SNOOP_JOBS=$jobs"
 done
+
+note "torn appends: every kill also leaves half a cell line behind"
+TEAR_TAIL=1
+for jobs in 1 8; do
+    rm -f "$WORKDIR/torn.ckpt"
+    kill_resume_loop "$jobs" "$WORKDIR/torn.ckpt" "$WORKDIR/torn_j$jobs"
+    grep -q "dropped a torn" "$WORKDIR/torn_j$jobs.err" \
+        || fail "resume at SNOOP_JOBS=$jobs did not report the torn tail"
+    cmp -s "$WORKDIR/golden.csv" "$WORKDIR/torn_j$jobs.csv" \
+        || fail "torn-tail resume CSV differs from golden at SNOOP_JOBS=$jobs"
+    cmp -s "$WORKDIR/golden_cells.csv" "$WORKDIR/torn_j${jobs}_cells.csv" \
+        || fail "torn-tail resume cell CSV differs from golden at SNOOP_JOBS=$jobs"
+    winners_of "$WORKDIR/torn_j$jobs.out" > "$WORKDIR/torn_j$jobs.win"
+    winners_of "$WORKDIR/golden.out" | cmp -s - "$WORKDIR/torn_j$jobs.win" \
+        || fail "torn-tail resume winners differ from golden at SNOOP_JOBS=$jobs"
+done
+TEAR_TAIL=0
 
 note "sharded chaos: 4 shards, each SIGKILLed at least once, then merged"
 for jobs in 1 8; do
@@ -154,5 +188,14 @@ rm -f "$WORKDIR/partial.ckpt"
     && fail "merge of an incomplete shard was accepted"
 grep -q "never resumed to completion" "$WORKDIR/partial.err" \
     || fail "incomplete-shard merge died without saying why"
+
+note "rejection: an interrupted shard with a torn tail must fail the merge"
+tear_tail "$WORKDIR/partial.ckpt"
+"$SNOOP_MERGE" "$WORKDIR/partial.ckpt" "$WORKDIR"/shard1.ckpt \
+    "$WORKDIR"/shard2.ckpt "$WORKDIR"/shard3.ckpt \
+    > /dev/null 2> "$WORKDIR/torn.err" \
+    && fail "merge of a torn, incomplete shard was accepted"
+grep -q "never resumed to completion" "$WORKDIR/torn.err" \
+    || fail "torn-shard merge died without saying why"
 
 echo "run_chaos: all kill/resume and merge round-trips byte-identical"
