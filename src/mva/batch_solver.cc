@@ -2,29 +2,18 @@
 
 #include <algorithm>
 #include <cfloat>
-#include <chrono>
 #include <cmath>
 #include <numeric>
-#include <optional>
 
 #include "mva/kernel.hh"
+#include "mva/lane.hh"
 #include "observe/metrics.hh"
-#include "observe/trace.hh"
-#include "util/fault.hh"
 #include "util/parallel.hh"
-#include "util/strutil.hh"
 
 namespace snoop {
 
 namespace {
 
-using solve_clock = std::chrono::steady_clock;
-
-/**
- * Fault-site arming captured once per batch so injection is a pure
- * function of the configuration, never of block scheduling (the same
- * guarantee the scalar solver makes per solve).
- */
 /**
  * SoA widths per parallelFor work item. A work item is the unit of
  * pool parallelism AND the refill pool for one lockstep SoA: wider
@@ -36,143 +25,6 @@ using solve_clock = std::chrono::steady_clock;
  */
 constexpr size_t kBlocksPerItem = 8;
 
-struct InjectFlags
-{
-    bool nan = false;         ///< mva.nan: NaN w_bus at iteration 2
-    bool nonconverge = false; ///< mva.nonconverge: every attempt fails
-    bool first = false;       ///< mva.first_attempt: attempt 0 fails
-};
-
-/**
- * Structure-of-arrays state for one block of lanes: one contiguous
- * array per model variable, indexed by lane. This is the cold side -
- * ladder state, attempt records, measures, traces - shared by both
- * tick drivers; the fast path additionally mirrors the iterate and
- * step constants into the dense HotSoA below for the vectorized
- * tick, and lanes that finish (or fail admission) simply leave the
- * active mask.
- */
-struct LaneBlock
-{
-    size_t lanes;
-    std::vector<MvaStepConstants> consts;
-    // Iterate state (the damped fixed-point variables).
-    std::vector<double> wBus, wMem, rTotal;
-    // Submodel measures of the last completed iteration.
-    std::vector<double> rLocal, rBc, rRr, qBus, busUtil, pBusyBus,
-        tBus, tResBus, memUtil, pBusyMem, nInt, tInt;
-    std::vector<double> residual;
-    std::vector<int> iterations;  ///< iterations of the current attempt
-    std::vector<int> cap;         ///< iteration cap of the current attempt
-    std::vector<long> itersUsed;  ///< iterations across the whole ladder
-    std::vector<size_t> rung;     ///< current ladder rung index
-    std::vector<std::vector<double>> ladder;
-    std::vector<uint8_t> active, converged, nonFinite, budgetOut,
-        force, timed, warm, finished;
-    std::vector<solve_clock::time_point> deadline;
-    std::vector<std::vector<SolveAttempt>> attempts;
-    std::vector<std::vector<double>> convTrace;
-    /** Per lane, per attempt: iteration deltas buffered for replay. */
-    std::vector<std::vector<std::vector<double>>> replay;
-
-    explicit LaneBlock(size_t m)
-        : lanes(m), consts(m), wBus(m, 0.0), wMem(m, 0.0),
-          rTotal(m, 0.0), rLocal(m, 0.0), rBc(m, 0.0), rRr(m, 0.0),
-          qBus(m, 0.0), busUtil(m, 0.0), pBusyBus(m, 0.0),
-          tBus(m, 0.0), tResBus(m, 0.0), memUtil(m, 0.0),
-          pBusyMem(m, 0.0), nInt(m, 0.0), tInt(m, 0.0),
-          residual(m, 0.0), iterations(m, 0), cap(m, 0),
-          itersUsed(m, 0), rung(m, 0), ladder(m), active(m, 0),
-          converged(m, 0), nonFinite(m, 0), budgetOut(m, 0),
-          force(m, 0), timed(m, 0), warm(m, 0), finished(m, 0),
-          deadline(m), attempts(m), convTrace(m), replay(m)
-    {
-    }
-
-    /** Reset lane @p i's per-attempt state to its seed (the ladder
-     * restarts every attempt from the original seed, exactly like a
-     * fresh scalar solveOnce). */
-    void restartAttempt(size_t i, const MvaJob &job, bool record_iters)
-    {
-        wBus[i] = job.seed.wBus;
-        wMem[i] = job.seed.wMem;
-        rTotal[i] = job.seed.rTotal > 0.0 ? job.seed.rTotal
-                                          : job.inputs.tau +
-                consts[i].tSupply;
-        rLocal[i] = rBc[i] = rRr[i] = qBus[i] = busUtil[i] = 0.0;
-        pBusyBus[i] = tBus[i] = tResBus[i] = memUtil[i] = 0.0;
-        pBusyMem[i] = nInt[i] = tInt[i] = 0.0;
-        residual[i] = 0.0;
-        iterations[i] = 0;
-        converged[i] = 0;
-        nonFinite[i] = 0;
-        budgetOut[i] = 0;
-        convTrace[i].clear();
-        if (record_iters)
-            replay[i].emplace_back();
-    }
-};
-
-/**
- * Replay lane @p i's buffered trace events under its task scope, in
- * the same shape the scalar solver records live: one mva.solve Phase
- * span over the whole solve, per-attempt mva.iteration instants
- * (Iteration level) followed by the attempt's mva.attempt instant.
- */
-void
-replayLaneTrace(const MvaJob &job, const LaneBlock &blk, size_t i)
-{
-    std::optional<TraceTaskScope> scope;
-    if (job.traceKey != 0)
-        scope.emplace(job.traceKey);
-    TraceSpan span(TraceLevel::Phase, "mva.solve", job.n);
-    if (span.active()) {
-        span.setArgs(strprintf("\"protocol\":\"%s\",\"warm\":%s",
-                               job.inputs.protocol.name().c_str(),
-                               blk.warm[i] ? "true" : "false"));
-    }
-    const bool iter_trace = traceEnabled(TraceLevel::Iteration);
-    for (size_t k = 0; k < blk.attempts[i].size(); ++k) {
-        const SolveAttempt &a = blk.attempts[i][k];
-        if (iter_trace && k < blk.replay[i].size()) {
-            const std::vector<double> &deltas = blk.replay[i][k];
-            for (size_t t = 0; t < deltas.size(); ++t) {
-                traceInstant(TraceLevel::Iteration, "mva.iteration",
-                             static_cast<uint64_t>(t + 1),
-                             strprintf("\"delta\":%.17g,\"damping\":%g",
-                                       deltas[t], a.damping));
-            }
-        }
-        traceInstant(TraceLevel::Phase, "mva.attempt",
-                     static_cast<uint64_t>(k),
-                     strprintf("\"damping\":%g,\"iterations\":%d,"
-                               "\"residual\":%.17g,\"converged\":%s",
-                               a.damping, a.iterations, a.residual,
-                               a.converged ? "true" : "false"));
-    }
-}
-
-/** Store the step measures for lane @p i exactly as the tick loop
- * does when it commits an iteration (the two raw utilizations are
- * capped at 1 for reporting; the uncapped values still feed the
- * p-busy corrections inside the step itself). */
-void
-commitMeasures(LaneBlock &blk, size_t i, const MvaStepValues &o)
-{
-    blk.rLocal[i] = o.rLocal;
-    blk.rBc[i] = o.rBc;
-    blk.rRr[i] = o.rRr;
-    blk.qBus[i] = o.qBus;
-    blk.busUtil[i] = std::min(o.uBus, 1.0);
-    blk.pBusyBus[i] = o.pBusyBus;
-    blk.tBus[i] = o.tBus;
-    blk.tResBus[i] = o.tResBus;
-    blk.memUtil[i] = std::min(o.uMem, 1.0);
-    blk.pBusyMem[i] = o.pBusyMem;
-    blk.nInt[i] = o.nInt;
-    blk.tInt[i] = blk.consts[i].tInt;
-}
-
 /**
  * The hot structure-of-arrays the vectorized tick runs over: one
  * contiguous array per step constant and per iterate variable,
@@ -182,8 +34,8 @@ commitMeasures(LaneBlock &blk, size_t i, const MvaStepValues &o)
  * gather through an index array.
  *
  * Only the per-tick arithmetic lives here. Everything the epilogue
- * needs (attempt records, measures, traces) stays in LaneBlock,
- * indexed by the original lane id (`lane[slot]`), and is synced once
+ * needs (attempt records, measures, traces) stays in the MvaLane
+ * record of the original lane id (`lane[slot]`), and is synced once
  * at attempt boundaries rather than every tick. To rebuild the
  * last-committed measures at retirement without storing them per
  * tick, the tick keeps a two-deep history ring of the iterate
@@ -209,12 +61,12 @@ struct HotSoA
     std::vector<double> prevWb, prevWm, prevRt;
     std::vector<double> pprevWb, pprevWm, pprevRt;
     std::vector<double> damp, tol, delta, iterD, capD, done;
-    std::vector<size_t> lane; ///< slot -> LaneBlock lane id
+    std::vector<size_t> lane; ///< slot -> lane id in the block
     size_t n = 0;             ///< live slot count (dense prefix)
 
-    void push(const LaneBlock &blk, const MvaJob &job, size_t i)
+    void push(const MvaLane &ln, size_t i)
     {
-        const MvaStepConstants &c = blk.consts[i];
+        const MvaStepConstants &c = ln.consts;
         numProc.push_back(c.numProc);
         tau.push_back(c.tau);
         pLocal.push_back(c.pLocal);
@@ -232,20 +84,20 @@ struct HotSoA
         tInt.push_back(c.tInt);
         nMinus1.push_back(c.numProc - 1.0);
         gt1.push_back(c.n > 1 ? 1.0 : 0.0);
-        wb.push_back(blk.wBus[i]);
-        wm.push_back(blk.wMem[i]);
-        rt.push_back(blk.rTotal[i]);
+        wb.push_back(ln.wBus);
+        wm.push_back(ln.wMem);
+        rt.push_back(ln.rTotal);
         prevWb.push_back(0.0);
         prevWm.push_back(0.0);
         prevRt.push_back(0.0);
         pprevWb.push_back(0.0);
         pprevWm.push_back(0.0);
         pprevRt.push_back(0.0);
-        damp.push_back(blk.ladder[i][blk.rung[i]]);
-        tol.push_back(job.opts.tolerance);
+        damp.push_back(ln.ladder[ln.rung]);
+        tol.push_back(ln.opts.tolerance);
         delta.push_back(0.0);
         iterD.push_back(0.0);
-        capD.push_back(static_cast<double>(blk.cap[i]));
+        capD.push_back(static_cast<double>(ln.cap));
         done.push_back(0.0);
         lane.push_back(i);
         ++n;
@@ -261,15 +113,15 @@ struct HotSoA
         std::swap(pprevRt, prevRt);
     }
 
-    /** Re-seed slot @p s after LaneBlock::restartAttempt reset lane
-     * @p i for the next ladder rung. */
-    void restartSlot(size_t s, const LaneBlock &blk, size_t i)
+    /** Re-seed slot @p s after MvaLane::endAttempt restarted its
+     * lane @p ln on the next ladder rung. */
+    void restartSlot(size_t s, const MvaLane &ln)
     {
-        wb[s] = blk.wBus[i];
-        wm[s] = blk.wMem[i];
-        rt[s] = blk.rTotal[i];
-        damp[s] = blk.ladder[i][blk.rung[i]];
-        capD[s] = static_cast<double>(blk.cap[i]);
+        wb[s] = ln.wBus;
+        wm[s] = ln.wMem;
+        rt[s] = ln.rTotal;
+        damp[s] = ln.ladder[ln.rung];
+        capD[s] = static_cast<double>(ln.cap);
         iterD[s] = 0.0;
         done[s] = 0.0;
     }
@@ -374,7 +226,7 @@ struct HotSoA
  * scalar kernel's: same association, true divisions kept as
  * divisions, std::min/max/clamp with the scalar NaN semantics, and
  * the same mvaExp2 for the eq. (13) power - that is what makes batch
- * results bit-identical to per-cell trySolve.
+ * results bit-identical to per-cell trySolve (MvaLane::step).
  *
  * Writes back wb/wm/rt, the convergence delta, the pre-tick iterate
  * (into prev*, completing the caller's history-ring rotation), the
@@ -512,369 +364,158 @@ BatchMvaSolver::BatchMvaSolver(BatchOptions opts) : opts_(opts)
 void
 BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
                            Expected<MvaResult> *out,
-                           size_t lanes) const
+                           size_t count) const
 {
     ScopedMetricTimer block_timer("mva.batch.block_us");
 
-    InjectFlags inj;
-    inj.nan = faultArmed("mva.nan");
-    inj.nonconverge = faultArmed("mva.nonconverge");
-    inj.first = faultArmed("mva.first_attempt");
-    const bool record_iters = traceEnabled(TraceLevel::Iteration);
-
-    LaneBlock blk(lanes);
-    size_t remaining = 0;
-
-    // --- Admission: mirror the scalar trySolve prologue per lane ----
-    for (size_t i = 0; i < lanes; ++i) {
-        const MvaJob &job = jobs[idx[i]];
-        if (auto err = checkMvaOptions(job.opts)) {
-            out[idx[i]] = std::move(*err);
-            blk.finished[i] = 1;
-            continue;
-        }
-        if (job.n == 0) {
-            out[idx[i]] = makeError(SolveErrorCode::InvalidArgument,
-                                    "MvaSolver::solve",
-                                    "need at least one processor");
-            blk.finished[i] = 1;
-            continue;
-        }
-        if (auto err = checkMvaSeed(job.seed)) {
-            out[idx[i]] = std::move(*err);
-            blk.finished[i] = 1;
-            continue;
-        }
-        metricAdd("mva.solves");
-        blk.warm[i] = job.seed.wBus != 0.0 || job.seed.wMem != 0.0 ||
-            job.seed.rTotal != 0.0;
-        if (blk.warm[i])
-            metricAdd("mva.warm_solves");
-
-        blk.consts[i] = mvaStepConstants(job.inputs, job.n);
-        blk.ladder[i] = recoveryLadder(job.opts.damping);
-        blk.force[i] = (inj.nonconverge || inj.first) ? 1 : 0;
-        blk.timed[i] = job.opts.timeBudget > 0.0 ? 1 : 0;
-        if (blk.timed[i]) {
-            blk.deadline[i] = solve_clock::now() +
-                std::chrono::duration_cast<solve_clock::duration>(
-                    std::chrono::duration<double>(job.opts.timeBudget));
-        }
-        int cap = job.opts.maxIterations;
-        if (job.opts.iterationBudget > 0 &&
-            job.opts.iterationBudget < cap)
-            cap = static_cast<int>(job.opts.iterationBudget);
-        blk.cap[i] = cap;
-        blk.restartAttempt(i, job, record_iters);
-        blk.active[i] = 1;
-        ++remaining;
-    }
-
-    // --- Lane finalization: the scalar epilogue + disposition -------
-    auto finishLane = [&](size_t i) {
-        const MvaJob &job = jobs[idx[i]];
-        const MvaStepConstants &c = blk.consts[i];
-        blk.active[i] = 0;
-        --remaining;
-
-        MvaResult r;
-        r.numProcessors = job.n;
-        r.inputs = job.inputs;
-        r.warmStarted = blk.warm[i] != 0;
-        r.iterations = blk.iterations[i];
-        r.converged = blk.converged[i] != 0;
-        r.residual = blk.residual[i];
-        r.nonFinite = blk.nonFinite[i] != 0;
-        r.budgetExhausted = blk.budgetOut[i] != 0;
-        r.rLocal = blk.rLocal[i];
-        r.rBroadcast = blk.rBc[i];
-        r.rRemoteRead = blk.rRr[i];
-        r.qBus = blk.qBus[i];
-        r.busUtil = blk.busUtil[i];
-        r.pBusyBus = blk.pBusyBus[i];
-        r.tBus = blk.tBus[i];
-        r.tResBus = blk.tResBus[i];
-        r.memUtil = blk.memUtil[i];
-        r.pBusyMem = blk.pBusyMem[i];
-        r.nInterference = blk.nInt[i];
-        r.tInterference = blk.tInt[i];
-        r.wBus = blk.wBus[i];
-        r.wMem = blk.wMem[i];
-        r.responseTime = blk.rTotal[i];
-        r.speedup = c.numProc * (job.inputs.tau + c.tSupply) /
-            blk.rTotal[i];
-        r.processingPower = c.numProc * job.inputs.tau / blk.rTotal[i];
-        r.attempts = blk.attempts[i];
-        if (job.opts.recordTrace)
-            r.convergenceTrace = blk.convTrace[i];
-
-        Expected<MvaResult> fin = disposeMvaResult(
-            std::move(r), job.opts, blk.itersUsed[i], job.n,
-            job.inputs);
-        if (fin.ok()) {
-            if (auto err = validateMvaResult(fin.value()))
-                fin = Expected<MvaResult>(std::move(*err));
-        }
-        out[idx[i]] = std::move(fin);
-        blk.finished[i] = 1;
-        if (traceEnabled(TraceLevel::Phase))
-            replayLaneTrace(job, blk, i);
-    };
-
-    // --- Attempt disposition: the scalar ladder loop per lane -------
-    auto endAttempt = [&](size_t i, bool out_of_time) {
-        const MvaJob &job = jobs[idx[i]];
-        SolveAttempt a;
-        a.damping = blk.ladder[i][blk.rung[i]];
-        a.iterations = blk.iterations[i];
-        a.residual = blk.residual[i];
-        a.converged = blk.converged[i] != 0;
-        a.nonFinite = blk.nonFinite[i] != 0;
-        blk.attempts[i].push_back(a);
-        blk.itersUsed[i] += a.iterations;
-        metricAdd("mva.attempts");
-        metricAdd("mva.iterations", a.iterations);
-
-        if (a.converged || out_of_time ||
-            blk.rung[i] + 1 >= blk.ladder[i].size()) {
-            finishLane(i);
-            return;
-        }
-        // Next rung: shrink the cap under an iteration budget, honor
-        // the wall clock, and restart from the seed (same order as
-        // the scalar ladder loop).
-        int cap = job.opts.maxIterations;
-        if (job.opts.iterationBudget > 0) {
-            long rem = job.opts.iterationBudget - blk.itersUsed[i];
-            if (rem <= 0) {
-                blk.budgetOut[i] = 1;
-                finishLane(i);
-                return;
-            }
-            if (rem < cap)
-                cap = static_cast<int>(rem);
-        }
-        if (blk.timed[i] && solve_clock::now() >= blk.deadline[i]) {
-            blk.budgetOut[i] = 1;
-            finishLane(i);
-            return;
-        }
-        ++blk.rung[i];
-        blk.cap[i] = cap;
-        blk.force[i] = inj.nonconverge ? 1 : 0;
-        blk.restartAttempt(i, job, record_iters);
-    };
-
-    // --- The lockstep tick loops ------------------------------------
-    // Two drivers share the attempt/ladder machinery above. The fast
-    // path runs whenever per-tick arithmetic is all a lane needs: the
-    // fused SoA tick advances every live slot one iteration of
-    // eqs. (1)-(13) in SIMD lanes, and a scalar post-pass retires
-    // converged/exhausted/non-finite lanes through endAttempt. Blocks
-    // with armed solver faults or wall-clock budgets take the scalar
-    // path below, which interleaves injection and deadline checks
-    // with each shared-kernel step. Both paths execute the same value
-    // sequence per lane as scalar solveOnce, so either way the batch
-    // is bit-identical to per-cell trySolve.
+    // --- Admission: the shared lane prologue per lane ---------------
+    const MvaFaults faults = MvaFaults::armed();
+    std::vector<MvaLane> lanes;
+    lanes.reserve(count);
     bool any_timed = false;
-    for (size_t i = 0; i < lanes; ++i)
-        any_timed = any_timed || (blk.active[i] && blk.timed[i] != 0);
-    const bool fast =
-        !inj.nan && !inj.nonconverge && !inj.first && !any_timed;
+    for (size_t i = 0; i < count; ++i) {
+        const MvaJob &job = jobs[idx[i]];
+        MvaLane &lane = lanes.emplace_back(job.inputs, job.n, job.seed,
+                                           job.opts, job.traceKey);
+        if (auto err = lane.admit(faults))
+            out[idx[i]] = std::move(*err);
+        any_timed = any_timed || (lane.active && lane.timed);
+    }
+    auto finishLane = [&](size_t i) { out[idx[i]] = lanes[i].finish(); };
 
-    if (fast) {
-        // The SoA runs opts_.blockSize lanes wide; the rest of the
-        // work item queues behind it and refills slots as lanes
-        // retire, so the SIMD tick stays near-full even when lane
-        // iteration counts differ by an order of magnitude. Refill
-        // order is the (deterministic) work-item order, and a lane's
-        // arithmetic is independent of when its slot opens, so this
-        // changes scheduling only, never per-lane values.
-        HotSoA hot;
-        bool tracing = record_iters;
-        std::vector<size_t> pending;
-        for (size_t i = 0; i < lanes; ++i) {
-            if (!blk.active[i])
-                continue;
-            if (hot.n < opts_.blockSize)
-                hot.push(blk, jobs[idx[i]], i);
-            else
-                pending.push_back(i);
-            tracing = tracing || jobs[idx[i]].opts.recordTrace;
-        }
-        size_t next = 0;
-
-        while (hot.n > 0) {
-            hot.rotateHistory();
-            fusedTick(hot.n, hot.numProc.data(), hot.tau.data(),
-                      hot.pLocal.data(), hot.pBc.data(),
-                      hot.pRr.data(), hot.tRead.data(),
-                      hot.memFactor.data(), hot.tWrite.data(),
-                      hot.tSupply.data(), hot.dMem.data(),
-                      hot.invModules.data(), hot.p.data(),
-                      hot.pPrime.data(), hot.log2PPrime.data(),
-                      hot.tInt.data(), hot.nMinus1.data(),
-                      hot.gt1.data(), hot.damp.data(), hot.tol.data(),
-                      hot.capD.data(), hot.iterD.data(),
-                      hot.prevWb.data(), hot.prevWm.data(),
-                      hot.prevRt.data(), hot.wb.data(), hot.wm.data(),
-                      hot.rt.data(), hot.delta.data(),
-                      hot.done.data());
-
-            // Most ticks retire nothing: one cheap scan of the done
-            // flags and the next tick starts. (When a lane records
-            // per-iteration traces the post-pass must run every tick
-            // to buffer the deltas in order.)
-            if (!tracing) {
-                bool any = false;
-                for (size_t s = 0; s < hot.n; ++s)
-                    any = any || hot.done[s] != 0.0;
-                if (!any)
-                    continue;
-            }
-
-            // Post-pass: bookkeeping and retirement per slot. A
-            // retired slot is refilled by swap-compaction and the
-            // moved lane (already ticked, not yet post-processed) is
-            // handled at the same index, so every live lane gets
-            // exactly one pass per tick.
-            size_t s = 0;
-            while (s < hot.n) {
-                const size_t i = hot.lane[s];
-                const MvaJob &job = jobs[idx[i]];
-                const int it = static_cast<int>(hot.iterD[s]);
-
-                if (!std::isfinite(hot.rt[s]) ||
-                    !std::isfinite(hot.wb[s]) ||
-                    !std::isfinite(hot.wm[s])) {
-                    // The scalar driver aborts the attempt before
-                    // committing: the iterate keeps the last finite
-                    // state, the measures and residual stay those of
-                    // iteration it-1 (zeros when the first iteration
-                    // aborts - restartAttempt left them there).
-                    blk.iterations[i] = it;
-                    blk.nonFinite[i] = 1;
-                    blk.wBus[i] = hot.prevWb[s];
-                    blk.wMem[i] = hot.prevWm[s];
-                    blk.rTotal[i] = hot.prevRt[s];
-                    if (it >= 2) {
-                        commitMeasures(
-                            blk, i,
-                            mvaStep(blk.consts[i], hot.pprevWb[s],
-                                    hot.pprevWm[s], hot.pprevRt[s]));
-                        blk.residual[i] =
-                            std::fabs(hot.prevRt[s] - hot.pprevRt[s]);
-                    }
-                    endAttempt(i, false);
-                    if (blk.active[i]) {
-                        hot.restartSlot(s, blk, i);
-                        ++s;
-                    } else {
-                        hot.removeSlot(s);
-                    }
-                    continue;
-                }
-
-                const double delta = hot.delta[s];
-                if (job.opts.recordTrace)
-                    blk.convTrace[i].push_back(delta);
-                if (record_iters)
-                    blk.replay[i].back().push_back(delta);
-
-                const bool conv = delta < job.opts.tolerance *
-                    std::max(1.0, std::fabs(hot.rt[s]));
-                if (conv || static_cast<double>(it) >= hot.capD[s]) {
-                    blk.iterations[i] = it;
-                    blk.residual[i] = delta;
-                    blk.converged[i] = conv ? 1 : 0;
-                    blk.wBus[i] = hot.wb[s];
-                    blk.wMem[i] = hot.wm[s];
-                    blk.rTotal[i] = hot.rt[s];
-                    // Rebuild this iteration's measures from the
-                    // pre-tick state via the shared scalar step -
-                    // same inputs, same kernel, same bits as the
-                    // fused computation that just ran.
-                    commitMeasures(
-                        blk, i,
-                        mvaStep(blk.consts[i], hot.prevWb[s],
-                                hot.prevWm[s], hot.prevRt[s]));
-                    endAttempt(i, false);
-                    if (blk.active[i]) {
-                        hot.restartSlot(s, blk, i);
-                        ++s;
-                    } else {
-                        hot.removeSlot(s);
-                    }
-                    continue;
-                }
-                ++s;
-            }
-
-            // Top up freed slots from the pending queue. Deferred to
-            // after the post-pass so a fresh lane (zero iterations,
-            // zero delta) is never mistaken for a converged one; it
-            // takes its first step on the next tick.
-            while (hot.n < opts_.blockSize && next < pending.size()) {
-                const size_t i = pending[next++];
-                hot.push(blk, jobs[idx[i]], i);
-            }
-        }
+    // --- The two tick drivers ---------------------------------------
+    // Blocks with armed solver faults or wall-clock budgets run the
+    // scalar lane driver, which interleaves injection and deadline
+    // checks with each shared-kernel step. Every other block takes the
+    // fast path below: the fused SoA tick advances every live slot one
+    // iteration of eqs. (1)-(13) in SIMD lanes, and a scalar post-pass
+    // hands ended attempts back to the same lane records. Both execute
+    // the same value sequence per lane, so either way the batch is
+    // bit-identical to per-cell trySolve.
+    if (faults.any() || any_timed) {
+        runMvaLanes(lanes.data(), count, finishLane);
         return;
     }
 
-    while (remaining > 0) {
-        for (size_t i = 0; i < lanes; ++i) {
-            if (!blk.active[i])
+    // The SoA runs opts_.blockSize lanes wide; the rest of the work
+    // item queues behind it and refills slots as lanes retire, so the
+    // SIMD tick stays near-full even when lane iteration counts differ
+    // by an order of magnitude. Refill order is the (deterministic)
+    // work-item order, and a lane's arithmetic is independent of when
+    // its slot opens, so this changes scheduling only, never per-lane
+    // values.
+    HotSoA hot;
+    bool tracing = false;
+    std::vector<size_t> pending;
+    for (size_t i = 0; i < count; ++i) {
+        if (!lanes[i].active)
+            continue;
+        if (hot.n < opts_.blockSize)
+            hot.push(lanes[i], i);
+        else
+            pending.push_back(i);
+        tracing = tracing || lanes[i].recordIters ||
+            lanes[i].opts.recordTrace;
+    }
+    size_t next = 0;
+
+    while (hot.n > 0) {
+        hot.rotateHistory();
+        fusedTick(hot.n, hot.numProc.data(), hot.tau.data(),
+                  hot.pLocal.data(), hot.pBc.data(), hot.pRr.data(),
+                  hot.tRead.data(), hot.memFactor.data(),
+                  hot.tWrite.data(), hot.tSupply.data(),
+                  hot.dMem.data(), hot.invModules.data(), hot.p.data(),
+                  hot.pPrime.data(), hot.log2PPrime.data(),
+                  hot.tInt.data(), hot.nMinus1.data(), hot.gt1.data(),
+                  hot.damp.data(), hot.tol.data(), hot.capD.data(),
+                  hot.iterD.data(), hot.prevWb.data(),
+                  hot.prevWm.data(), hot.prevRt.data(), hot.wb.data(),
+                  hot.wm.data(), hot.rt.data(), hot.delta.data(),
+                  hot.done.data());
+
+        // Most ticks retire nothing: one cheap scan of the done flags
+        // and the next tick starts. (When a lane records
+        // per-iteration traces the post-pass must run every tick to
+        // buffer the deltas in order.)
+        if (!tracing) {
+            bool any = false;
+            for (size_t s = 0; s < hot.n; ++s)
+                any = any || hot.done[s] != 0.0;
+            if (!any)
                 continue;
-            if (blk.timed[i] &&
-                solve_clock::now() >= blk.deadline[i]) {
-                blk.budgetOut[i] = 1;
-                endAttempt(i, true);
-                continue;
+        }
+
+        // Post-pass: bookkeeping and retirement per slot. A retired
+        // slot is refilled by swap-compaction and the moved lane
+        // (already ticked, not yet post-processed) is handled at the
+        // same index, so every live lane gets exactly one pass per
+        // tick.
+        size_t s = 0;
+        while (s < hot.n) {
+            MvaLane &lane = lanes[hot.lane[s]];
+            const int it = static_cast<int>(hot.iterD[s]);
+
+            if (!std::isfinite(hot.rt[s]) || !std::isfinite(hot.wb[s]) ||
+                !std::isfinite(hot.wm[s])) {
+                // MvaLane::step aborts the attempt before committing:
+                // the iterate keeps the last finite state, the
+                // measures and residual stay those of iteration it-1
+                // (zeros when the first iteration aborts -
+                // restartAttempt left them there).
+                lane.iterations = it;
+                lane.nonFinite = true;
+                lane.wBus = hot.prevWb[s];
+                lane.wMem = hot.prevWm[s];
+                lane.rTotal = hot.prevRt[s];
+                if (it >= 2) {
+                    lane.last = mvaStep(lane.consts, hot.pprevWb[s],
+                                        hot.pprevWm[s], hot.pprevRt[s]);
+                    lane.residual =
+                        std::fabs(hot.prevRt[s] - hot.pprevRt[s]);
+                }
+            } else {
+                const double delta = hot.delta[s];
+                if (lane.opts.recordTrace)
+                    lane.convTrace.push_back(delta);
+                if (lane.recordIters)
+                    lane.replay.back().push_back(delta);
+
+                const bool conv = delta < lane.opts.tolerance *
+                    std::max(1.0, std::fabs(hot.rt[s]));
+                if (!conv && static_cast<double>(it) < hot.capD[s]) {
+                    ++s;
+                    continue;
+                }
+                lane.iterations = it;
+                lane.residual = delta;
+                lane.converged = conv;
+                lane.wBus = hot.wb[s];
+                lane.wMem = hot.wm[s];
+                lane.rTotal = hot.rt[s];
+                // Rebuild this iteration's measures from the pre-tick
+                // state via the shared scalar step - same inputs, same
+                // kernel, same bits as the fused computation that just
+                // ran.
+                lane.last = mvaStep(lane.consts, hot.prevWb[s],
+                                    hot.prevWm[s], hot.prevRt[s]);
             }
-            const MvaStepValues o =
-                mvaStep(blk.consts[i], blk.wBus[i], blk.wMem[i],
-                        blk.rTotal[i]);
-            const int it = blk.iterations[i] + 1;
-            double w_bus_new = o.wBusNew;
-            if (inj.nan && it == 2)
-                w_bus_new = std::nan("");
-
-            if (!std::isfinite(o.rNew) || !std::isfinite(w_bus_new) ||
-                !std::isfinite(o.wMemNew)) {
-                blk.iterations[i] = it;
-                blk.nonFinite[i] = 1;
-                endAttempt(i, false);
-                continue;
+            if (lane.endAttempt()) {
+                finishLane(hot.lane[s]);
+                hot.removeSlot(s);
+            } else {
+                hot.restartSlot(s, lane);
+                ++s;
             }
+        }
 
-            const double damping = blk.ladder[i][blk.rung[i]];
-            double w_bus_next =
-                damping * w_bus_new + (1.0 - damping) * blk.wBus[i];
-            double w_mem_next =
-                damping * o.wMemNew + (1.0 - damping) * blk.wMem[i];
-            double delta = std::fabs(o.rNew - blk.rTotal[i]);
-            if (jobs[idx[i]].opts.recordTrace)
-                blk.convTrace[i].push_back(delta);
-            if (record_iters)
-                blk.replay[i].back().push_back(delta);
-
-            blk.wBus[i] = w_bus_next;
-            blk.wMem[i] = w_mem_next;
-            blk.rTotal[i] = o.rNew;
-            blk.iterations[i] = it;
-            blk.residual[i] = delta;
-            commitMeasures(blk, i, o);
-
-            if (!blk.force[i] &&
-                delta < jobs[idx[i]].opts.tolerance *
-                    std::max(1.0, std::fabs(blk.rTotal[i]))) {
-                blk.converged[i] = 1;
-                endAttempt(i, false);
-                continue;
-            }
-            if (it >= blk.cap[i])
-                endAttempt(i, false);
+        // Top up freed slots from the pending queue. Deferred to after
+        // the post-pass so a fresh lane (zero iterations, zero delta)
+        // is never mistaken for a converged one; it takes its first
+        // step on the next tick.
+        while (hot.n < opts_.blockSize && next < pending.size()) {
+            const size_t i = pending[next++];
+            hot.push(lanes[i], i);
         }
     }
 }

@@ -5,9 +5,15 @@
  * Structure-of-arrays batch engine for the customized MVA model: all
  * cells of a sweep (or all requests of a serve batch) iterate eqs.
  * (1)-(13) in lockstep, one contiguous array per model variable, with
- * an active-lane mask so converged cells drop out and per-lane
- * recovery-ladder state so a failed attempt restarts only the lanes
- * that need it.
+ * dense slot compaction so converged cells drop out.
+ *
+ * Each lane is the same MvaLane record (mva/lane.hh) the scalar
+ * MvaSolver::trySolve runs: admission, the recovery ladder, budgets,
+ * disposition and trace replay are that shared code, so a failed
+ * attempt restarts only the lane that needs it. Only the per-tick
+ * arithmetic is the engine's own - a fused, branch-free SoA tick -
+ * and a block with an armed solver fault or a time-budgeted lane runs
+ * the shared scalar lane driver instead.
  *
  * Determinism contract: every lane executes the *same arithmetic
  * sequence* as the scalar MvaSolver::trySolve of that cell (the step
@@ -96,13 +102,13 @@ class BatchMvaSolver
 
   private:
     /**
-     * Run one SoA block over the @p lanes jobs selected by @p idx
+     * Run one SoA block over the @p count jobs selected by @p idx
      * (indices into the batch), writing each result to its original
      * slot. Indirection rather than a contiguous span because blocks
      * are formed from the cost-sorted lane order, not batch order.
      */
     void solveBlock(const MvaJob *jobs, const size_t *idx,
-                    Expected<MvaResult> *out, size_t lanes) const;
+                    Expected<MvaResult> *out, size_t count) const;
 
     BatchOptions opts_;
 };

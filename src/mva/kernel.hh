@@ -3,17 +3,19 @@
 /**
  * @file
  * The shared per-iteration core of the customized MVA model: one
- * update step of eqs. (1)-(13) plus the admission and disposition
- * helpers common to the scalar MvaSolver and the SoA BatchMvaSolver.
+ * update step of eqs. (1)-(13) plus the admission checks. The scalar
+ * lane driver (mva/lane.hh) wraps the step with the ladder, budgets
+ * and disposition; the batch engine's fused SoA tick (mva/
+ * batch_solver.cc) re-expresses the same step branch-free.
  *
- * Bit-identity contract: both engines compute each iteration by
- * calling mvaStep() on identical (constants, state) and applying the
- * damped update in the same expression order, so a batch lane is
- * bit-identical to a scalar solve of the same cell. Anything that
- * could split the two - a reordered sum, a fused multiply-add in one
- * inlining context but not the other - must not be introduced here
- * (src/mva/CMakeLists.txt compiles the module with -ffp-contract=off
- * for the same reason).
+ * Bit-identity contract: the lane driver calls mvaStep() and the
+ * fused tick computes the same arithmetic sequence on identical
+ * (constants, state), both applying the damped update in the same
+ * expression order, so a batch lane is bit-identical to a scalar
+ * solve of the same cell. Anything that could split the two - a
+ * reordered sum, a fused multiply-add in one inlining context but not
+ * the other - must not be introduced here (src/mva/CMakeLists.txt
+ * compiles the module with -ffp-contract=off for the same reason).
  */
 
 #include <algorithm>
@@ -25,8 +27,6 @@
 #include "mva/solver.hh"
 #include "util/expected.hh"
 #include "util/fixed_point.hh"
-#include "util/logging.hh"
-#include "util/strutil.hh"
 #include "workload/derived.hh"
 
 namespace snoop {
@@ -117,9 +117,8 @@ mvaPBusyFromUtilization(double util, unsigned n)
  * Everything in eqs. (1)-(13) that is fixed across iterations of one
  * cell: the derived workload probabilities and timings, plus the
  * Appendix-B quantities (p, p', t_interference) that depend only on
- * the workload and N. The batch solver keeps one of these per lane;
- * the scalar solver computes one per attempt (same values either
- * way, so hoisting them is value-neutral).
+ * the workload and N. Every lane computes one at admission (hoisting
+ * them out of the loop is value-neutral).
  */
 struct MvaStepConstants
 {
@@ -206,8 +205,8 @@ struct MvaStepValues
  * One update step of the fixed point: from the current iterate
  * (wBus, wMem, rTotal) compute the next undamped iterate and all
  * per-iteration measures. Pure - no damping, injection, tracing, or
- * convergence logic - so the scalar and batch drivers wrap it with
- * byte-identical control flow of their own.
+ * convergence logic - the lane driver (mva/lane.hh) wraps it with
+ * all of that.
  */
 inline MvaStepValues
 mvaStep(const MvaStepConstants &c, double w_bus, double w_mem,
@@ -290,7 +289,7 @@ mvaStep(const MvaStepConstants &c, double w_bus, double w_mem,
 
 /**
  * Admission check on MvaOptions; the message the MvaSolver
- * constructor throws and the batch solver reports per lane.
+ * constructor throws and a batch lane reports as its result.
  */
 inline std::optional<SolveError>
 checkMvaOptions(const MvaOptions &opts)
@@ -331,123 +330,6 @@ checkMvaSeed(const MvaSeed &seed)
             seed.rTotal);
     }
     return std::nullopt;
-}
-
-/**
- * Validity contract on a finished solve: the measures the paper
- * publishes (speedup, R, utilizations, busy probabilities) must be
- * finite and inside their defining ranges regardless of how hard the
- * fixed point fought. Anything else is corrupted solver state,
- * reported as a NumericRange error rather than a panic so one bad
- * grid point cannot take down a sweep or a serve batch.
- */
-inline std::optional<SolveError>
-validateMvaResult(const MvaResult &res)
-{
-    // kind: 0 = strictly positive, 1 = non-negative, 2 = in [0, 1]
-    struct Check { const char *name; double value; int kind; };
-    const Check checks[] = {
-        {"responseTime", res.responseTime, 0},
-        {"speedup", res.speedup, 0},
-        {"processingPower", res.processingPower, 1},
-        {"rLocal", res.rLocal, 1},
-        {"rBroadcast", res.rBroadcast, 1},
-        {"rRemoteRead", res.rRemoteRead, 1},
-        {"wBus", res.wBus, 1},
-        {"wMem", res.wMem, 1},
-        {"qBus", res.qBus, 1},
-        {"busUtil", res.busUtil, 2},
-        {"memUtil", res.memUtil, 2},
-        {"pBusyBus", res.pBusyBus, 2},
-        {"pBusyMem", res.pBusyMem, 2},
-        {"nInterference", res.nInterference, 1},
-        {"tInterference", res.tInterference, 1},
-    };
-    for (const auto &c : checks) {
-        const char *violated = nullptr;
-        if (!std::isfinite(c.value))
-            violated = "a finite value";
-        else if (c.kind == 0 && c.value <= 0.0)
-            violated = "> 0";
-        else if (c.kind >= 1 && c.value < 0.0)
-            violated = ">= 0";
-        else if (c.kind == 2 && c.value > 1.0)
-            violated = "[0, 1]";
-        if (violated) {
-            return makeError(
-                SolveErrorCode::NumericRange, "MvaSolver",
-                "%s = %g violates %s (N=%u, protocol %s)", c.name,
-                c.value, violated, res.numProcessors,
-                res.inputs.protocol.name().c_str());
-        }
-    }
-    return std::nullopt;
-}
-
-/** The ladder-attempt record for a finished solveOnce/lane attempt. */
-inline SolveAttempt
-mvaAttemptOf(const MvaResult &res, double damping)
-{
-    SolveAttempt a;
-    a.damping = damping;
-    a.iterations = res.iterations;
-    a.residual = res.residual;
-    a.converged = res.converged;
-    a.nonFinite = res.nonFinite;
-    return a;
-}
-
-/**
- * End-of-ladder disposition shared by the scalar and batch solvers:
- * a time budget that expired before any iteration completed is a
- * BudgetExhausted *error* (the untouched cold/warm start would
- * otherwise masquerade as perfect linear speedup); a non-finite
- * iterate that survived every rung is NonFiniteIterate; anything
- * else unconverged is judged by the onNonConvergence policy. The
- * caller still routes an ok() value through validateMvaResult (the
- * numeric boundary guard).
- */
-inline Expected<MvaResult>
-disposeMvaResult(MvaResult res, const MvaOptions &opts, long iters_used,
-                 unsigned n, const DerivedInputs &d)
-{
-    if (res.budgetExhausted && iters_used == 0) {
-        return makeError(
-            SolveErrorCode::BudgetExhausted, "MvaSolver::solve",
-            "time budget (%g s) expired before the first iteration "
-            "(N=%u, protocol %s)", opts.timeBudget, n,
-            d.protocol.name().c_str());
-    }
-    if (res.nonFinite && !res.budgetExhausted) {
-        return makeError(
-            SolveErrorCode::NonFiniteIterate, "MvaSolver::solve",
-            "iterate became non-finite in all %zu damping attempts "
-            "(N=%u, protocol %s)", res.attempts.size(), n,
-            d.protocol.name().c_str());
-    }
-    if (!res.converged) {
-        switch (opts.onNonConvergence) {
-          case NonConvergencePolicy::Warn:
-            warn("MvaSolver: no convergence after %d iterations across "
-                 "%zu attempts (N=%u, protocol %s%s)",
-                 opts.maxIterations, res.attempts.size(), n,
-                 d.protocol.name().c_str(),
-                 res.budgetExhausted ? ", budget exhausted" : "");
-            break;
-          case NonConvergencePolicy::Fatal:
-            return makeError(
-                res.budgetExhausted ? SolveErrorCode::BudgetExhausted
-                                    : SolveErrorCode::NonConvergence,
-                "MvaSolver::solve",
-                "no convergence after %d iterations across %zu attempts "
-                "(N=%u, protocol %s%s)", opts.maxIterations,
-                res.attempts.size(), n, d.protocol.name().c_str(),
-                res.budgetExhausted ? ", budget exhausted" : "");
-          case NonConvergencePolicy::Accept:
-            break;
-        }
-    }
-    return res;
 }
 
 } // namespace snoop

@@ -1,17 +1,9 @@
 #include "mva/solver.hh"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <optional>
-
 #include "mva/kernel.hh"
+#include "mva/lane.hh"
 #include "observe/metrics.hh"
-#include "observe/trace.hh"
-#include "util/contracts.hh"
-#include "util/fault.hh"
 #include "util/logging.hh"
-#include "util/strutil.hh"
 
 namespace snoop {
 
@@ -31,248 +23,24 @@ MvaSolver::MvaSolver(MvaOptions opts) : opts_(opts)
         throw SolveException(std::move(*err));
 }
 
-namespace {
-
-/**
- * Same-file numeric-boundary shim: trySolve routes every returned
- * value through the shared validator in mva/kernel.hh (tools/lint's
- * numeric-guard-coverage pass requires the validation edge to live in
- * this file).
- */
-std::optional<SolveError>
-validateResult(const MvaResult &res)
-{
-    return validateMvaResult(res);
-}
-
-} // namespace
-
 Expected<MvaResult>
 MvaSolver::trySolve(const DerivedInputs &d, unsigned n,
                     const MvaSeed &seed) const
 {
-    using clock = std::chrono::steady_clock;
-
-    if (n == 0) {
-        return makeError(SolveErrorCode::InvalidArgument,
-                         "MvaSolver::solve",
-                         "need at least one processor");
-    }
-    if (auto err = checkMvaSeed(seed))
+    // One stack-resident lane through the shared scalar driver (the
+    // ladder, budgets, disposition and trace all live in mva/lane.cc).
+    MvaLane lane(d, n, seed, opts_);
+    if (auto err = lane.admit(MvaFaults::armed()))
         return std::move(*err);
-
-    // Fault-site arming is captured once per solve so injection is a
-    // pure function of the configuration, not of pool scheduling.
-    const bool inject_nonconverge = faultArmed("mva.nonconverge");
-    const bool inject_first = faultArmed("mva.first_attempt");
-
-    // The paper's plain successive substitution (Section 3.2) converges
-    // quickly below saturation. Deep in saturation it can cycle or
-    // blow up, so on a failed attempt we re-run the whole solve with a
-    // heavier fixed damping factor (geometric contraction restores
-    // convergence). Every attempt is recorded for diagnostics.
-    metricAdd("mva.solves");
-    const bool warm =
-        seed.wBus != 0.0 || seed.wMem != 0.0 || seed.rTotal != 0.0;
-    if (warm)
-        metricAdd("mva.warm_solves");
     ScopedMetricTimer solve_timer("mva.solve_us");
-    TraceSpan solve_span(TraceLevel::Phase, "mva.solve", n);
-    if (solve_span.active()) {
-        solve_span.setArgs(
-            strprintf("\"protocol\":\"%s\",\"warm\":%s",
-                      d.protocol.name().c_str(),
-                      warm ? "true" : "false"));
-    }
-    auto observeAttempt = [](size_t rung, const SolveAttempt &a) {
-        metricAdd("mva.attempts");
-        metricAdd("mva.iterations", a.iterations);
-        if (traceEnabled(TraceLevel::Phase)) {
-            traceInstant(TraceLevel::Phase, "mva.attempt",
-                         static_cast<uint64_t>(rung),
-                         strprintf("\"damping\":%g,\"iterations\":%d,"
-                                   "\"residual\":%.17g,\"converged\":%s",
-                                   a.damping, a.iterations, a.residual,
-                                   a.converged ? "true" : "false"));
-        }
-    };
-
-    // Budgets span the whole ladder (mirroring FixedPointOptions):
-    // the wall-clock deadline is checked inside every attempt, the
-    // iteration budget shrinks each attempt's cap.
-    const bool budgeted_time = opts_.timeBudget > 0.0;
-    const clock::time_point deadline = budgeted_time
-        ? clock::now() + std::chrono::duration_cast<clock::duration>(
-              std::chrono::duration<double>(opts_.timeBudget))
-        : clock::time_point{};
-    long iters_used = 0;
-    auto attemptCap = [&](bool *exhausted) {
-        int max_it = opts_.maxIterations;
-        if (opts_.iterationBudget > 0) {
-            long remaining = opts_.iterationBudget - iters_used;
-            if (remaining <= 0) {
-                *exhausted = true;
-                return 0;
-            }
-            if (remaining < max_it)
-                max_it = static_cast<int>(remaining);
-        }
-        return max_it;
-    };
-
-    // The ladder schedule: the configured damping first, then every
-    // shared rung strictly below it (recoveryLadder skips ineligible
-    // rungs - the old loop *broke* on the first rung >= the
-    // configured damping, which left recovery dead for any
-    // configured damping <= 0.5).
-    const std::vector<double> ladder = recoveryLadder(opts_.damping);
-
-    std::vector<SolveAttempt> attempts;
-    bool budget_out = false;
-    MvaResult res =
-        solveOnce(d, n, seed, ladder[0],
-                  inject_nonconverge || inject_first,
-                  attemptCap(&budget_out),
-                  budgeted_time ? &deadline : nullptr);
-    iters_used += res.iterations;
-    attempts.push_back(mvaAttemptOf(res, ladder[0]));
-    observeAttempt(0, attempts.back());
-    for (size_t rung = 1; rung < ladder.size(); ++rung) {
-        if (res.converged || res.budgetExhausted)
-            break;
-        int cap = attemptCap(&budget_out);
-        if (budget_out) {
-            res.budgetExhausted = true;
-            break;
-        }
-        // Check the wall clock before launching the attempt too: a
-        // retry that starts past the deadline would overwrite the
-        // previous attempt's state with a zero-iteration restart.
-        if (budgeted_time && clock::now() >= deadline) {
-            res.budgetExhausted = true;
-            break;
-        }
-        res = solveOnce(d, n, seed, ladder[rung], inject_nonconverge,
-                        cap, budgeted_time ? &deadline : nullptr);
-        iters_used += res.iterations;
-        attempts.push_back(mvaAttemptOf(res, ladder[rung]));
-        observeAttempt(attempts.size() - 1, attempts.back());
-    }
-    res.attempts = std::move(attempts);
-
-    Expected<MvaResult> final_res =
-        disposeMvaResult(std::move(res), opts_, iters_used, n, d);
-    if (final_res.ok()) {
-        if (auto err = validateResult(final_res.value()))
-            return std::move(*err);
-    }
-    return final_res;
+    runMvaLanes(&lane, 1, [](size_t) {});
+    return lane.finish();
 }
 
 MvaResult
 MvaSolver::solve(const DerivedInputs &d, unsigned n) const
 {
     return trySolve(d, n).orThrow();
-}
-
-MvaResult
-MvaSolver::solveOnce(const DerivedInputs &d, unsigned n,
-                     const MvaSeed &seed, double damping_override,
-                     bool force_nonconverge, int max_iterations,
-                     const std::chrono::steady_clock::time_point
-                         *deadline) const
-{
-    using clock = std::chrono::steady_clock;
-
-    const bool inject_nan = faultArmed("mva.nan");
-    const MvaStepConstants c = mvaStepConstants(d, n);
-
-    MvaResult res;
-    res.numProcessors = n;
-    res.inputs = d;
-    res.warmStarted =
-        seed.wBus != 0.0 || seed.wMem != 0.0 || seed.rTotal != 0.0;
-
-    // Section 3.2: start with all waiting times set to zero and
-    // R = tau + T_supply - or, under warm-start continuation, from
-    // the full seeded state of a neighboring solution (the all-zero
-    // MvaSeed reproduces the paper's cold start exactly).
-    double w_bus = seed.wBus;
-    double w_mem = seed.wMem;
-    double r_total = seed.rTotal > 0.0 ? seed.rTotal : d.tau + c.tSupply;
-
-    double damping = damping_override > 0.0 ? damping_override
-                                            : opts_.damping;
-
-    for (int it = 1; it <= max_iterations; ++it) {
-        if (deadline != nullptr && clock::now() >= *deadline) {
-            res.budgetExhausted = true;
-            break;
-        }
-        // One update step of eqs. (1)-(13); the arithmetic lives in
-        // mva/kernel.hh so the batch solver executes the identical
-        // sequence per lane (the bit-identity contract).
-        const MvaStepValues o = mvaStep(c, w_bus, w_mem, r_total);
-        double w_bus_new = o.wBusNew;
-        if (inject_nan && it == 2)
-            w_bus_new = std::nan("");
-
-        // --- Non-finite bail-out -------------------------------------
-        // Abort before the poisoned values reach the damped state, so
-        // the returned measures are the last finite iterate and the
-        // ladder can retry from a clean slate.
-        if (!std::isfinite(o.rNew) || !std::isfinite(w_bus_new) ||
-            !std::isfinite(o.wMemNew)) {
-            res.iterations = it;
-            res.nonFinite = true;
-            break;
-        }
-
-        // --- Damped update and convergence check ---------------------
-        double w_bus_next = damping * w_bus_new + (1.0 - damping) * w_bus;
-        double w_mem_next = damping * o.wMemNew + (1.0 - damping) * w_mem;
-        double delta = std::fabs(o.rNew - r_total);
-        if (opts_.recordTrace)
-            res.convergenceTrace.push_back(delta);
-
-        w_bus = w_bus_next;
-        w_mem = w_mem_next;
-        r_total = o.rNew;
-        res.iterations = it;
-        res.residual = delta;
-        if (traceEnabled(TraceLevel::Iteration)) {
-            traceInstant(TraceLevel::Iteration, "mva.iteration",
-                         static_cast<uint64_t>(it),
-                         strprintf("\"delta\":%.17g,\"damping\":%g",
-                                   delta, damping));
-        }
-
-        res.rLocal = o.rLocal;
-        res.rBroadcast = o.rBc;
-        res.rRemoteRead = o.rRr;
-        res.qBus = o.qBus;
-        res.busUtil = std::min(o.uBus, 1.0);
-        res.pBusyBus = o.pBusyBus;
-        res.tBus = o.tBus;
-        res.tResBus = o.tResBus;
-        res.memUtil = std::min(o.uMem, 1.0);
-        res.pBusyMem = o.pBusyMem;
-        res.nInterference = o.nInt;
-        res.tInterference = c.tInt;
-
-        if (!force_nonconverge &&
-            delta < opts_.tolerance * std::max(1.0, std::fabs(r_total))) {
-            res.converged = true;
-            break;
-        }
-    }
-
-    res.wBus = w_bus;
-    res.wMem = w_mem;
-    res.responseTime = r_total;
-    res.speedup = c.numProc * (d.tau + c.tSupply) / r_total;
-    res.processingPower = c.numProc * d.tau / r_total;
-    return res;
 }
 
 MvaResult

@@ -9,7 +9,6 @@
  * all-zero waiting times (Section 3.2).
  */
 
-#include <chrono>
 #include <vector>
 
 #include "mva/result.hh"
@@ -136,21 +135,6 @@ class MvaSolver
     const MvaOptions &options() const { return opts_; }
 
   private:
-    /**
-     * One fixed-point run from @p seed. @p damping_override replaces
-     * the configured damping when positive (used by the saturation
-     * fallback ladder); @p force_nonconverge suppresses the
-     * convergence check (fault injection); @p max_iterations caps
-     * this attempt (the ladder shrinks it when an iteration budget is
-     * configured). A non-finite iterate aborts the run with nonFinite
-     * set instead of poisoning the returned measures.
-     */
-    MvaResult solveOnce(const DerivedInputs &inputs, unsigned n,
-                        const MvaSeed &seed, double damping_override,
-                        bool force_nonconverge, int max_iterations,
-                        const std::chrono::steady_clock::time_point
-                            *deadline) const;
-
     MvaOptions opts_;
 };
 

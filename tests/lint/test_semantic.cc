@@ -420,10 +420,10 @@ TEST(GuardedSharedState, UnreachableStateIsNotFlagged)
 TEST(NumericGuardCoverage, DirectGuardCovers)
 {
     auto findings = runOn({
-        {"src/mva/solver.cc",
-         "double trySolve()\n"
+        {"src/mva/lane.cc",
+         "double finish()\n"
          "{\n"
-         "    NumericGuard guard(\"trySolve\");\n"
+         "    NumericGuard guard(\"finish\");\n"
          "    return compute();\n"
          "}\n"},
     });
@@ -436,15 +436,15 @@ TEST(NumericGuardCoverage, SameFileValidatorCovers)
     // recoverable-validation idiom; routing through it satisfies the
     // boundary one level deep.
     auto findings = runOn({
-        {"src/mva/solver.cc",
+        {"src/mva/lane.cc",
          "std::optional<SolveError>\n"
-         "validateResult(double v)\n"
+         "validateMvaResult(double v)\n"
          "{\n"
          "    return std::nullopt;\n"
          "}\n"
-         "double trySolve()\n"
+         "double finish()\n"
          "{\n"
-         "    validateResult(1.0);\n"
+         "    validateMvaResult(1.0);\n"
          "    return 1.0;\n"
          "}\n"},
     });
@@ -454,8 +454,8 @@ TEST(NumericGuardCoverage, SameFileValidatorCovers)
 TEST(NumericGuardCoverage, UnguardedBoundaryFires)
 {
     auto findings = runOn({
-        {"src/mva/solver.cc",
-         "double trySolve() { return compute(); }\n"},
+        {"src/mva/lane.cc",
+         "double finish() { return compute(); }\n"},
     });
     ASSERT_EQ(findings.size(), 1u);
     EXPECT_EQ(findings[0].rule, "numeric-guard-coverage");

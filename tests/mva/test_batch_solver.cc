@@ -5,16 +5,20 @@
  * trace, at any SNOOP_JOBS setting - and a faulted lane (non-finite
  * inputs, injected solver faults, invalid arguments) must fail alone,
  * with the same structured error the scalar engine produces, without
- * perturbing its neighbors.
+ * perturbing its neighbors. Since both engines share the lane
+ * bookkeeping of mva/lane.cc, both are also checked against an
+ * independent reference loop over mvaStep.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
 
 #include "mva/batch_solver.hh"
+#include "mva/kernel.hh"
 #include "mva/solver.hh"
 #include "util/fault.hh"
 #include "util/parallel.hh"
@@ -121,6 +125,56 @@ expectBatchMatchesScalar(const std::vector<Expected<MvaResult>> &batch,
     }
 }
 
+/**
+ * Independent oracle: Section 3.2's successive substitution written
+ * directly over the shared mvaStep - cold start, the configured
+ * damping, no recovery ladder, no budgets - so the engines' lane
+ * bookkeeping is checked against code that shares none of it.
+ */
+MvaResult
+referenceSolve(const DerivedInputs &d, unsigned n, const MvaOptions &opts)
+{
+    const MvaStepConstants c = mvaStepConstants(d, n);
+    const double damping = opts.damping;
+    MvaResult r;
+    r.numProcessors = n;
+    double w_bus = 0.0, w_mem = 0.0, r_total = d.tau + c.tSupply;
+    for (int it = 1; it <= opts.maxIterations && !r.converged; ++it) {
+        const MvaStepValues o = mvaStep(c, w_bus, w_mem, r_total);
+        const double delta = std::fabs(o.rNew - r_total);
+        w_bus = damping * o.wBusNew + (1.0 - damping) * w_bus;
+        w_mem = damping * o.wMemNew + (1.0 - damping) * w_mem;
+        r_total = o.rNew;
+        r.iterations = it;
+        r.residual = delta;
+        if (opts.recordTrace)
+            r.convergenceTrace.push_back(delta);
+        r.rLocal = o.rLocal;
+        r.rBroadcast = o.rBc;
+        r.rRemoteRead = o.rRr;
+        r.qBus = o.qBus;
+        r.busUtil = std::min(o.uBus, 1.0);
+        r.pBusyBus = o.pBusyBus;
+        r.tBus = o.tBus;
+        r.tResBus = o.tResBus;
+        r.memUtil = std::min(o.uMem, 1.0);
+        r.pBusyMem = o.pBusyMem;
+        r.nInterference = o.nInt;
+        r.tInterference = c.tInt;
+        r.converged =
+            delta < opts.tolerance * std::max(1.0, std::fabs(r_total));
+    }
+    r.wBus = w_bus;
+    r.wMem = w_mem;
+    r.responseTime = r_total;
+    r.speedup = c.numProc * (d.tau + c.tSupply) / r_total;
+    r.processingPower = c.numProc * d.tau / r_total;
+    // A rung-0 convergence is one attempt at the configured damping.
+    r.attempts.push_back(
+        SolveAttempt{damping, r.iterations, r.residual, r.converged});
+    return r;
+}
+
 /** Restores the pool size and fault registry around every test. */
 class BatchSolver : public testing::Test
 {
@@ -142,6 +196,105 @@ TEST_F(BatchSolver, BitIdenticalToScalarAcrossTheGridAtAnyJobCount)
         SCOPED_TRACE("SNOOP_JOBS=" + std::to_string(n_jobs));
         setParallelJobs(n_jobs);
         expectBatchMatchesScalar(batch.solveBatch(jobs), scalar);
+    }
+
+    // A generous time budget sends every block through the scalar
+    // lane driver instead of the fused tick; the numbers must not
+    // move - neither against the unbudgeted batch nor against
+    // per-cell trySolve under the same budget.
+    MvaOptions timed;
+    timed.timeBudget = 60.0;
+    std::vector<MvaJob> timed_jobs = tableGridJobs(timed);
+    auto timed_scalar = scalarReference(timed_jobs);
+    expectBatchMatchesScalar(timed_scalar, scalar);
+    for (unsigned n_jobs : {1u, 2u, 8u}) {
+        SCOPED_TRACE("timeBudget=60 SNOOP_JOBS=" + std::to_string(n_jobs));
+        setParallelJobs(n_jobs);
+        auto solved = batch.solveBatch(timed_jobs);
+        expectBatchMatchesScalar(solved, timed_scalar);
+        expectBatchMatchesScalar(solved, scalar);
+    }
+}
+
+TEST_F(BatchSolver, BothEnginesMatchTheIndependentReferenceLoop)
+{
+    MvaOptions opts;
+    opts.recordTrace = true;
+    opts.onNonConvergence = NonConvergencePolicy::Accept;
+    std::vector<MvaJob> jobs = tableGridJobs(opts);
+    auto scalar = scalarReference(jobs);
+    auto batch = BatchMvaSolver().solveBatch(jobs);
+    size_t compared = 0;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        MvaResult ref = referenceSolve(jobs[i].inputs, jobs[i].n, opts);
+        if (!ref.converged)
+            continue; // needs the ladder: not a rung-0 cell
+        SCOPED_TRACE("cell " + std::to_string(i));
+        ++compared;
+        ASSERT_TRUE(scalar[i].ok());
+        ASSERT_TRUE(batch[i].ok());
+        EXPECT_EQ(scalar[i].value().attempts.size(), 1u);
+        EXPECT_EQ(batch[i].value().attempts.size(), 1u);
+        expectBitIdentical(scalar[i].value(), ref);
+        expectBitIdentical(batch[i].value(), ref);
+    }
+    // Most of the grid converges without the ladder.
+    EXPECT_GT(compared, jobs.size() / 2);
+}
+
+/**
+ * Inputs that put eq. (13) on a boundary branch: p' = pB + pA * (a
+ * factor proportional to csupFrac), so pB = 1 gives p' >= 1, and
+ * pB = 0 with csupFrac = 0 gives p' = 0.
+ */
+DerivedInputs
+pPrimeBoundaryInputs(bool p_prime_one)
+{
+    DerivedInputs d = appendixAInputs(SharingLevel::TwentyPercent, "");
+    d.pA = 0.3;
+    d.pB = p_prime_one ? 1.0 : 0.0;
+    if (!p_prime_one)
+        d.csupFrac = 0.0;
+    return d;
+}
+
+TEST_F(BatchSolver, PPrimeBoundaryBranchesMatchScalar)
+{
+    for (bool p_prime_one : {true, false}) {
+        SCOPED_TRACE(p_prime_one ? "p' >= 1" : "p' = 0");
+        const DerivedInputs d = pPrimeBoundaryInputs(p_prime_one);
+        const double p = d.pA + d.pB;
+
+        // The shared step takes the branch the inputs select.
+        const MvaStepConstants c = mvaStepConstants(d, 8);
+        if (p_prime_one)
+            ASSERT_GE(c.pPrime, 1.0);
+        else
+            ASSERT_EQ(c.pPrime, 0.0);
+        const MvaStepValues o = mvaStep(c, 1.0, 1.0, d.tau + c.tSupply);
+        ASSERT_GT(o.qBus, 0.0);
+        EXPECT_EQ(o.nInt, p_prime_one ? p * o.qBus : p);
+
+        // Both engines commit it, and the fused tick's selects land
+        // on the same branch as the scalar step, bit for bit.
+        std::vector<MvaJob> jobs;
+        for (unsigned n : {2u, 4u, 8u, 16u, 64u}) {
+            MvaJob job;
+            job.inputs = d;
+            job.n = n;
+            job.opts.onNonConvergence = NonConvergencePolicy::Accept;
+            jobs.push_back(std::move(job));
+        }
+        auto scalar = scalarReference(jobs);
+        auto solved = BatchMvaSolver().solveBatch(jobs);
+        expectBatchMatchesScalar(solved, scalar);
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            SCOPED_TRACE("N=" + std::to_string(jobs[i].n));
+            ASSERT_TRUE(solved[i].ok());
+            const MvaResult &r = solved[i].value();
+            ASSERT_GT(r.qBus, 0.0);
+            EXPECT_EQ(r.nInterference, p_prime_one ? p * r.qBus : p);
+        }
     }
 }
 

@@ -32,10 +32,10 @@
  *    exempt.
  *
  *  - numeric-guard-coverage: the solver boundary functions (the
- *    try-/solve-prefixed roster below) must route results through
+ *    kBoundaries roster in semantic.cc) must route results through
  *    NumericGuard / SNOOP_NUMERIC_CHECK, directly or via a same-file
  *    helper (a helper returning SolveError counts: that is the
- *    recoverable-validation idiom of mva/solver.cc).
+ *    recoverable-validation idiom of mva/lane.cc).
  *
  * All passes are conservative in the same direction: where the
  * parser's view is incomplete they stay silent, except
