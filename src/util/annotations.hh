@@ -7,16 +7,17 @@
  *
  * SNOOP_GUARDED_BY(mutex) documents, on the declaration of mutable
  * namespace-scope or function-local-static state, which mutex
- * serializes access to it. The linter's guarded-shared-state pass
+ * serializes access to it. The linter's lockset pass
  * (docs/ANALYSIS.md) requires the annotation on any such state
- * reachable from parallelFor workers, and requires every accessing
- * function to name the mutex — in code (a lock_guard) or in a nearby
- * "Caller holds X." comment.
+ * reachable from parallelFor workers, and requires every access to
+ * happen on a path where the mutex is held — by a lock_guard /
+ * unique_lock / lock() in scope, or by a "Caller holds X." comment
+ * above the accessing function.
  *
  * SNOOP_GUARDED_BY(internal) is the special form for objects that
  * synchronize themselves behind their own member mutex (e.g. the
- * MetricsRegistry singleton): the pass then demands nothing of the
- * accessors.
+ * MetricsRegistry singleton): the pass then demands nothing of its
+ * accesses.
  *
  * The macro expands to nothing: unlike clang's
  * __attribute__((guarded_by)), it needs no compiler support and never

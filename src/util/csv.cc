@@ -8,8 +8,9 @@ namespace snoop {
 CsvWriter::CsvWriter(const std::string &path) : out_(path)
 {
     // No fatal() here: CSV emission runs on library paths (sweep
-    // results, bench emitters) covered by the no-fatal-in-solver
-    // contract. The error is sticky and surfaces through close().
+    // results, bench emitters) under the library's never-exit
+    // contract (util/expected.hh, checked by fatal-reachability). The
+    // error is sticky and surfaces through close().
     if (!out_.ok()) {
         error_ = makeError(SolveErrorCode::IoError, "CsvWriter",
                            "cannot open '%s' for writing", path.c_str());

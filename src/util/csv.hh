@@ -23,7 +23,7 @@ namespace snoop {
  * changes on a successful close() (or destruction), so an interrupted
  * run can never leave a truncated CSV behind.
  *
- * Failures never exit the process (the no-fatal-in-solver contract,
+ * Failures never exit the process (the library's never-exit contract,
  * util/expected.hh): an open or write failure is recorded as a sticky
  * IoError, subsequent rows are dropped, and close() reports it. The
  * destination is never touched by a failed writer.

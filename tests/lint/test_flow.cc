@@ -3,8 +3,10 @@
  * Pass-level tests for the flow-sensitive analyses
  * (tools/lint/flow.{hh,cc}) over synthetic in-memory FileSets:
  * fp-determinism roster scoping and sanctioned kernels, lockset
- * branch coverage and the caller-holds seeding idiom, expected-flow
- * path sensitivity, and DeterminismRoster parsing. The fixture suite
+ * branch coverage, the caller-holds seeding idiom and unannotated
+ * worker-reachable state, expected-flow path sensitivity, call
+ * temporaries and unconsulted bindings, and DeterminismRoster
+ * parsing. The fixture suite
  * (test_rules.cc) proves end-to-end line numbers; these tests pin
  * the pass logic itself so a regression names the analysis, not
  * just "the suite diff changed".
@@ -20,6 +22,7 @@
 
 #include "lint/flow.hh"
 #include "lint/lexer.hh"
+#include "lint/semantic.hh"
 
 using namespace snoop::lint;
 
@@ -34,7 +37,23 @@ runOn(const std::string &path, const std::string &src,
 {
     FileSet files;
     files.emplace(path, lex(src));
-    return runFlowPasses(files, roster);
+    SymbolIndex index = SymbolIndex::build(files);
+    return runFlowPasses(files, index, CallGraph::build(index, files),
+                         roster);
+}
+
+/** Findings of every semantic and flow pass for one synthetic file. */
+std::vector<Finding>
+runAllOn(const std::string &path, const std::string &src)
+{
+    FileSet files;
+    files.emplace(path, lex(src));
+    SymbolIndex index = SymbolIndex::build(files);
+    CallGraph graph = CallGraph::build(index, files);
+    std::vector<Finding> out = runSemanticPasses(files, index, graph);
+    for (Finding &f : runFlowPasses(files, index, graph, {}))
+        out.push_back(std::move(f));
+    return out;
 }
 
 size_t
@@ -172,6 +191,64 @@ TEST(Lockset, TrailingCommentDoesNotSeed)
         1u);
 }
 
+TEST(Lockset, AccessorWithoutTheMutexIsReportedOnce)
+{
+    // An annotated global touched by a parallelFor worker that never
+    // takes the mutex: one finding, from the must-hold analysis, at
+    // the access -- no second, syntactic report at the accessor.
+    std::vector<Finding> fs = runAllOn(
+        "src/a.cc",
+        "namespace {\n"
+        "unsigned g_n SNOOP_GUARDED_BY(g_mutex) = 0;\n"
+        "}\n"
+        "namespace {\n"
+        "void bump() { ++g_n; }\n"
+        "}\n"
+        "void run(unsigned n) { parallelFor(n, [] { bump(); }); }\n");
+    ASSERT_EQ(fs.size(), 1u);
+    EXPECT_EQ(fs[0].rule, "lockset");
+    EXPECT_EQ(fs[0].line, 5u);
+}
+
+TEST(Lockset, UnannotatedWorkerGlobalFires)
+{
+    std::vector<Finding> fs =
+        runOn("src/a.cc",
+              "namespace {\n"
+              "unsigned g_n = 0;\n"
+              "void bump() { ++g_n; }\n"
+              "}\n"
+              "void run(unsigned n) { parallelFor(n, [] { bump(); }); }\n");
+    ASSERT_EQ(countRule(fs, "lockset"), 1u);
+    EXPECT_EQ(fs[0].line, 2u);
+    EXPECT_NE(fs[0].message.find("via bump"), std::string::npos)
+        << fs[0].message;
+}
+
+TEST(Lockset, MarkerWaivesAnUnannotatedWorkerGlobal)
+{
+    EXPECT_TRUE(runOn("src/a.cc",
+                      "namespace {\n"
+                      "// snoop-lint: lockset-ok\n"
+                      "unsigned g_n = 0;\n"
+                      "void bump() { ++g_n; }\n"
+                      "}\n"
+                      "void run(unsigned n) { parallelFor(n, [] { bump(); }); }\n")
+                    .empty());
+}
+
+TEST(Lockset, UnreachableStateIsNotFlagged)
+{
+    // No parallelFor anywhere: nothing is worker-reachable.
+    EXPECT_TRUE(runOn("src/a.cc",
+                      "namespace {\n"
+                      "unsigned g_n = 0;\n"
+                      "void bump() { ++g_n; }\n"
+                      "}\n"
+                      "void run() { bump(); }\n")
+                    .empty());
+}
+
 TEST(ExpectedFlow, CheckedOnOneBranchReadOnAnother)
 {
     const std::string src =
@@ -225,6 +302,73 @@ TEST(ExpectedFlow, ErrBranchReadFires)
               "}\n");
     ASSERT_EQ(countRule(fs, "expected-flow"), 1u);
     EXPECT_EQ(fs[0].line, 9u);
+}
+
+TEST(ExpectedFlow, TrackedVariableNeverConsulted)
+{
+    std::vector<Finding> fs = runOn("src/a.cc",
+                                    "Expected<int> tryLoad() { return 1; }\n"
+                                    "void use()\n"
+                                    "{\n"
+                                    "    auto r = tryLoad();\n"
+                                    "    unrelated();\n"
+                                    "}\n");
+    ASSERT_EQ(countRule(fs, "expected-flow"), 1u);
+    EXPECT_EQ(fs[0].line, 4u);
+    EXPECT_NE(fs[0].message.find("never consulted"), std::string::npos);
+}
+
+TEST(ExpectedFlow, NegationCheckSilences)
+{
+    EXPECT_TRUE(runOn("src/a.cc",
+                      "Expected<int> tryLoad() { return 1; }\n"
+                      "int use()\n"
+                      "{\n"
+                      "    auto r = tryLoad();\n"
+                      "    if (!r)\n"
+                      "        return 0;\n"
+                      "    return r.value();\n"
+                      "}\n")
+                    .empty());
+}
+
+TEST(ExpectedFlow, ValueOnCallTemporaryFires)
+{
+    // The temporary's .value() fires even when bound; valueOr() on a
+    // temporary is the safe accessor and stays silent.
+    std::vector<Finding> fs =
+        runOn("src/a.cc",
+              "Expected<int> tryLoad(int k);\n"
+              "int use(int k)\n"
+              "{\n"
+              "    int a = tryLoad(k).valueOr(0);\n"
+              "    int b = tryLoad(k).value();\n"
+              "    return a + b;\n"
+              "}\n");
+    ASSERT_EQ(countRule(fs, "expected-flow"), 1u);
+    EXPECT_EQ(fs[0].line, 5u);
+    EXPECT_NE(fs[0].message.find("tryLoad()"), std::string::npos);
+}
+
+TEST(ExpectedFlow, PathFreeCasesFireWhereTheCfgDegrades)
+{
+    // A goto degrades the CFG, so the path analysis stays silent; the
+    // call temporary and the unconsulted binding need no path.
+    std::vector<Finding> fs =
+        runOn("src/a.cc",
+              "Expected<int> tryLoad(int k);\n"
+              "int use(int k)\n"
+              "{\n"
+              "    auto r = tryLoad(k);\n"
+              "    if (k < 0)\n"
+              "        goto out;\n"
+              "    return tryLoad(k).value();\n"
+              "out:\n"
+              "    return 0;\n"
+              "}\n");
+    ASSERT_EQ(countRule(fs, "expected-flow"), 2u);
+    EXPECT_EQ(fs[0].line, 4u);
+    EXPECT_EQ(fs[1].line, 7u);
 }
 
 TEST(Roster, LoadParsesDirectives)

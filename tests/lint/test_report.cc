@@ -90,16 +90,17 @@ TEST(Sarif, RuleIdsAreStable)
 {
     // Rule ids are an external contract: baselines, CI annotations,
     // and code-scanning alert history all key on them. Appending new
-    // rules is fine; renaming or reordering the existing ones is not.
+    // rules is fine; renaming or reordering the existing ones is not,
+    // and a retired id (no-fatal-in-solver, unchecked-expected,
+    // guarded-shared-state: folded into fatal-reachability,
+    // expected-flow and lockset) is never reused.
     const char *kIds[] = {
         "pragma-once",          "doxygen-file",
         "no-using-std",         "format-attr",
         "converged-check",      "no-raw-assert",
-        "no-raw-thread",        "no-fatal-in-solver",
-        "layering",             "determinism",
-        "unused-include",       "fatal-reachability",
-        "unchecked-expected",   "guarded-shared-state",
-        "numeric-guard-coverage",
+        "no-raw-thread",        "layering",
+        "determinism",          "unused-include",
+        "fatal-reachability",   "numeric-guard-coverage",
         "fp-determinism",       "lockset",
         "expected-flow",        "marker-allowlist",
     };

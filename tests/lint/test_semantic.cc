@@ -3,11 +3,11 @@
  * Semantic-layer tests: the declaration/definition parser
  * (lint/parser.hh), the cross-TU symbol index (lint/symbols.hh), the
  * call graph with its resolution policy (lint/callgraph.hh), and the
- * four semantic passes (lint/semantic.hh) driven over synthetic
+ * two semantic passes (lint/semantic.hh) driven over synthetic
  * FileSets. The fixture suite (test_rules.cc / run_lint.sh) proves
  * the passes fire end-to-end; these tests pin the layer contracts —
- * scope tracking, linkage restrictions, witness chains, and the
- * flow-sensitive Expected tracking — that the fixtures rely on.
+ * scope tracking, linkage restrictions, and witness chains — that
+ * the fixtures rely on.
  */
 
 #include <gtest/gtest.h>
@@ -124,7 +124,7 @@ TEST(Parser, OperatorEqualsDefinitionIsNotAVariable)
 {
     // The lexer emits single-char puncts, so the '==' here once read
     // as "global variable 'Key' with an initializer" and tripped the
-    // guarded-shared-state pass on every out-of-line operator==.
+    // shared-state check on every out-of-line operator==.
     ParsedFile pf = parseSource(
         "bool\n"
         "Key::operator==(const Key &other) const\n"
@@ -311,7 +311,9 @@ TEST(CallGraph, FindPathReturnsWitnessChain)
 std::vector<Finding>
 runOn(std::vector<std::pair<std::string, std::string>> sources)
 {
-    return runSemanticPasses(makeFiles(std::move(sources)));
+    FileSet files = makeFiles(std::move(sources));
+    SymbolIndex index = SymbolIndex::build(files);
+    return runSemanticPasses(files, index, CallGraph::build(index, files));
 }
 
 TEST(FatalReachability, WitnessChainInMessage)
@@ -334,6 +336,30 @@ TEST(FatalReachability, WitnessChainInMessage)
               std::string::npos);
 }
 
+TEST(FatalReachability, EveryExternalSolverFunctionIsAnEntry)
+{
+    // Solver files need no try* prefix: a public function that
+    // reaches fatal() fires; its file-local helper is not reported
+    // again as an entry of its own.
+    for (const char *path : {"src/core/solve_for.cc", "src/util/csv.cc"}) {
+        auto findings = runOn({
+            {path, "namespace {\n"
+                   "void check() { fatal(\"boom\"); }\n"
+                   "}\n"
+                   "double solveCell() { check(); return 0; }\n"},
+        });
+        ASSERT_EQ(findings.size(), 1u) << path;
+        EXPECT_EQ(findings[0].line, 4u);
+        EXPECT_NE(findings[0].message.find("solveCell -> check"),
+                  std::string::npos)
+            << findings[0].message;
+    }
+    // Outside the solver files only try* functions are entries.
+    EXPECT_TRUE(runOn({{"src/core/report.cc",
+                        "void writeAll() { fatal(\"boom\"); }\n"}})
+                    .empty());
+}
+
 TEST(FatalReachability, MarkerSuppressesTheSink)
 {
     auto findings = runOn({
@@ -343,76 +369,6 @@ TEST(FatalReachability, MarkerSuppressesTheSink)
          "void inner() { fatal(\"boom\"); }\n"
          "}\n"
          "int tryRun() { inner(); return 0; }\n"},
-    });
-    EXPECT_TRUE(findings.empty());
-}
-
-TEST(UncheckedExpected, TrackedVariableNeverConsulted)
-{
-    auto findings = runOn({
-        {"src/a.cc",
-         "Expected<int> tryLoad() { return 1; }\n"
-         "void use()\n"
-         "{\n"
-         "    auto r = tryLoad();\n"
-         "    unrelated();\n"
-         "}\n"},
-    });
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, "unchecked-expected");
-    EXPECT_NE(findings[0].message.find("never consulted"),
-              std::string::npos);
-}
-
-TEST(UncheckedExpected, NegationCheckSilences)
-{
-    auto findings = runOn({
-        {"src/a.cc",
-         "Expected<int> tryLoad() { return 1; }\n"
-         "int use()\n"
-         "{\n"
-         "    auto r = tryLoad();\n"
-         "    if (!r)\n"
-         "        return 0;\n"
-         "    return r.value();\n"
-         "}\n"},
-    });
-    EXPECT_TRUE(findings.empty());
-}
-
-TEST(GuardedSharedState, AccessorMustNameTheMutex)
-{
-    // The accessor sits well below the declaration so the doc-comment
-    // lookback window cannot see the annotation's own mutex name.
-    auto findings = runOn({
-        {"src/a.cc",
-         "namespace {\n"
-         "unsigned g_n SNOOP_GUARDED_BY(g_mutex) = 0;\n"
-         "}\n"
-         "\n"
-         "\n"
-         "\n"
-         "namespace {\n"
-         "void bump() { ++g_n; }\n"
-         "}\n"
-         "void run(unsigned n) { parallelFor(n, [] { bump(); }); }\n"},
-    });
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, "guarded-shared-state");
-    EXPECT_NE(findings[0].message.find("without naming the mutex"),
-              std::string::npos);
-}
-
-TEST(GuardedSharedState, UnreachableStateIsNotFlagged)
-{
-    // No parallelFor anywhere: nothing is worker-reachable.
-    auto findings = runOn({
-        {"src/a.cc",
-         "namespace {\n"
-         "unsigned g_n = 0;\n"
-         "void bump() { ++g_n; }\n"
-         "}\n"
-         "void run() { bump(); }\n"},
     });
     EXPECT_TRUE(findings.empty());
 }

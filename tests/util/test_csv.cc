@@ -60,9 +60,10 @@ TEST(CsvEscape, OnlyQuotesWhenNeeded)
     EXPECT_EQ(CsvWriter::escape("q\"q"), "\"q\"\"q\"");
 }
 
-// The no-fatal-in-solver contract: an unwritable path must not exit
-// the process. The error is sticky, rows are dropped, and close()
-// surfaces the IoError.
+// The library's never-exit contract (util/expected.hh): an
+// unwritable path must not exit the process (snoop_lint's
+// fatal-reachability pass proves it statically). The error is sticky,
+// rows are dropped, and close() surfaces the IoError.
 TEST(CsvError, UnwritablePathSurfacesThroughClose)
 {
     CsvWriter w("/nonexistent-dir-xyz/file.csv");

@@ -10,18 +10,6 @@ namespace {
 
 constexpr size_t kNone = static_cast<size_t>(-1);
 
-bool
-isPunct(const Token &t, const char *p)
-{
-    return t.kind == TokenKind::Punct && t.text == p;
-}
-
-bool
-isIdent(const Token &t, const char *name)
-{
-    return t.kind == TokenKind::Identifier && t.text == name;
-}
-
 /**
  * Recursive-descent CFG builder over one function body's token
  * range. Any construct outside the modeled grammar sets `failed_`

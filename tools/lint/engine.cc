@@ -102,8 +102,8 @@ gitChangedFiles(const std::string &root, const std::string &ref,
 bool
 inLintedTree(const std::string &rel)
 {
-    return rel.rfind("src/", 0) == 0 || rel.rfind("tools/", 0) == 0 ||
-        rel.rfind("bench/", 0) == 0 || rel.rfind("examples/", 0) == 0;
+    return startsWith(rel, "src/") || startsWith(rel, "tools/") ||
+        startsWith(rel, "bench/") || startsWith(rel, "examples/");
 }
 
 class LexCache
@@ -167,11 +167,10 @@ struct MarkerUse {
 /** Files whose inline markers must be registered in allowlist.txt:
  * the library tree, plus the rule's own fixtures. */
 bool
-markerScope(const std::string &display, const std::string &base)
+markerScope(const std::string &display)
 {
-    return display.rfind("src/", 0) == 0 ||
-        base.rfind("bad_marker_allowlist", 0) == 0 ||
-        base.rfind("good_marker_allowlist", 0) == 0;
+    return startsWith(display, "src/") ||
+        fixtureOptsIn(display, "marker-allowlist");
 }
 
 /** Collect `snoop-lint: <marker>` uses in comment position (a `//`
@@ -276,7 +275,7 @@ runLint(const LintOptions &opt)
         if (!isTestExempt(p.string()))
             checkUnusedIncludes(display, p.string(), *lexed, resolver,
                                 findings);
-        if (markerScope(display, p.filename().string()))
+        if (markerScope(display))
             scanMarkers(display, *lexed, &markers);
     }
 
@@ -325,19 +324,20 @@ runLint(const LintOptions &opt)
         }
     }
 
-    // 4. Semantic passes (parser -> symbol index -> call graph).
-    // Their file set is src/ when tree passes run (cross-TU edges need
-    // the whole library) plus any explicitly targeted src/ files or
-    // fixtures (bad_/good_ basenames opt in); tools/bench/examples are
-    // CLI boundary code where fatal() and friends are the contract.
+    // 4. Semantic and flow passes over one parse (symbol index + call
+    // graph). Their file set is src/ when tree passes run (cross-TU
+    // edges need the whole library) plus any explicitly targeted src/
+    // files or fixtures (bad_/good_ basenames opt in);
+    // tools/bench/examples are CLI boundary code where fatal() and
+    // friends are the contract.
     {
         FileSet sem;
         for (const fs::path &p : targets) {
             std::string base = p.filename().string();
             std::string display = relativize(root, p);
-            bool fixture = base.rfind("bad_", 0) == 0 ||
-                base.rfind("good_", 0) == 0;
-            if (display.rfind("src/", 0) != 0 && !fixture)
+            bool fixture =
+                startsWith(base, "bad_") || startsWith(base, "good_");
+            if (!startsWith(display, "src/") && !fixture)
                 continue;
             const LexedFile *lexed = cache.get(p);
             if (lexed)
@@ -360,15 +360,14 @@ runLint(const LintOptions &opt)
             }
         }
         if (!sem.empty()) {
-            for (Finding &f : runSemanticPasses(sem)) {
-                // Same ownership rule as the tree passes: a finding
-                // belongs to the run only when its file was asked
-                // about.
+            SymbolIndex index = SymbolIndex::build(sem);
+            CallGraph graph = CallGraph::build(index, sem);
+            // Same ownership rule as the tree passes: a finding
+            // belongs to the run only when its file was asked about.
+            for (Finding &f : runSemanticPasses(sem, index, graph)) {
                 if (is_target.count(f.file))
                     findings.push_back(std::move(f));
             }
-            // Flow-sensitive passes (CFG + dataflow) share the same
-            // file set and ownership rule.
             std::string roster_path = opt.rosterPath.empty()
                 ? (root / "tools" / "lint" / "determinism.txt")
                       .string()
@@ -378,7 +377,7 @@ runLint(const LintOptions &opt)
                 DeterminismRoster::load(roster_path, &roster_err);
             if (!roster_err.empty())
                 result.errors.push_back(roster_err);
-            for (Finding &f : runFlowPasses(sem, roster)) {
+            for (Finding &f : runFlowPasses(sem, index, graph, roster)) {
                 if (is_target.count(f.file))
                     findings.push_back(std::move(f));
             }

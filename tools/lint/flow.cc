@@ -7,50 +7,10 @@
 
 #include "lint/cfg.hh"
 #include "lint/dataflow.hh"
-#include "lint/symbols.hh"
 
 namespace snoop::lint {
 
 namespace {
-
-bool
-startsWith(const std::string &s, const std::string &prefix)
-{
-    return s.size() >= prefix.size() &&
-        s.compare(0, prefix.size(), prefix) == 0;
-}
-
-std::string
-baseName(const std::string &path)
-{
-    size_t slash = path.find_last_of('/');
-    return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-bool
-isPunct(const Token &t, const char *p)
-{
-    return t.kind == TokenKind::Punct && t.text == p;
-}
-
-bool
-isIdent(const Token &t, const char *name)
-{
-    return t.kind == TokenKind::Identifier && t.text == name;
-}
-
-/** True when `// snoop-lint: <marker>` appears on @p line or the
- * three lines above it (same window as the semantic passes). */
-bool
-markerNearby(const LexedFile &lexed, size_t line, const char *marker)
-{
-    std::string needle = std::string("snoop-lint: ") + marker;
-    size_t from = line > 3 ? line - 3 : 1;
-    for (size_t l = from; l <= line && l <= lexed.lines.size(); ++l)
-        if (lexed.lines[l - 1].find(needle) != std::string::npos)
-            return true;
-    return false;
-}
 
 /** Index after the template argument list opening at @p i (toks[i]
  * is '<'); falls back to i+1 when the angles do not balance before
@@ -144,20 +104,16 @@ streamNames()
 bool
 fpScope(const std::string &file, const DeterminismRoster &roster)
 {
-    const std::string base = baseName(file);
     return roster.memberFile(file) ||
-        startsWith(base, "bad_fp_determinism") ||
-        startsWith(base, "good_fp_determinism");
+        fixtureOptsIn(file, "fp-determinism");
 }
 
 bool
 fpKernel(const std::string &file, const DeterminismRoster &roster)
 {
-    const std::string base = baseName(file);
     return roster.kernelFile(file) ||
-        ((startsWith(base, "bad_fp_determinism") ||
-          startsWith(base, "good_fp_determinism")) &&
-         base.find("kernel") != std::string::npos);
+        (fixtureOptsIn(file, "fp-determinism") &&
+         baseName(file).find("kernel") != std::string::npos);
 }
 
 bool
@@ -456,10 +412,7 @@ checkFpDeterminism(const FileSet &files, const SymbolIndex &index,
 bool
 lockScope(const std::string &file)
 {
-    const std::string base = baseName(file);
-    return startsWith(file, "src/") ||
-        startsWith(base, "bad_lockset") ||
-        startsWith(base, "good_lockset");
+    return startsWith(file, "src/") || fixtureOptsIn(file, "lockset");
 }
 
 /** Must-hold lockset: top (unreached) or a set of held mutexes plus
@@ -640,6 +593,63 @@ class LocksetProblem : public DataflowProblem<LockState>
     std::set<std::string> entryHeld_;
 };
 
+/**
+ * Unannotated shared state: a mutable global named in the body of a
+ * function reachable from a parallelFor() launch must carry
+ * SNOOP_GUARDED_BY (src/util/annotations.hh), or the must-hold
+ * analysis has no mutex to check its accesses against.
+ * SNOOP_GUARDED_BY(internal) asserts the object synchronizes itself;
+ * const, thread_local and self-synchronizing types (std::atomic,
+ * std::mutex, ...) are exempt. Worker lambdas parse as part of the
+ * launching function, so the launchers are the reachability roots.
+ * Waiver: `// snoop-lint: lockset-ok` at the declaration.
+ */
+void
+checkWorkerGlobals(const FileSet &files, const SymbolIndex &index,
+                   const CallGraph &graph, std::vector<Finding> &out)
+{
+    const auto &funcs = index.functions();
+    std::vector<size_t> roots;
+    for (size_t i = 0; i < funcs.size(); ++i)
+        for (const CallSite &site : graph.callsOf(i))
+            if (site.callee == "parallelFor") {
+                roots.push_back(i);
+                break;
+            }
+    if (roots.empty())
+        return;
+    const std::vector<size_t> worker = graph.reachableFrom(roots);
+
+    for (const IndexedGlobal &g : index.globals()) {
+        const GlobalVar &var = g.var;
+        if (!lockScope(g.file) || !var.guardedBy.empty() || var.isConst ||
+            var.isThreadLocal || var.selfSynchronizing)
+            continue;
+        auto fit = files.find(g.file);
+        if (fit == files.end() ||
+            markerNearby(fit->second, var.line, "lockset-ok"))
+            continue;
+        // Accessor: a worker-reachable function in the same file
+        // (such globals have internal linkage) naming the variable
+        // other than as a member of some object.
+        for (size_t i : worker) {
+            const FunctionDef &def = funcs[i].def;
+            if (funcs[i].file != g.file ||
+                !namesBare(fit->second.tokens, def.bodyBegin, def.bodyEnd,
+                           var.name))
+                continue;
+            out.push_back(
+                {g.file, var.line, "lockset",
+                 "mutable shared state '" + var.name +
+                     "' is reachable from parallelFor workers (via " +
+                     def.qualified +
+                     ") but has no SNOOP_GUARDED_BY annotation, so no "
+                     "lockset can be checked for it"});
+            break;
+        }
+    }
+}
+
 void
 checkLockset(const FileSet &files, const SymbolIndex &index,
              std::vector<Finding> &out)
@@ -758,10 +768,8 @@ checkLockset(const FileSet &files, const SymbolIndex &index,
 bool
 expectedFlowScope(const std::string &file)
 {
-    const std::string base = baseName(file);
     return startsWith(file, "src/") ||
-        startsWith(base, "bad_expected_flow") ||
-        startsWith(base, "good_expected_flow");
+        fixtureOptsIn(file, "expected-flow");
 }
 
 enum class VState { Unchecked, CheckedOk, CheckedErr };
@@ -780,10 +788,37 @@ struct EState {
     }
 };
 
+/** One expected-flow report, collected by the reporting replay. */
+struct ExpectedHit {
+    enum Kind {
+        UncheckedRead,  //!< tracked variable read unchecked on a path
+        TemporaryRead,  //!< tryX(...).value() on the call temporary
+        NeverConsulted, //!< tracked variable bound and never used
+    } kind;
+    std::string name; //!< the variable, or the callee of a temporary
+    size_t line;
+};
+
+/** Token index of the ')' closing the call whose callee is toks[k]
+ * when toks[k] names a function every declaration of which returns
+ * Expected<...>; npos otherwise. */
+size_t
+expectedCallEnd(const std::vector<Token> &toks, size_t k, size_t end,
+                const SymbolIndex &index)
+{
+    if (k + 1 >= end || toks[k].kind != TokenKind::Identifier ||
+        !isPunct(toks[k + 1], "(") || !index.returnsExpected(toks[k].text))
+        return std::string::npos;
+    size_t close = matchBracket(toks, k + 1);
+    return close < end ? close : std::string::npos;
+}
+
 class ExpectedFlowProblem : public DataflowProblem<EState>
 {
   public:
-    ExpectedFlowProblem(const SymbolIndex &index) : index_(index) {}
+    explicit ExpectedFlowProblem(const SymbolIndex &index) : index_(index)
+    {
+    }
 
     EState
     entryState() const override
@@ -864,16 +899,16 @@ class ExpectedFlowProblem : public DataflowProblem<EState>
     }
 
     /** One statement, shared between the solver's transfer and the
-     * reporting replay: when @p sink is non-null, `.value()` reads
-     * in an unchecked/checked-err state are appended to it as
-     * (variable, line). */
+     * reporting replay: when @p sink is non-null, the statement's
+     * findings on a reachable path are appended to it. */
     void
     applyStmt(EState &s, const LexedFile &file, const CfgStmt &stmt,
-              std::vector<std::pair<std::string, size_t>> *sink) const
+              std::vector<ExpectedHit> *sink) const
     {
         if (stmt.kind == StmtKind::ScopeEnd)
             return; // spans whole compounds; inner stmts own events
         const std::vector<Token> &toks = file.tokens;
+        const bool report = sink && !s.top;
 
         // Binding: `[type] name = ... tryX( ... ) ...;` where every
         // declaration of tryX returns Expected<...>.
@@ -905,12 +940,18 @@ class ExpectedFlowProblem : public DataflowProblem<EState>
             !(eq >= 2 && (isPunct(toks[eq - 2], ".") ||
                           isPunct(toks[eq - 2], ">")))) {
             const std::string &name = toks[eq - 1].text;
+            // The bound value is the Expected itself only when no
+            // member access (`.valueOr(...)`, `.ok()`) consumes the
+            // call's result first.
             bool expectedRhs = false;
-            for (size_t k = eq + 1; k + 1 < stmt.end; ++k)
-                if (toks[k].kind == TokenKind::Identifier &&
-                    isPunct(toks[k + 1], "(") &&
-                    index_.returnsExpected(toks[k].text))
+            for (size_t k = eq + 1; k < stmt.end; ++k) {
+                size_t close = expectedCallEnd(toks, k, stmt.end, index_);
+                if (close != std::string::npos &&
+                    !(close + 1 < stmt.end &&
+                      (isPunct(toks[close + 1], ".") ||
+                       isPunct(toks[close + 1], "-"))))
                     expectedRhs = true;
+            }
             if (expectedRhs) {
                 if (!s.top)
                     s.vars[name] = VState::Unchecked;
@@ -937,9 +978,9 @@ class ExpectedFlowProblem : public DataflowProblem<EState>
                     m == "orThrow") {
                     it->second = VState::CheckedOk;
                 } else if (m == "value") {
-                    if (sink && !s.top &&
-                        it->second != VState::CheckedOk)
-                        sink->push_back({t.text, t.line});
+                    if (report && it->second != VState::CheckedOk)
+                        sink->push_back({ExpectedHit::UncheckedRead,
+                                         t.text, t.line});
                     it->second = VState::CheckedOk;
                 }
                 // valueOr and anything else: safe, no change.
@@ -956,6 +997,82 @@ class ExpectedFlowProblem : public DataflowProblem<EState>
     const SymbolIndex &index_;
 };
 
+/**
+ * The expected-flow cases that need no path, found by a token walk
+ * over @p fn's body so they fire even where the CFG degrades or the
+ * solve gives up: `.value()` read straight off a call temporary, and
+ * a result bound by `name = tryX(...)` whose name never appears again.
+ */
+void
+expectedTokenHits(const std::vector<Token> &toks, const FunctionDef &fn,
+                  const SymbolIndex &index, std::vector<ExpectedHit> &hits)
+{
+    const size_t end = std::min(fn.bodyEnd, toks.size());
+    for (size_t k = fn.bodyBegin; k < end; ++k) {
+        size_t close = expectedCallEnd(toks, k, end, index);
+        if (close != std::string::npos && close + 2 < end &&
+            isPunct(toks[close + 1], ".") && isIdent(toks[close + 2], "value"))
+            hits.push_back({ExpectedHit::TemporaryRead, toks[k].text,
+                            toks[k].line});
+
+        // Binding: `name = ...;` (not `==`, not a member) whose
+        // right-hand side is an Expected call not consumed by a
+        // member access first.
+        if (toks[k].kind != TokenKind::Identifier || k + 2 >= end ||
+            !isPunct(toks[k + 1], "=") || isPunct(toks[k + 2], "=") ||
+            isPunct(toks[k - 1], ".") || isPunct(toks[k - 1], ">"))
+            continue;
+        size_t semi = k + 2;
+        bool expectedRhs = false;
+        for (int depth = 0; semi < end; ++semi) {
+            const Token &t = toks[semi];
+            if (t.kind == TokenKind::Punct &&
+                (t.text == "(" || t.text == "[" || t.text == "{"))
+                ++depth;
+            else if (t.kind == TokenKind::Punct &&
+                     (t.text == ")" || t.text == "]" || t.text == "}"))
+                --depth;
+            if (depth < 0 || (depth == 0 && isPunct(t, ";")))
+                break;
+            size_t c = expectedCallEnd(toks, semi, end, index);
+            if (c != std::string::npos && c + 1 < end &&
+                !isPunct(toks[c + 1], ".") && !isPunct(toks[c + 1], "-"))
+                expectedRhs = true;
+        }
+        const std::string &name = toks[k].text;
+        if (expectedRhs && !namesBare(toks, fn.bodyBegin, k, name) &&
+            !namesBare(toks, semi, end, name))
+            hits.push_back({ExpectedHit::NeverConsulted, name, toks[k].line});
+    }
+}
+
+/** The finding text for one expected-flow hit; @p path describes the
+ * unchecked path of an UncheckedRead. */
+std::string
+expectedMessage(const ExpectedHit &h, const FunctionDef &fn,
+                const std::string &path)
+{
+    const std::string waive = "'// snoop-lint: expected-ok'";
+    switch (h.kind) {
+    case ExpectedHit::TemporaryRead:
+        return "result of " + h.name +
+            "() is read via .value() on the call temporary, which no "
+            "path can have checked ok; bind and test it, use "
+            "valueOr(), or waive with " + waive;
+    case ExpectedHit::NeverConsulted:
+        return "'" + h.name + "' holds an Expected result (in " +
+            fn.name + "()) that is never consulted; check it, or "
+            "drop the binding and (void)-cast the call";
+    case ExpectedHit::UncheckedRead:
+        break;
+    }
+    return "'" + h.name +
+        "' holds an Expected result and is read via .value() on a "
+        "path where it was never checked ok (path " + path + " in " +
+        fn.name + "()); test it with ok()/operator bool on every path "
+        "to the read, or waive with " + waive;
+}
+
 void
 checkExpectedFlow(const FileSet &files, const SymbolIndex &index,
                   std::vector<Finding> &out)
@@ -965,6 +1082,19 @@ checkExpectedFlow(const FileSet &files, const SymbolIndex &index,
             continue;
         const ParsedFile &parsed = index.parsed(file);
         for (const FunctionDef &fn : parsed.functions) {
+            std::set<std::pair<std::string, size_t>> reported;
+            auto emit = [&](const std::vector<ExpectedHit> &hits,
+                            const std::string &path) {
+                for (const ExpectedHit &h : hits)
+                    if (reported.insert({h.name, h.line}).second &&
+                        !markerNearby(lexed, h.line, "expected-ok"))
+                        out.push_back({file, h.line, "expected-flow",
+                                       expectedMessage(h, fn, path)});
+            };
+            std::vector<ExpectedHit> tokenHits;
+            expectedTokenHits(lexed.tokens, fn, index, tokenHits);
+            emit(tokenHits, "");
+
             Cfg cfg = buildCfg(lexed, fn);
             if (cfg.degraded)
                 continue;
@@ -973,29 +1103,13 @@ checkExpectedFlow(const FileSet &files, const SymbolIndex &index,
                 solveForward(cfg, lexed, problem);
             if (!res.converged)
                 continue;
-            std::set<std::pair<std::string, size_t>> reported;
             for (size_t b = 0; b < cfg.blocks.size(); ++b) {
                 EState s = res.in[b];
-                std::vector<std::pair<std::string, size_t>> hits;
+                std::vector<ExpectedHit> hits;
                 for (const CfgStmt &stmt : cfg.blocks[b].stmts)
                     problem.applyStmt(s, lexed, stmt, &hits);
-                for (const auto &[var, line] : hits) {
-                    if (!reported.insert({var, line}).second)
-                        continue;
-                    if (markerNearby(lexed, line, "expected-ok"))
-                        continue;
-                    out.push_back(
-                        {file, line, "expected-flow",
-                         "'" + var +
-                             "' holds an Expected result and is "
-                             "read via .value() on a path where it "
-                             "was never checked ok (path " +
-                             describePath(cfg, b) +
-                             " in " + fn.name +
-                             "()); test it with ok()/operator bool "
-                             "on every path to the read, or waive "
-                             "with '// snoop-lint: expected-ok'"});
-                }
+                if (!hits.empty())
+                    emit(hits, describePath(cfg, b));
             }
         }
     }
@@ -1063,11 +1177,12 @@ DeterminismRoster::load(const std::string &path, std::string *error)
 }
 
 std::vector<Finding>
-runFlowPasses(const FileSet &files, const DeterminismRoster &roster)
+runFlowPasses(const FileSet &files, const SymbolIndex &index,
+              const CallGraph &graph, const DeterminismRoster &roster)
 {
-    SymbolIndex index = SymbolIndex::build(files);
     std::vector<Finding> out;
     checkFpDeterminism(files, index, roster, out);
+    checkWorkerGlobals(files, index, graph, out);
     checkLockset(files, index, out);
     checkExpectedFlow(files, index, out);
     return out;

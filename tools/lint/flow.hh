@@ -24,8 +24,10 @@
  *    not held is reported with the witness path. RAII releases are
  *    modeled through the CFG's synthetic ScopeEnd statements; a
  *    "caller holds m" comment above the function seeds the entry
- *    lockset (the documented idiom from the syntactic pass this
- *    upgrades). Per-line opt-out: `// snoop-lint: lockset-ok`.
+ *    lockset. The pass also reports mutable globals that functions
+ *    reachable from a parallelFor() launch (call graph) touch
+ *    without any SNOOP_GUARDED_BY annotation: state no lockset can
+ *    be checked for. Per-line opt-out: `// snoop-lint: lockset-ok`.
  *
  *  - expected-flow: path-sensitive unchecked-Expected. Each
  *    variable bound from a function whose every declaration returns
@@ -33,22 +35,28 @@
  *    checked-err}; branch edges on `r` / `r.ok()` refine the state,
  *    joins that disagree fall back to unchecked. A `.value()` read
  *    reachable on an unchecked or checked-err path is reported with
- *    that path — the case the flow-insensitive unchecked-expected
- *    pass cannot see (checked on one branch, used on another).
- *    Per-line opt-out: `// snoop-lint: expected-ok`.
+ *    that path. Two cases need no path and are found by a token
+ *    walk of the body, so they fire even where the CFG degrades:
+ *    `.value()` read straight off a call temporary, and a bound
+ *    result that is never consulted. A result
+ *    discarded as a bare statement is the compiler's to reject:
+ *    Expected is [[nodiscard]] and the build passes
+ *    -Werror=unused-result. Per-line opt-out:
+ *    `// snoop-lint: expected-ok`.
  *
  * All three passes share the conservative contract of the stack
  * they sit on: a degraded CFG or a non-converged solve silences the
- * function rather than guessing. Fixture opt-in mirrors the other
+ * function's path analysis rather than guessing. Fixture opt-in mirrors the other
  * passes: a basename starting with bad_<rule>/good_<rule> joins
- * that pass's scope regardless of path.
+ * that pass's scope regardless of path (lint/lexer.hh
+ * fixtureOptsIn).
  */
 
 #include <set>
 #include <string>
 #include <vector>
 
-#include "lint/include_graph.hh"
+#include "lint/callgraph.hh"
 #include "lint/report.hh"
 
 namespace snoop::lint {
@@ -78,9 +86,12 @@ struct DeterminismRoster {
                                   std::string *error);
 };
 
-/** Run the three flow-sensitive passes over @p files. Findings come
+/** Run the three flow-sensitive passes over @p files, using the
+ * @p index and @p graph built from those same files. Findings come
  * back unsorted; the engine orders and baselines them. */
 std::vector<Finding> runFlowPasses(const FileSet &files,
+                                   const SymbolIndex &index,
+                                   const CallGraph &graph,
                                    const DeterminismRoster &roster);
 
 } // namespace snoop::lint

@@ -419,4 +419,78 @@ lexFile(const std::string &path)
     return lex(buf.str());
 }
 
+bool
+isPunct(const Token &t, const char *p)
+{
+    return t.kind == TokenKind::Punct && t.text == p;
+}
+
+bool
+isIdent(const Token &t, const char *name)
+{
+    return t.kind == TokenKind::Identifier && t.text == name;
+}
+
+bool
+namesBare(const std::vector<Token> &toks, size_t begin, size_t end,
+          const std::string &name)
+{
+    for (size_t k = begin; k < end && k < toks.size(); ++k)
+        if (isIdent(toks[k], name.c_str()) &&
+            !(k > 0 && (isPunct(toks[k - 1], ".") ||
+                        isPunct(toks[k - 1], ">"))))
+            return true;
+    return false;
+}
+
+bool
+containsWord(const std::string &line, const std::string &word)
+{
+    for (size_t pos = line.find(word); pos != std::string::npos;
+         pos = line.find(word, pos + 1)) {
+        size_t end = pos + word.size();
+        bool left_ok = pos == 0 || !isIdentChar(line[pos - 1]);
+        bool right_ok = end >= line.size() || !isIdentChar(line[end]);
+        if (left_ok && right_ok)
+            return true;
+    }
+    return false;
+}
+
+bool
+startsWith(const std::string &s, const std::string &prefix)
+{
+    return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+std::string
+baseName(const std::string &path)
+{
+    size_t slash = path.find_last_of('/');
+    return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
+bool
+markerNearby(const LexedFile &lexed, size_t line, const std::string &marker)
+{
+    const std::string needle = "snoop-lint: " + marker;
+    for (size_t l = line > 3 ? line - 3 : 1;
+         l <= line && l <= lexed.lines.size(); ++l)
+        if (lexed.lines[l - 1].find(needle) != std::string::npos)
+            return true;
+    return false;
+}
+
+bool
+fixtureOptsIn(const std::string &file, const std::string &rule)
+{
+    std::string stem = rule;
+    for (char &c : stem)
+        if (c == '-')
+            c = '_';
+    const std::string base = baseName(file);
+    return startsWith(base, "bad_" + stem) ||
+        startsWith(base, "good_" + stem);
+}
+
 } // namespace snoop::lint

@@ -17,7 +17,7 @@
  *    passes (include graph, exported-name extraction);
  *  - `code`: a per-line "code view" of the source with comments
  *    blanked and literal contents reduced to "" / '' so the
- *    line-oriented convention rules (R1-R8) keep their auditable
+ *    line-oriented convention rules (R1-R7) keep their auditable
  *    textual form while inheriting token-level correctness.
  *
  * `#include` directives are extracted during lexing (so a directive
@@ -67,5 +67,41 @@ LexedFile lex(const std::string &source);
 
 /** Read and lex a file; returns an empty LexedFile when unreadable. */
 LexedFile lexFile(const std::string &path);
+
+// --- helpers every pass shares ---------------------------------------
+
+/** True when @p t is the punctuator @p p. */
+bool isPunct(const Token &t, const char *p);
+
+/** True when @p t is the identifier @p name. */
+bool isIdent(const Token &t, const char *name);
+
+/** True when some token in [@p begin, @p end) is the identifier
+ * @p name other than as a member of some object (not after `.` or
+ * `->`). */
+bool namesBare(const std::vector<Token> &toks, size_t begin, size_t end,
+               const std::string &name);
+
+/** Word-boundary search: @p word not preceded/followed by identifier
+ * chars. Non-identifier chars inside the word (e.g. "std::rand") do
+ * not affect the boundary check. */
+bool containsWord(const std::string &line, const std::string &word);
+
+bool startsWith(const std::string &s, const std::string &prefix);
+
+/** Last '/'-separated component of @p path. */
+std::string baseName(const std::string &path);
+
+/** True when `snoop-lint: <marker>` appears on raw line @p line
+ * (1-based) or the three lines above it: the one waiver window every
+ * rule gives its opt-out marker (markers live in comments, so the raw
+ * lines are consulted). */
+bool markerNearby(const LexedFile &lexed, size_t line,
+                  const std::string &marker);
+
+/** Fixture opt-in: true when @p file's basename starts with
+ * bad_<rule> or good_<rule> ('-' in @p rule spelled '_'), which
+ * places a fixture in @p rule's scope regardless of its path. */
+bool fixtureOptsIn(const std::string &file, const std::string &rule);
 
 } // namespace snoop::lint

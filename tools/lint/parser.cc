@@ -6,18 +6,6 @@ namespace snoop::lint {
 
 namespace {
 
-bool
-isPunct(const Token &t, const char *p)
-{
-    return t.kind == TokenKind::Punct && t.text == p;
-}
-
-bool
-isIdent(const Token &t, const char *name)
-{
-    return t.kind == TokenKind::Identifier && t.text == name;
-}
-
 /** Keywords that can never be a function or variable name. */
 bool
 isReserved(const std::string &id)

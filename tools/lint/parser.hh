@@ -10,9 +10,9 @@
  *
  *  - function definitions: qualified name, signature line, and the
  *    token range of the body (lambda bodies stay part of the
- *    enclosing function, which is exactly what the
- *    guarded-shared-state pass wants: a parallelFor worker lambda is
- *    analyzed as part of the function that launches it);
+ *    enclosing function, which is exactly what the lockset pass
+ *    wants: a parallelFor worker lambda is analyzed as part of the
+ *    function that launches it);
  *  - function declarations: name plus the return-type text, which is
  *    how the symbol index learns that `trySolve` returns
  *    Expected<...> without parsing templates;

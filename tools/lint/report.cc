@@ -28,9 +28,6 @@ ruleTable()
         {"no-raw-thread",
          "no raw std::thread outside src/util/parallel.cc (use the "
          "ThreadPool / parallelFor layer)"},
-        {"no-fatal-in-solver",
-         "no fatal() in library solver paths; report failures as "
-         "SolveError / SolveException (util/expected.hh)"},
         {"layering",
          "cross-module #include edges respect the declared module "
          "DAG (tools/lint/layers.txt) and form no cycles"},
@@ -42,16 +39,9 @@ ruleTable()
          "name (IWYU-lite heuristic)"},
         {"fatal-reachability",
          "no fatal()/abort()/exit() transitively reachable from a "
-         "try* solver entry point (call-graph proof; the finding "
+         "solver entry point (every public function of a solver file, "
+         "every try* in src/core/; call-graph proof; the finding "
          "carries the witness chain)"},
-        {"unchecked-expected",
-         "a call returning Expected<T> must be checked, consumed, or "
-         "(void)-cast, never silently discarded or read via .value() "
-         "unchecked"},
-        {"guarded-shared-state",
-         "mutable static state reachable from parallelFor workers "
-         "carries SNOOP_GUARDED_BY(mutex), and accessors name that "
-         "mutex"},
         {"numeric-guard-coverage",
          "solver boundary functions route results through "
          "NumericGuard / SNOOP_NUMERIC_CHECK (directly or via a "
@@ -62,12 +52,14 @@ ruleTable()
          "and never let unordered-container iteration order reach an "
          "output or accumulation"},
         {"lockset",
-         "accesses to SNOOP_GUARDED_BY(m) state happen only on CFG "
+         "mutable state reachable from parallelFor workers carries "
+         "SNOOP_GUARDED_BY(m), and its accesses happen only on CFG "
          "paths where m is provably held (lock_guard/unique_lock/"
          "explicit lock(), must-hold dataflow)"},
         {"expected-flow",
-         "an Expected<T> result is never read via .value() on a path "
-         "where it was not checked ok (path-sensitive CFG analysis)"},
+         "an Expected<T> result is consulted, and never read via "
+         ".value() on a path (or a call temporary) where it was not "
+         "checked ok (path-sensitive CFG analysis)"},
         {"marker-allowlist",
          "every inline 'snoop-lint:' waiver marker in src/ is "
          "registered with a justification in "

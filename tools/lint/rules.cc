@@ -1,6 +1,5 @@
 #include "lint/rules.hh"
 
-#include <cctype>
 #include <cstring>
 #include <filesystem>
 
@@ -94,7 +93,7 @@ checkFormatAttribute(const std::string &file, const LexedFile &lx,
 
 // --- R5: solver call sites honor the convergence contract ------------
 
-constexpr const char *kNonConvMarker = "snoop-lint: nonconvergence-ok";
+constexpr const char *kNonConvMarker = "nonconvergence-ok";
 
 bool
 isSolveCall(const std::string &code)
@@ -119,19 +118,6 @@ isSolveCall(const std::string &code)
         containsWord(code, "solveHierarchical");
 }
 
-/** Marker search window: markers live in comments, so the raw lines
- * are consulted (the code view has them blanked). */
-bool
-markerNearby(const LexedFile &lx, size_t i, const char *marker)
-{
-    for (size_t j = i >= 3 ? i - 3 : 0; j <= i && j < lx.lines.size();
-         ++j) {
-        if (contains(lx.lines[j], marker))
-            return true;
-    }
-    return false;
-}
-
 void
 checkConvergedUse(const std::string &file, const LexedFile &lx,
                   std::vector<Finding> &findings)
@@ -147,7 +133,7 @@ checkConvergedUse(const std::string &file, const LexedFile &lx,
             continue;
         if (policy_seen)
             continue; // explicit policy opted into earlier in the file
-        if (markerNearby(lx, i, kNonConvMarker))
+        if (markerNearby(lx, i + 1, kNonConvMarker))
             continue;
         bool checked = false;
         for (size_t j = i; j < code.size() && j < i + 8; ++j) {
@@ -217,56 +203,9 @@ checkRawThread(const std::string &file, const LexedFile &lx,
     }
 }
 
-// --- R8: no fatal() in library solver paths --------------------------
-
-constexpr const char *kFatalOkMarker = "snoop-lint: fatal-ok";
-
-/**
- * The library solver paths whose fault-isolation contract
- * (util/expected.hh) forbids process exit. The negative fixture opts
- * in by name, since it cannot live under src/.
- */
-bool
-isSolverPath(const fs::path &p)
-{
-    std::string name = p.filename().string();
-    if (name.rfind("bad_no_fatal_in_solver", 0) == 0)
-        return true;
-    if (p.parent_path().filename() == "mva")
-        return true;
-    std::string stem = p.stem().string();
-    bool in_util = p.parent_path().filename() == "util";
-    bool in_core = p.parent_path().filename() == "core";
-    // csv.* is covered because CSV emission runs inside sweep/bench
-    // result paths: a failed write must surface via close(), not exit.
-    return (in_util && (stem == "fixed_point" || stem == "csv")) ||
-        (in_core &&
-         (stem == "analyzer" || stem == "sweep" || stem == "solve_for"));
-}
-
-void
-checkNoFatal(const std::string &file, const LexedFile &lx,
-             std::vector<Finding> &findings)
-{
-    const auto &code = lx.code;
-    for (size_t i = 0; i < code.size(); ++i) {
-        if (!containsWord(code[i], "fatal") ||
-            !contains(code[i], "fatal("))
-            continue;
-        if (markerNearby(lx, i, kFatalOkMarker))
-            continue;
-        findings.push_back(
-            {file, i + 1, "no-fatal-in-solver",
-             "fatal() exits the process from a library solver path; "
-             "return a SolveError / throw SolveException "
-             "(util/expected.hh), or mark a deliberate boundary with "
-             "'snoop-lint: fatal-ok'"});
-    }
-}
-
 // --- R10: determinism (bit-identity contract) ------------------------
 
-constexpr const char *kDeterminismOkMarker = "snoop-lint: determinism-ok";
+constexpr const char *kDeterminismOkMarker = "determinism-ok";
 
 /**
  * Calls whose result depends on the wall clock, the process
@@ -303,7 +242,7 @@ constexpr DeterminismNeedle kDeterminismNeedles[] = {
 bool
 inDeterminismScope(const fs::path &p)
 {
-    if (p.filename().string().rfind("bad_determinism", 0) == 0)
+    if (fixtureOptsIn(p.string(), "determinism"))
         return true;
     bool under_src = false;
     std::string module;
@@ -337,7 +276,7 @@ checkDeterminism(const std::string &file, const LexedFile &lx,
             if (n.require_call &&
                 !contains(code[i], (std::string(n.word) + "(").c_str()))
                 continue;
-            if (markerNearby(lx, i, kDeterminismOkMarker))
+            if (markerNearby(lx, i + 1, kDeterminismOkMarker))
                 break;
             findings.push_back(
                 {file, i + 1, "determinism",
@@ -377,25 +316,6 @@ isTestExempt(const std::string &path)
     return underTests(fs::path(path));
 }
 
-bool
-containsWord(const std::string &line, const char *needle)
-{
-    size_t len = std::strlen(needle);
-    for (size_t pos = line.find(needle); pos != std::string::npos;
-         pos = line.find(needle, pos + 1)) {
-        bool left_ok = pos == 0 ||
-            (!std::isalnum(static_cast<unsigned char>(line[pos - 1])) &&
-             line[pos - 1] != '_');
-        size_t end = pos + len;
-        bool right_ok = end >= line.size() ||
-            (!std::isalnum(static_cast<unsigned char>(line[end])) &&
-             line[end] != '_');
-        if (left_ok && right_ok)
-            return true;
-    }
-    return false;
-}
-
 void
 runFileRules(const std::string &display, const std::string &original,
              const LexedFile &lexed, std::vector<Finding> &findings)
@@ -418,8 +338,6 @@ runFileRules(const std::string &display, const std::string &original,
         checkRawAssert(display, lexed, findings);
         if (!is_parallel_impl)
             checkRawThread(display, lexed, findings);
-        if (isSolverPath(path))
-            checkNoFatal(display, lexed, findings);
         if (inDeterminismScope(path))
             checkDeterminism(display, lexed, findings);
     }

@@ -2,20 +2,19 @@
 
 /**
  * @file
- * Per-file convention rules of snoop_analyze: the eight rules R1-R8
- * inherited from PR 1's line scanner, re-expressed over the lexer's
- * stripped code view (tools/lint/lexer.hh) so comments, string
- * literals, char literals, and raw strings can no longer cause
- * false positives or mask the rest of a line — plus the determinism
+ * Per-file convention rules of snoop_analyze: the header, format,
+ * convergence, assert and thread rules R1-R7, expressed over the
+ * lexer's stripped code view (tools/lint/lexer.hh) so comments,
+ * string literals, char literals, and raw strings can neither cause
+ * false positives nor mask the rest of a line — plus the determinism
  * pass (R10) that protects the bit-identity contract: no wall-clock
  * or ambient-randomness calls outside src/random/ and the sanctioned
  * src/observe/ allowlist.
  *
- * Which rules apply to a file is decided from its path exactly as
- * before (headers get the header rules, tests/ is exempt from the
- * code rules, fixtures opt back in, solver paths get R8), so the
- * token engine reproduces the line scanner's findings on clean and
- * violating trees alike.
+ * Which rules apply to a file is decided from its path (headers get
+ * the header rules, tests/ is exempt from the code rules, fixtures
+ * opt back in). R8 is unassigned: fatal() on solver paths is the
+ * call-graph pass fatal-reachability's (lint/semantic.hh).
  */
 
 #include <string>
@@ -31,18 +30,13 @@ namespace snoop::lint {
  *
  * @param display   path string used in emitted findings
  * @param original  path used for rule-applicability decisions
- *                  (tests/, fixtures/, solver paths, src/random/);
+ *                  (tests/, fixtures/, src/random/);
  *                  usually the path as given on the command line
  * @param lexed     the lexed file
  * @param findings  appended in rule order
  */
 void runFileRules(const std::string &display, const std::string &original,
                   const LexedFile &lexed, std::vector<Finding> &findings);
-
-/** Word-boundary search: needle not preceded/followed by identifier
- * chars. Non-identifier chars inside the needle (e.g. "std::rand")
- * do not affect the boundary check. */
-bool containsWord(const std::string &line, const char *needle);
 
 /** True for paths under tests/ that are exempt from the code rules.
  * The negative fixtures under tests/lint/fixtures/ are NOT exempt,

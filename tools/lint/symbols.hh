@@ -11,13 +11,13 @@
  *  - returnsExpected(name): true only when *every* declaration and
  *    definition of that name spells an Expected<...> return type —
  *    overload ambiguity degrades to "don't know", and the
- *    unchecked-expected pass stays silent rather than guessing;
+ *    expected-flow pass stays silent rather than guessing;
  *  - globals: every namespace-scope variable / function-local static,
- *    tagged with its file, for the guarded-shared-state pass.
+ *    tagged with its file, for the lockset pass.
  *
- * The index is built once per run from the same FileSet the tree
- * passes use, so the semantic layer inherits the engine's caching and
- * deterministic file ordering.
+ * The engine builds the index once per run from the same FileSet the
+ * tree passes use and shares it between the semantic and flow passes,
+ * which inherit the engine's caching and deterministic file ordering.
  */
 
 #include <map>

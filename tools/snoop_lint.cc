@@ -25,11 +25,6 @@
  *                      src/util/parallel.cc (use the ThreadPool /
  *                      parallelFor layer, which owns the determinism
  *                      and shutdown contract)
- *  R8  no-fatal-in-solver
- *                      no fatal() in library solver paths: report
- *                      failures as SolveError / SolveException
- *                      (util/expected.hh); a deliberate boundary
- *                      fatal carries a `snoop-lint: fatal-ok` marker
  *  R9  layering        cross-module #include edges respect the
  *                      module DAG declared in tools/lint/layers.txt
  *                      and form no include cycles
@@ -44,26 +39,25 @@
  *                      side-effect includes carry
  *                      `snoop-lint: include-ok`
  *
- * On top of the per-file and include-graph rules, four semantic
+ * R8 is unassigned: fatal() on solver paths is S1's, proven over the
+ * call graph.
+ *
+ * On top of the per-file and include-graph rules, two semantic
  * passes run over a parsed cross-TU view (declaration parser, symbol
  * index, call graph — see docs/ANALYSIS.md):
  *
  *  S1  fatal-reachability
  *                      no fatal()/abort()/exit() transitively
- *                      reachable from a try* solver entry point; the
+ *                      reachable from a solver entry point
+ *                      (every public function of a solver file,
+ *                      every try* in src/core/; report failures as
+ *                      SolveError /
+ *                      SolveException, util/expected.hh); the
  *                      finding carries the full witness chain
- *                      (entry -> ... -> fatal())
- *  S2  unchecked-expected
- *                      a call returning Expected<T> must be checked,
- *                      consumed, or (void)-cast — never silently
- *                      discarded or read via .value() unchecked
- *  S3  guarded-shared-state
- *                      mutable static state reachable from
- *                      parallelFor workers carries
- *                      SNOOP_GUARDED_BY(mutex)
- *                      (src/util/annotations.hh), and its accessors
- *                      name that mutex
- *  S4  numeric-guard-coverage
+ *                      (entry -> ... -> fatal()); a deliberate
+ *                      boundary fatal carries a
+ *                      `snoop-lint: fatal-ok` marker
+ *  S2  numeric-guard-coverage
  *                      solver boundary functions route results
  *                      through NumericGuard / SNOOP_NUMERIC_CHECK,
  *                      directly or via a same-file validator
@@ -79,14 +73,19 @@
  *                      iteration on a path reaching output, no
  *                      accumulation-order hazards in kernel files;
  *                      waiver marker `snoop-lint: fp-ok`
- *  F2  lockset         must-hold lockset analysis: accesses to
- *                      SNOOP_GUARDED_BY(m) state are flagged on CFG
+ *  F2  lockset         mutable state reachable from parallelFor
+ *                      workers carries SNOOP_GUARDED_BY(m)
+ *                      (src/util/annotations.hh), and must-hold
+ *                      lockset analysis flags its accesses on CFG
  *                      paths where m is provably not held; waiver
  *                      marker `snoop-lint: lockset-ok`
  *  F3  expected-flow   path-sensitive unchecked-Expected: a result
  *                      checked on one branch but read via .value()
  *                      on another is flagged with the offending
- *                      path; waiver marker `snoop-lint: expected-ok`
+ *                      path, as are .value() on a call temporary and
+ *                      a bound result never consulted (a discarded
+ *                      one fails the build: -Werror=unused-result);
+ *                      waiver marker `snoop-lint: expected-ok`
  *
  * Every inline `snoop-lint:` waiver in src/ must additionally be
  * registered with a justification in tools/lint/allowlist.txt
