@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "mva/kernel.hh"
+#include "mva/lane.hh"
 #include "observe/metrics.hh"
 #include "observe/trace.hh"
 #include "util/contracts.hh"
@@ -51,18 +53,6 @@ HierarchicalResult::summary() const
 
 namespace {
 
-double
-pBusyFromUtil(double util, double customers)
-{
-    if (customers <= 1.0)
-        return 0.0;
-    double u = std::clamp(util, 0.0, 1.0);
-    double denom = 1.0 - u / customers;
-    if (denom <= 0.0)
-        return 1.0;
-    return std::clamp((u - u / customers) / denom, 0.0, 1.0);
-}
-
 HierarchicalResult
 solveOnce(const HierarchicalConfig &c, const MvaOptions &opts,
           double damping)
@@ -101,7 +91,8 @@ solveOnce(const HierarchicalConfig &c, const MvaOptions &opts,
             r_new;
         q_l = std::clamp(q_l, 0.0, proc_cluster - 1.0);
         double u_l = proc_cluster * p_bus * t_hold / r_new;
-        double p_busy_l = pBusyFromUtil(u_l, proc_cluster);
+        double p_busy_l =
+            mvaPBusyFromUtilization(u_l, c.processorsPerCluster);
         double w_l_new = std::max(0.0, q_l - p_busy_l) * t_hold +
             p_busy_l * t_res_l;
 
@@ -115,7 +106,8 @@ solveOnce(const HierarchicalConfig &c, const MvaOptions &opts,
         q_g = std::clamp(q_g, 0.0, competitors - 1.0);
         double u_g = proc_total * p_bus * c.pRemote * c.tGlobalBus /
             r_new;
-        double p_busy_g = pBusyFromUtil(u_g, competitors);
+        double p_busy_g = mvaPBusyFromUtilization(
+            u_g, static_cast<unsigned>(competitors));
         double w_g_new = std::max(0.0, q_g - p_busy_g) * c.tGlobalBus +
             p_busy_g * c.tGlobalBus / 2.0;
 
@@ -150,46 +142,13 @@ solveHierarchical(const HierarchicalConfig &config,
     ScopedMetricTimer solve_timer("mva.hierarchical.solve_us");
     TraceSpan solve_span(TraceLevel::Phase, "mva.hierarchical.solve",
                          config.totalProcessors());
-    auto observeAttempt = [](size_t rung, double damping,
-                             const HierarchicalResult &r) {
-        metricAdd("mva.hierarchical.attempts");
-        metricAdd("mva.hierarchical.iterations", r.iterations);
-        if (traceEnabled(TraceLevel::Phase)) {
-            traceInstant(TraceLevel::Phase, "mva.hierarchical.attempt",
-                         static_cast<uint64_t>(rung),
-                         strprintf("\"damping\":%g,\"iterations\":%d,"
-                                   "\"converged\":%s",
-                                   damping, r.iterations,
-                                   r.converged ? "true" : "false"));
-        }
-    };
-
-    HierarchicalResult res = solveOnce(config, options, options.damping);
-    observeAttempt(0, options.damping, res);
-    size_t rung = 0;
-    for (double damping : {0.5, 0.25, 0.1, 0.05}) {
-        if (res.converged || damping >= options.damping)
-            break;
-        res = solveOnce(config, options, damping);
-        observeAttempt(++rung, damping, res);
-    }
-    if (!res.converged) {
-        switch (options.onNonConvergence) {
-          case NonConvergencePolicy::Warn:
-            warn("solveHierarchical: no convergence after %d iterations "
-                 "(C=%u, P=%u)", options.maxIterations, config.clusters,
-                 config.processorsPerCluster);
-            break;
-          case NonConvergencePolicy::Fatal:
-            throw SolveException(makeError(
-                SolveErrorCode::NonConvergence, "solveHierarchical",
-                "no convergence after %d iterations (C=%u, P=%u)",
-                options.maxIterations, config.clusters,
-                config.processorsPerCluster));
-          case NonConvergencePolicy::Accept:
-            break;
-        }
-    }
+    HierarchicalResult res = runRecoveryLadder(
+        options, "mva.hierarchical", "solveHierarchical",
+        strprintf(" (C=%u, P=%u)", config.clusters,
+                  config.processorsPerCluster),
+        [&](double damping) {
+            return solveOnce(config, options, damping);
+        });
     NumericGuard("solveHierarchical",
                  strprintf("C=%u P=%u", config.clusters,
                            config.processorsPerCluster))

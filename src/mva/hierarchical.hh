@@ -85,6 +85,10 @@ struct HierarchicalResult
 /**
  * Solve the two-level model by fixed-point iteration (same numerical
  * scheme as MvaSolver, including the damped fallback at saturation).
+ *
+ * Of @p options it honours maxIterations, tolerance, damping (the
+ * first rung of runRecoveryLadder, mva/lane.hh) and onNonConvergence;
+ * it ignores timeBudget, iterationBudget and recordTrace.
  */
 HierarchicalResult solveHierarchical(const HierarchicalConfig &config,
                                      const MvaOptions &options = {});

@@ -13,18 +13,26 @@
  * a lane has a time budget, and otherwise advances the same lane
  * records through its fused SoA tick, handing each finished attempt
  * back to endAttempt().
+ *
+ * The model's extensions (solveMulticlass, solveHierarchical) iterate
+ * more waits than a lane holds; they run their attempts through
+ * runRecoveryLadder(), the one other ladder driver.
  */
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "mva/kernel.hh"
 #include "mva/result.hh"
 #include "mva/solver.hh"
+#include "observe/metrics.hh"
+#include "observe/trace.hh"
 #include "util/expected.hh"
+#include "util/logging.hh"
 
 namespace snoop {
 
@@ -148,6 +156,63 @@ runMvaLanes(MvaLane *lanes, size_t count, Done &&done)
             }
         }
     }
+}
+
+/**
+ * The ladder driver of the model's extensions (solveMulticlass,
+ * solveHierarchical), whose fixed points carry more waits than a lane
+ * holds. @p solve_once(damping) runs one attempt from the cold start
+ * and returns its result (`.converged`, `.iterations`); the driver
+ * runs it for each damping of recoveryLadder(opts.damping) until one
+ * converges. mva.first_attempt and mva.nonconverge mark the attempts
+ * they cover unconverged after they ran. Every attempt adds to the
+ * <scope>.attempts and <scope>.iterations metrics and records a
+ * <scope>.attempt Phase instant keyed by its rung. If none converged,
+ * opts.onNonConvergence judges the solve: Warn prints "<site>: no
+ * convergence after <maxIterations> iterations<detail>", Fatal throws
+ * the same message as a SolveException reported at @p site.
+ */
+template <class SolveOnce>
+auto
+runRecoveryLadder(const MvaOptions &opts, const char *scope,
+                  const char *site, const std::string &detail,
+                  SolveOnce &&solve_once)
+{
+    const MvaFaults faults = MvaFaults::armed();
+    const std::vector<double> ladder = recoveryLadder(opts.damping);
+    const std::string name(scope);
+    decltype(solve_once(opts.damping)) res;
+    for (size_t rung = 0; rung < ladder.size(); ++rung) {
+        res = solve_once(ladder[rung]);
+        if (faults.nonconverge || (faults.first && rung == 0))
+            res.converged = false;
+        metricAdd((name + ".attempts").c_str());
+        metricAdd((name + ".iterations").c_str(), res.iterations);
+        if (traceEnabled(TraceLevel::Phase)) {
+            traceInstant(TraceLevel::Phase, (name + ".attempt").c_str(),
+                         static_cast<uint64_t>(rung),
+                         strprintf("\"damping\":%g,\"iterations\":%d,"
+                                   "\"converged\":%s",
+                                   ladder[rung], res.iterations,
+                                   res.converged ? "true" : "false"));
+        }
+        if (res.converged)
+            return res;
+    }
+    switch (opts.onNonConvergence) {
+      case NonConvergencePolicy::Warn:
+        warn("%s: no convergence after %d iterations%s", site,
+             opts.maxIterations, detail.c_str());
+        break;
+      case NonConvergencePolicy::Fatal:
+        throw SolveException(makeError(
+            SolveErrorCode::NonConvergence, site,
+            "no convergence after %d iterations%s", opts.maxIterations,
+            detail.c_str()));
+      case NonConvergencePolicy::Accept:
+        break;
+    }
+    return res;
 }
 
 } // namespace snoop

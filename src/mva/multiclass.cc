@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "mva/kernel.hh"
+#include "mva/lane.hh"
 #include "observe/metrics.hh"
 #include "observe/trace.hh"
 #include "util/contracts.hh"
@@ -13,18 +14,6 @@
 namespace snoop {
 
 namespace {
-
-double
-pBusyFromUtil(double util, double customers)
-{
-    if (customers <= 1.0)
-        return 0.0;
-    double u = std::clamp(util, 0.0, 1.0);
-    double denom = 1.0 - u / customers;
-    if (denom <= 0.0)
-        return 1.0;
-    return std::clamp((u - u / customers) / denom, 0.0, 1.0);
-}
 
 constexpr double kAppendixBBlockCycles = 4.0;
 
@@ -148,8 +137,9 @@ solveOnce(const std::vector<ProcessorClass> &classes,
         }
         double t_bus = rate_total > 0.0 ? t_bus_num / rate_total : 0.0;
         double t_res = t_res_den > 0.0 ? t_res_num / t_res_den : 0.0;
-        double p_busy_bus = pBusyFromUtil(u_bus, n_total);
-        double p_busy_mem = pBusyFromUtil(u_mem, n_total);
+        const unsigned customers = static_cast<unsigned>(n_total);
+        double p_busy_bus = mvaPBusyFromUtilization(u_bus, customers);
+        double p_busy_mem = mvaPBusyFromUtilization(u_mem, customers);
         double w_mem_new = p_busy_mem * d_mem / 2.0;
 
         for (size_t k = 0; k < num_classes; ++k) {
@@ -233,44 +223,11 @@ solveMulticlass(const std::vector<ProcessorClass> &classes,
     ScopedMetricTimer solve_timer("mva.multiclass.solve_us");
     TraceSpan solve_span(TraceLevel::Phase, "mva.multiclass.solve",
                          classes.size());
-    auto observeAttempt = [](size_t rung, double damping,
-                             const MulticlassResult &r) {
-        metricAdd("mva.multiclass.attempts");
-        metricAdd("mva.multiclass.iterations", r.iterations);
-        if (traceEnabled(TraceLevel::Phase)) {
-            traceInstant(TraceLevel::Phase, "mva.multiclass.attempt",
-                         static_cast<uint64_t>(rung),
-                         strprintf("\"damping\":%g,\"iterations\":%d,"
-                                   "\"converged\":%s",
-                                   damping, r.iterations,
-                                   r.converged ? "true" : "false"));
-        }
-    };
-
-    MulticlassResult res = solveOnce(classes, options, options.damping);
-    observeAttempt(0, options.damping, res);
-    size_t rung = 0;
-    for (double damping : {0.5, 0.25, 0.1, 0.05}) {
-        if (res.converged || damping >= options.damping)
-            break;
-        res = solveOnce(classes, options, damping);
-        observeAttempt(++rung, damping, res);
-    }
-    if (!res.converged) {
-        switch (options.onNonConvergence) {
-          case NonConvergencePolicy::Warn:
-            warn("solveMulticlass: no convergence after %d iterations",
-                 options.maxIterations);
-            break;
-          case NonConvergencePolicy::Fatal:
-            throw SolveException(makeError(
-                SolveErrorCode::NonConvergence, "solveMulticlass",
-                "no convergence after %d iterations",
-                options.maxIterations));
-          case NonConvergencePolicy::Accept:
-            break;
-        }
-    }
+    MulticlassResult res = runRecoveryLadder(
+        options, "mva.multiclass", "solveMulticlass", "",
+        [&](double damping) {
+            return solveOnce(classes, options, damping);
+        });
 
     NumericGuard guard("solveMulticlass",
                        strprintf("%zu classes", classes.size()));

@@ -59,8 +59,11 @@ struct MulticlassResult
 /**
  * Solve the multi-class model. All classes must share timing constants
  * (throws SolveException otherwise). With a single class the result
- * matches
- * MvaSolver::solve exactly.
+ * matches MvaSolver::solve exactly.
+ *
+ * Of @p options it honours maxIterations, tolerance, damping (the
+ * first rung of runRecoveryLadder, mva/lane.hh) and onNonConvergence;
+ * it ignores timeBudget, iterationBudget and recordTrace.
  */
 MulticlassResult solveMulticlass(const std::vector<ProcessorClass> &classes,
                                  const MvaOptions &options = {});

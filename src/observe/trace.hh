@@ -7,7 +7,7 @@
  *
  * The paper's headline claim is efficiency - "a few iterations ... in
  * milliseconds" - and the solvers are now instrumented to prove it.
- * Hooks at every solve boundary (fixed point, MVA and its multiclass /
+ * Hooks at every solve boundary (MVA and its multiclass /
  * hierarchical variants, sweep cells, validation points, replication
  * batches, parallelFor regions) record events into an in-process
  * buffer that is written out at process exit (or on an explicit

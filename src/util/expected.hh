@@ -16,8 +16,8 @@
  *                    call paths that cannot return Expected.
  *  - Expected<T>:    a value or a SolveError, with explicit unwrap.
  *
- * Library solver paths (util/fixed_point, util/csv, the mva layer,
- * core/analyzer, core/sweep, core/solve_for) report failures through
+ * Library solver paths (util/csv, the mva layer, core/analyzer,
+ * core/sweep, core/solve_for) report failures through
  * these types and never call fatal() - enforced by the snoop_lint rule
  * `fatal-reachability`, which proves no public function of those files
  * (nor any try* function in core/) reaches a process-terminating call. Converting an error into process exit is the

@@ -27,12 +27,10 @@
  *
  *  | site                      | effect                                |
  *  |---------------------------|---------------------------------------|
- *  | fixed_point.nan           | NaN iterate every iteration           |
- *  | fixed_point.nonconverge   | residual never passes tolerance       |
- *  | fixed_point.first_attempt | first ladder attempt fails (recovers) |
  *  | mva.nan                   | NaN bus wait inside the MVA iteration |
- *  | mva.nonconverge           | MVA attempt never converges           |
- *  | mva.first_attempt         | first MVA attempt fails (recovers)    |
+ *  | mva.nonconverge           | every ladder attempt fails (MVA,      |
+ *  |                           | multiclass, hierarchical)             |
+ *  | mva.first_attempt         | first ladder attempt fails (recovers) |
  *  | sweep.cell                | keyed: sweep cell throws              |
  *  | sweep.checkpoint          | keyed by checkpoint ordinal: the      |
  *  |                           | sweep aborts after that commit (the   |

@@ -2,21 +2,19 @@
 
 /**
  * @file
- * Generic damped fixed-point iteration, the numerical engine behind
+ * The shared vocabulary of the damped fixed-point iteration behind
  * the paper's Section 3.2 ("the equations must be solved iteratively
- * ... starting with all waiting times set to zero").
+ * ... starting with all waiting times set to zero"): the
+ * non-convergence policy, the recovery-ladder schedule that rescues
+ * the oscillating or diverging solves plain successive substitution
+ * cannot handle near bus saturation, and the per-attempt record.
  *
- * The engine is fault-isolated: trySolve() reports failures as
- * structured SolveErrors instead of terminating, and a built-in
- * recovery ladder (escalating damping, restart from the original x0)
- * rescues the oscillating or diverging solves that plain successive
- * substitution cannot handle near bus saturation.
+ * The ladder drivers themselves live in mva/lane.hh: MvaLane for the
+ * customized MVA model, runRecoveryLadder() for its multiclass and
+ * hierarchical extensions.
  */
 
-#include <functional>
 #include <vector>
-
-#include "util/expected.hh"
 
 namespace snoop {
 
@@ -34,11 +32,12 @@ enum class NonConvergencePolicy {
 };
 
 /**
- * The shared recovery-ladder rungs, heaviest first. FixedPointSolver,
- * MvaSolver, and BatchMvaSolver all escalate through the same
- * sequence so a solve rescued by rung k behaves identically no matter
- * which engine ran it. Use recoveryLadder() to build the full attempt
- * schedule for a configured damping factor.
+ * The shared recovery-ladder rungs, heaviest first. Every ladder
+ * driver (MvaLane, the batch engine's fused tick, runRecoveryLadder)
+ * escalates through the same sequence, so a solve rescued by rung k
+ * behaves identically no matter which engine ran it. Use
+ * recoveryLadder() to build the full attempt schedule for a
+ * configured damping factor.
  */
 inline constexpr double kRecoveryLadderRungs[] = {0.5, 0.25, 0.1, 0.05};
 
@@ -47,15 +46,23 @@ inline constexpr double kRecoveryLadderRungs[] = {0.5, 0.25, 0.1, 0.05};
  * first, then every shared rung strictly below it. A rung at or above
  * the configured damping would retry an equal-or-lighter blend, so it
  * is *skipped* rather than terminating the ladder (terminating was
- * the pre-PR-9 MvaSolver bug that left recovery dead for any
- * configured damping <= 0.5).
+ * the dead-ladder bug that left recovery off for any configured
+ * damping <= 0.5).
  */
-std::vector<double> recoveryLadder(double damping);
+inline std::vector<double>
+recoveryLadder(double damping)
+{
+    std::vector<double> ladder{damping};
+    for (double d : kRecoveryLadderRungs) {
+        if (d < ladder.back())
+            ladder.push_back(d);
+    }
+    return ladder;
+}
 
 /**
- * One rung of a recovery ladder: how a single solve attempt at a
- * given damping factor ended. Shared by FixedPointSolver and
- * MvaSolver so diagnostics read uniformly.
+ * One rung of a recovery ladder: how a single MVA solve attempt at a
+ * given damping factor ended (MvaResult::attempts, one per rung).
  */
 struct SolveAttempt
 {
@@ -64,96 +71,6 @@ struct SolveAttempt
     double residual = 0.0;  ///< final residual of this attempt
     bool converged = false; ///< attempt reached the tolerance
     bool nonFinite = false; ///< attempt aborted on a NaN/inf iterate
-};
-
-/** Options controlling FixedPointSolver. */
-struct FixedPointOptions
-{
-    /** Maximum number of iterations before giving up. */
-    int maxIterations = 1000;
-    /** Convergence threshold on the max absolute component change. */
-    double tolerance = 1e-12;
-    /**
-     * Damping factor in (0, 1]; 1.0 is plain successive substitution.
-     * Values below 1 blend the new iterate with the old one, which
-     * stabilizes the solve near bus saturation.
-     */
-    double damping = 1.0;
-    /** Behavior when maxIterations elapse without convergence. */
-    NonConvergencePolicy onNonConvergence = NonConvergencePolicy::Warn;
-    /**
-     * When the attempt at `damping` fails (non-convergence or a
-     * non-finite iterate), retry from the original x0 with
-     * progressively heavier damping (kRecoveryLadderRungs - skipping
-     * rungs not below the current factor). Disable to observe the raw
-     * single-attempt behavior.
-     */
-    bool recoveryLadder = true;
-    /**
-     * Wall-clock budget in seconds across all ladder attempts; 0
-     * means unbudgeted. Exhaustion is recorded in the result
-     * (budgetExhausted), not treated as an error.
-     */
-    double timeBudget = 0.0;
-    /**
-     * Total iteration budget across all ladder attempts; 0 means
-     * each attempt gets maxIterations on its own.
-     */
-    long iterationBudget = 0;
-};
-
-/** Result of a fixed-point solve. */
-struct FixedPointResult
-{
-    std::vector<double> x;      ///< final iterate
-    int iterations = 0;         ///< iterations of the final attempt
-    bool converged = false;     ///< true if tolerance was reached
-    double residual = 0.0;      ///< final max absolute component change
-    /** One entry per recovery-ladder attempt, in execution order. */
-    std::vector<SolveAttempt> attempts;
-    /** The final attempt aborted on a NaN/inf iterate. */
-    bool nonFinite = false;
-    /** The time/iteration budget cut the ladder short. */
-    bool budgetExhausted = false;
-};
-
-/**
- * Solves x = f(x) by (optionally damped) successive substitution.
- *
- * The update function receives the current iterate and returns the next
- * one; the solver handles convergence detection, damping, and the
- * recovery ladder.
- */
-class FixedPointSolver
-{
-  public:
-    using UpdateFn =
-        std::function<std::vector<double>(const std::vector<double> &)>;
-
-    explicit FixedPointSolver(FixedPointOptions opts = {});
-
-    /**
-     * Run the iteration from @p x0.
-     *
-     * Never terminates the process: a non-finite iterate that
-     * survives the recovery ladder comes back as a NonFiniteIterate
-     * error; non-convergence is a *value* with converged == false
-     * (the policy is the caller-facing solve()'s business).
-     */
-    [[nodiscard]] Expected<FixedPointResult> trySolve(const UpdateFn &f,
-                                        std::vector<double> x0) const;
-
-    /**
-     * Run the iteration from @p x0, applying onNonConvergence and
-     * throwing SolveException on a NonFiniteIterate error.
-     * @param f  update function computing the next iterate
-     * @param x0 starting point
-     */
-    FixedPointResult solve(const UpdateFn &f,
-                           std::vector<double> x0) const;
-
-  private:
-    FixedPointOptions opts_;
 };
 
 } // namespace snoop

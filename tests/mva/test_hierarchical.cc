@@ -1,8 +1,14 @@
 /** Tests for the two-level bus-hierarchy extension. */
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mva/hierarchical.hh"
+#include "observe/trace.hh"
+#include "util/fault.hh"
 
 namespace snoop {
 namespace {
@@ -174,6 +180,76 @@ TEST(Hierarchical, BadConfigThrows)
         presets::appendixA(SharingLevel::FivePercent),
         ProtocolConfig::writeOnce());
     EXPECT_THROW(hierarchicalFromFlat(d, 2, 2, 2.0), SolveException);
+}
+
+/** Ladder tests arm fault sites and Phase tracing; both start and end
+ * cleared. */
+class HierarchicalLadder : public testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        clearFaultSpecs();
+        observeReset();
+        setTrace(TraceLevel::Phase);
+    }
+    void TearDown() override
+    {
+        clearFaultSpecs();
+        observeReset();
+    }
+
+    /** (damping, converged) of each traced attempt, in rung order. */
+    static std::vector<std::pair<double, bool>> tracedAttempts()
+    {
+        std::vector<std::pair<double, bool>> out;
+        for (const TraceEvent &e : snapshotTraceEvents()) {
+            if (e.name != "mva.hierarchical.attempt")
+                continue;
+            EXPECT_EQ(e.key, out.size());
+            out.emplace_back(
+                std::stod(e.args.substr(e.args.find(':') + 1)),
+                e.args.find("\"converged\":true") != std::string::npos);
+        }
+        return out;
+    }
+};
+
+TEST_F(HierarchicalLadder, LadderFiresForConfiguredDampingBelowHalf)
+{
+    // 0.5 is not below the configured 0.3, so it is skipped rather
+    // than ending the ladder: the failed first attempt is retried at
+    // 0.25, which converges.
+    ASSERT_TRUE(setFaultSpecs("mva.first_attempt").ok());
+    MvaOptions opts;
+    opts.damping = 0.3;
+    auto res = solveHierarchical(base(), opts);
+    EXPECT_TRUE(res.converged);
+    auto attempts = tracedAttempts();
+    ASSERT_EQ(attempts.size(), 2u);
+    EXPECT_DOUBLE_EQ(attempts[0].first, 0.3);
+    EXPECT_FALSE(attempts[0].second);
+    EXPECT_DOUBLE_EQ(attempts[1].first, 0.25);
+    EXPECT_TRUE(attempts[1].second);
+}
+
+TEST_F(HierarchicalLadder, FatalPolicyThrowsAfterEveryRungFails)
+{
+    ASSERT_TRUE(setFaultSpecs("mva.nonconverge").ok());
+    MvaOptions opts;
+    opts.onNonConvergence = NonConvergencePolicy::Fatal;
+    try {
+        solveHierarchical(base(), opts);
+        FAIL() << "expected SolveException";
+    } catch (const SolveException &e) {
+        EXPECT_EQ(e.error().code, SolveErrorCode::NonConvergence);
+        EXPECT_EQ(e.error().site, "solveHierarchical");
+        EXPECT_NE(e.error().message.find("(C=4, P=4)"),
+                  std::string::npos);
+    }
+    auto attempts = tracedAttempts();
+    ASSERT_EQ(attempts.size(), 5u);
+    EXPECT_DOUBLE_EQ(attempts.back().first, 0.05);
 }
 
 } // namespace

@@ -1,9 +1,15 @@
 /** Tests for the multi-class (heterogeneous processors) extension. */
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mva/multiclass.hh"
+#include "observe/trace.hh"
 #include "sim/prob_sim.hh"
+#include "util/fault.hh"
 
 namespace snoop {
 namespace {
@@ -138,6 +144,78 @@ TEST(Multiclass, BadInputsThrow)
         EXPECT_NE(std::string(e.what()).find("timing"),
                   std::string::npos);
     }
+}
+
+/** Ladder tests arm fault sites and Phase tracing; both start and end
+ * cleared. */
+class MulticlassLadder : public testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        clearFaultSpecs();
+        observeReset();
+        setTrace(TraceLevel::Phase);
+    }
+    void TearDown() override
+    {
+        clearFaultSpecs();
+        observeReset();
+    }
+
+    /** (damping, converged) of each traced attempt, in rung order. */
+    static std::vector<std::pair<double, bool>> tracedAttempts()
+    {
+        std::vector<std::pair<double, bool>> out;
+        for (const TraceEvent &e : snapshotTraceEvents()) {
+            if (e.name != "mva.multiclass.attempt")
+                continue;
+            EXPECT_EQ(e.key, out.size());
+            out.emplace_back(
+                std::stod(e.args.substr(e.args.find(':') + 1)),
+                e.args.find("\"converged\":true") != std::string::npos);
+        }
+        return out;
+    }
+};
+
+TEST_F(MulticlassLadder, LadderFiresForConfiguredDampingBelowHalf)
+{
+    // 0.5 is not below the configured 0.3, so it is skipped rather
+    // than ending the ladder: the failed first attempt is retried at
+    // 0.25, which converges.
+    ASSERT_TRUE(setFaultSpecs("mva.first_attempt").ok());
+    MvaOptions opts;
+    opts.damping = 0.3;
+    auto res = solveMulticlass(
+        {{"all", 8, appendixAInputs(SharingLevel::FivePercent, "")}},
+        opts);
+    EXPECT_TRUE(res.converged);
+    auto attempts = tracedAttempts();
+    ASSERT_EQ(attempts.size(), 2u);
+    EXPECT_DOUBLE_EQ(attempts[0].first, 0.3);
+    EXPECT_FALSE(attempts[0].second);
+    EXPECT_DOUBLE_EQ(attempts[1].first, 0.25);
+    EXPECT_TRUE(attempts[1].second);
+}
+
+TEST_F(MulticlassLadder, FatalPolicyThrowsAfterEveryRungFails)
+{
+    ASSERT_TRUE(setFaultSpecs("mva.nonconverge").ok());
+    MvaOptions opts;
+    opts.onNonConvergence = NonConvergencePolicy::Fatal;
+    try {
+        solveMulticlass(
+            {{"all", 8, appendixAInputs(SharingLevel::FivePercent, "")}},
+            opts);
+        FAIL() << "expected SolveException";
+    } catch (const SolveException &e) {
+        EXPECT_EQ(e.error().code, SolveErrorCode::NonConvergence);
+        EXPECT_EQ(e.error().site, "solveMulticlass");
+    }
+    auto attempts = tracedAttempts();
+    ASSERT_EQ(attempts.size(), 5u);
+    EXPECT_DOUBLE_EQ(attempts.back().first, 0.05);
 }
 
 TEST(SimConfigDeath, BadTauMultipliers)

@@ -12,7 +12,6 @@
 #include <cmath>
 
 #include "mva/solver.hh"
-#include "util/fixed_point.hh"
 
 namespace snoop {
 namespace {
@@ -121,38 +120,6 @@ TEST(SolverGuards, GuardedOutputsAreInRangeAcrossTheSweep)
             }
         }
     }
-}
-
-TEST(SolverGuards, FixedPointPolicyMatchesSolverPolicy)
-{
-    // The same enum drives the generic fixed-point engine.
-    FixedPointOptions opts;
-    opts.maxIterations = 3;
-    opts.onNonConvergence = NonConvergencePolicy::Accept;
-    FixedPointSolver fp(opts);
-    testing::internal::CaptureStderr();
-    auto res = fp.solve(
-        [](const std::vector<double> &x) {
-            return std::vector<double>{x[0] + 1.0};
-        },
-        {0.0});
-    std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_FALSE(res.converged);
-    EXPECT_EQ(err.find("no convergence"), std::string::npos);
-}
-
-TEST(SolverGuards, FixedPointFatalPolicyThrows)
-{
-    FixedPointOptions opts;
-    opts.maxIterations = 3;
-    opts.onNonConvergence = NonConvergencePolicy::Fatal;
-    FixedPointSolver fp(opts);
-    EXPECT_THROW(fp.solve(
-                     [](const std::vector<double> &x) {
-                         return std::vector<double>{x[0] + 1.0};
-                     },
-                     {0.0}),
-                 SolveException);
 }
 
 TEST(SolverGuards, NonFiniteOrNegativeSeedIsRejected)

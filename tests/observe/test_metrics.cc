@@ -31,7 +31,7 @@ class MetricsTest : public testing::Test
 TEST_F(MetricsTest, DisabledRegistryRecordsNothing)
 {
     ASSERT_FALSE(metrics().enabled());
-    metrics().add("fixed_point.solves");
+    metrics().add("mva.solves");
     metrics().set("gauge", 3.0);
     metrics().recordTime("timer_us", 12.5);
     EXPECT_TRUE(metrics().snapshot().empty());

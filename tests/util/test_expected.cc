@@ -43,12 +43,11 @@ TEST(SolveError, MakeErrorFormatsMessage)
 
 TEST(SolveError, DescribeRendersCodeSiteMessageAndContext)
 {
-    auto e = makeError(SolveErrorCode::NonConvergence,
-                       "FixedPointSolver::trySolve", "no convergence");
+    auto e = makeError(SolveErrorCode::NonConvergence, "solveMulticlass",
+                       "no convergence");
     std::string plain = e.describe();
     EXPECT_NE(plain.find("non-convergence"), std::string::npos);
-    EXPECT_NE(plain.find("FixedPointSolver::trySolve"),
-              std::string::npos);
+    EXPECT_NE(plain.find("solveMulticlass"), std::string::npos);
     EXPECT_NE(plain.find("no convergence"), std::string::npos);
 
     // Context frames accumulate innermost-first and all render.

@@ -1,7 +1,6 @@
-/** Unit tests for util/fixed_point. */
+/** Unit tests for util/fixed_point: the shared recovery-ladder schedule. */
 
-#include <cmath>
-#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,63 +8,6 @@
 
 namespace snoop {
 namespace {
-
-TEST(FixedPoint, SolvesContractionMapping)
-{
-    // x = cos(x) has the Dottie fixed point ~0.739085.
-    FixedPointSolver solver({.maxIterations = 200, .tolerance = 1e-12});
-    auto res = solver.solve(
-        [](const std::vector<double> &x) {
-            return std::vector<double>{std::cos(x[0])};
-        },
-        {0.0});
-    EXPECT_TRUE(res.converged);
-    EXPECT_NEAR(res.x[0], 0.7390851332151607, 1e-9);
-}
-
-TEST(FixedPoint, MultiDimensionalSystem)
-{
-    // x = 0.5*y + 1, y = 0.5*x  ->  x = 4/3, y = 2/3.
-    FixedPointSolver solver;
-    auto res = solver.solve(
-        [](const std::vector<double> &v) {
-            return std::vector<double>{0.5 * v[1] + 1.0, 0.5 * v[0]};
-        },
-        {0.0, 0.0});
-    EXPECT_TRUE(res.converged);
-    EXPECT_NEAR(res.x[0], 4.0 / 3.0, 1e-9);
-    EXPECT_NEAR(res.x[1], 2.0 / 3.0, 1e-9);
-}
-
-TEST(FixedPoint, ImmediateFixedPointConvergesInOneIteration)
-{
-    FixedPointSolver solver;
-    auto res = solver.solve(
-        [](const std::vector<double> &x) { return x; }, {1.0, 2.0});
-    EXPECT_TRUE(res.converged);
-    EXPECT_EQ(res.iterations, 1);
-}
-
-TEST(FixedPoint, ReportsNonConvergence)
-{
-    // x -> x + 1 never converges at any damping: the recovery ladder
-    // runs all five rungs (1.0, then kRecoveryLadderRungs) and
-    // reports the final attempt's state.
-    FixedPointSolver solver({.maxIterations = 10, .tolerance = 1e-9});
-    auto res = solver.solve(
-        [](const std::vector<double> &x) {
-            return std::vector<double>{x[0] + 1.0};
-        },
-        {0.0});
-    EXPECT_FALSE(res.converged);
-    EXPECT_EQ(res.iterations, 10);
-    ASSERT_EQ(res.attempts.size(), 5u);
-    EXPECT_DOUBLE_EQ(res.attempts[0].damping, 1.0);
-    EXPECT_NEAR(res.attempts[0].residual, 1.0, 1e-12);
-    EXPECT_DOUBLE_EQ(res.attempts[3].damping, 0.1);
-    EXPECT_DOUBLE_EQ(res.attempts[4].damping, 0.05);
-    EXPECT_NEAR(res.residual, 0.05, 1e-12);
-}
 
 TEST(FixedPoint, RecoveryLadderSkipsIneligibleRungs)
 {
@@ -76,198 +18,6 @@ TEST(FixedPoint, RecoveryLadderSkipsIneligibleRungs)
               (std::vector<double>{0.3, 0.25, 0.1, 0.05}));
     // Nothing lies below the heaviest shared rung: single attempt.
     EXPECT_EQ(recoveryLadder(0.05), (std::vector<double>{0.05}));
-}
-
-TEST(FixedPoint, ReportsNonConvergenceWithoutLadder)
-{
-    // recoveryLadder = false restores the single-attempt behavior.
-    FixedPointSolver solver({.maxIterations = 10,
-                             .tolerance = 1e-9,
-                             .recoveryLadder = false});
-    auto res = solver.solve(
-        [](const std::vector<double> &x) {
-            return std::vector<double>{x[0] + 1.0};
-        },
-        {0.0});
-    EXPECT_FALSE(res.converged);
-    EXPECT_EQ(res.iterations, 10);
-    EXPECT_NEAR(res.residual, 1.0, 1e-12);
-    ASSERT_EQ(res.attempts.size(), 1u);
-}
-
-TEST(FixedPoint, DampingStabilizesOscillation)
-{
-    // x -> -x oscillates undamped but converges to 0 with damping.
-    FixedPointSolver damped(
-        {.maxIterations = 500, .tolerance = 1e-10, .damping = 0.5,
-         .recoveryLadder = false});
-    auto res = damped.solve(
-        [](const std::vector<double> &x) {
-            return std::vector<double>{-x[0]};
-        },
-        {1.0});
-    EXPECT_TRUE(res.converged);
-    EXPECT_NEAR(res.x[0], 0.0, 1e-8);
-}
-
-TEST(FixedPoint, RecoveryLadderRescuesOscillation)
-{
-    // x -> -x at damping 1.0: plain substitution bounces between 1 and
-    // -1 forever. The same case fails with the ladder disabled and
-    // converges with it enabled - the ladder's raison d'etre.
-    auto oscillate = [](const std::vector<double> &x) {
-        return std::vector<double>{-x[0]};
-    };
-
-    FixedPointSolver plain({.maxIterations = 200,
-                            .tolerance = 1e-10,
-                            .recoveryLadder = false});
-    auto failed = plain.solve(oscillate, {1.0});
-    EXPECT_FALSE(failed.converged);
-
-    FixedPointSolver laddered(
-        {.maxIterations = 200, .tolerance = 1e-10,
-         .onNonConvergence = NonConvergencePolicy::Accept});
-    auto res = laddered.solve(oscillate, {1.0});
-    EXPECT_TRUE(res.converged);
-    EXPECT_NEAR(res.x[0], 0.0, 1e-8);
-    // First rung (damping 1.0) failed; a heavier rung rescued it.
-    ASSERT_GE(res.attempts.size(), 2u);
-    EXPECT_FALSE(res.attempts.front().converged);
-    EXPECT_TRUE(res.attempts.back().converged);
-    EXPECT_LT(res.attempts.back().damping, 1.0);
-}
-
-TEST(FixedPoint, LadderRestartsFromOriginalX0)
-{
-    // The rescued solve must not inherit the diverged iterate of the
-    // failed attempt: x -> -x from x0=1 with the ladder lands on 0,
-    // which is only reachable by re-starting from a finite point.
-    FixedPointSolver solver(
-        {.maxIterations = 50, .tolerance = 1e-10,
-         .onNonConvergence = NonConvergencePolicy::Accept});
-    auto res = solver.solve(
-        [](const std::vector<double> &x) {
-            return std::vector<double>{0.5 * x[0] * x[0] - 4.0 * x[0]};
-        },
-        {0.5});
-    // Whatever the outcome, every attempt starts fresh: the recorded
-    // attempts never exceed maxIterations each.
-    for (const auto &a : res.attempts)
-        EXPECT_LE(a.iterations, 50);
-}
-
-TEST(FixedPoint, TrySolveReportsNonFiniteIterate)
-{
-    // An update that manufactures NaN on every attempt exhausts the
-    // ladder and comes back as a structured error, not a panic.
-    FixedPointSolver solver({.maxIterations = 20, .tolerance = 1e-9});
-    auto res = solver.trySolve(
-        [](const std::vector<double> &x) {
-            return std::vector<double>{
-                std::numeric_limits<double>::quiet_NaN() + x[0]};
-        },
-        {0.0});
-    ASSERT_FALSE(res.ok());
-    EXPECT_EQ(res.error().code, SolveErrorCode::NonFiniteIterate);
-    EXPECT_EQ(res.error().site, "FixedPointSolver::trySolve");
-}
-
-TEST(FixedPoint, SolveThrowsOnNonFiniteIterate)
-{
-    FixedPointSolver solver({.maxIterations = 20, .tolerance = 1e-9});
-    EXPECT_THROW(solver.solve(
-                     [](const std::vector<double> &) {
-                         return std::vector<double>{
-                             std::numeric_limits<double>::infinity()};
-                     },
-                     {0.0}),
-                 SolveException);
-}
-
-TEST(FixedPoint, FatalPolicyThrowsOnNonConvergence)
-{
-    FixedPointSolver solver(
-        {.maxIterations = 5, .tolerance = 1e-9,
-         .onNonConvergence = NonConvergencePolicy::Fatal});
-    try {
-        solver.solve(
-            [](const std::vector<double> &x) {
-                return std::vector<double>{x[0] + 1.0};
-            },
-            {0.0});
-        FAIL() << "expected SolveException";
-    } catch (const SolveException &e) {
-        EXPECT_EQ(e.error().code, SolveErrorCode::NonConvergence);
-    }
-}
-
-TEST(FixedPoint, IterationBudgetCapsLadder)
-{
-    // Budget of 15 total iterations: the first attempt consumes 10,
-    // the second at most 5, and the ladder stops there.
-    FixedPointSolver solver(
-        {.maxIterations = 10, .tolerance = 1e-9,
-         .onNonConvergence = NonConvergencePolicy::Accept,
-         .iterationBudget = 15});
-    auto res = solver.solve(
-        [](const std::vector<double> &x) {
-            return std::vector<double>{x[0] + 1.0};
-        },
-        {0.0});
-    EXPECT_FALSE(res.converged);
-    EXPECT_TRUE(res.budgetExhausted);
-    ASSERT_EQ(res.attempts.size(), 2u);
-    EXPECT_EQ(res.attempts[0].iterations, 10);
-    EXPECT_EQ(res.attempts[1].iterations, 5);
-}
-
-TEST(FixedPoint, TimeBudgetStopsLongSolves)
-{
-    // A zero-ish wall-clock budget halts a never-converging solve
-    // almost immediately instead of grinding through the ladder.
-    FixedPointSolver solver(
-        {.maxIterations = 100000000, .tolerance = 1e-9,
-         .onNonConvergence = NonConvergencePolicy::Accept,
-         .timeBudget = 1e-6});
-    auto res = solver.solve(
-        [](const std::vector<double> &x) {
-            return std::vector<double>{x[0] + 1.0};
-        },
-        {0.0});
-    EXPECT_FALSE(res.converged);
-    EXPECT_TRUE(res.budgetExhausted);
-}
-
-TEST(FixedPoint, ConvergedSolveHasNoBudgetFlags)
-{
-    FixedPointSolver solver;
-    auto res = solver.solve(
-        [](const std::vector<double> &x) { return x; }, {1.0});
-    EXPECT_TRUE(res.converged);
-    EXPECT_FALSE(res.budgetExhausted);
-    EXPECT_FALSE(res.nonFinite);
-    ASSERT_EQ(res.attempts.size(), 1u);
-    EXPECT_TRUE(res.attempts[0].converged);
-}
-
-TEST(FixedPointDeath, DimensionChangePanics)
-{
-    FixedPointSolver solver;
-    EXPECT_DEATH(solver.solve(
-                     [](const std::vector<double> &) {
-                         return std::vector<double>{1.0, 2.0};
-                     },
-                     {0.0}),
-                 "dimension");
-}
-
-TEST(FixedPointDeath, BadOptionsPanic)
-{
-    EXPECT_DEATH(FixedPointSolver({.maxIterations = 0}), "maxIterations");
-    EXPECT_DEATH(FixedPointSolver({.damping = 0.0}), "damping");
-    EXPECT_DEATH(FixedPointSolver({.damping = 1.5}), "damping");
-    EXPECT_DEATH(FixedPointSolver({.tolerance = 0.0}), "tolerance");
 }
 
 } // namespace

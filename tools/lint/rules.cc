@@ -102,9 +102,8 @@ isSolveCall(const std::string &code)
     // start with the function name itself (return type on the line
     // above). Neither is a call site.
     static constexpr const char *kNotCalls[] = {
-        "MvaResult ",          "FixedPointResult ",
-        "MulticlassResult ",   "HierarchicalResult ",
-        "solveMulticlass(",    "solveHierarchical(",
+        "MvaResult ",        "MulticlassResult ", "HierarchicalResult ",
+        "solveMulticlass(",  "solveHierarchical(",
     };
     std::string t = lstrip(code);
     if (!contains(t, "=")) {

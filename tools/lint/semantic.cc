@@ -38,7 +38,7 @@ solverFile(const std::string &file)
 {
     return startsWith(file, "src/mva/") || file == "src/core/analyzer.cc" ||
         file == "src/core/sweep.cc" || file == "src/core/solve_for.cc" ||
-        file == "src/util/fixed_point.cc" || file == "src/util/csv.cc" ||
+        file == "src/util/csv.cc" ||
         fixtureOptsIn(file, "fatal-reachability");
 }
 
@@ -118,7 +118,6 @@ struct Boundary {
  * the numbers the paper publishes. MvaLane::finish ends every MVA
  * solve, scalar and batch alike. */
 const Boundary kBoundaries[] = {
-    {"src/util/fixed_point.cc", "trySolve"},
     {"src/mva/lane.cc", "finish"},
     {"src/mva/multiclass.cc", "solveMulticlass"},
     {"src/mva/hierarchical.cc", "solveHierarchical"},

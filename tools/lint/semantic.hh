@@ -11,7 +11,7 @@
  *  - fatal-reachability: no `fatal()` / `abort()` / `exit()` may be
  *    transitively reachable from a library entry point: every
  *    external-linkage function of a solver file (src/mva,
- *    core/{analyzer,sweep,solve_for}, util/{fixed_point,csv}) and
+ *    core/{analyzer,sweep,solve_for}, util/csv) and
  *    every `try*` function in src/core. The finding
  *    message carries the whole witness chain entry -> ... -> sink.
  *    This is the one check of the "library paths never exit"
