@@ -1,19 +1,21 @@
 #include "util/json.hh"
 
+#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 
 #include "util/logging.hh"
-#include "util/strutil.hh"
 
 namespace snoop {
 
 namespace {
 
 constexpr int kMaxDepth = 64;
+
+constexpr char kHexDigits[] = "0123456789abcdef";
 
 /** Recursive-descent parser over a byte range. */
 class Parser
@@ -286,14 +288,21 @@ class Parser
         if (pos_ == start)
             return fail("expected a value");
         std::string token = text_.substr(start, pos_ - start);
-        double v = 0.0;
-        if (!parseDouble(token, v))
+        char *end = nullptr;
+        errno = 0;
+        double v = std::strtod(token.c_str(), &end);
+        if (end != token.c_str() + token.size())
             return fail("malformed number");
         // JSON has no NaN/inf literal; an overflowing exponent like
         // 1e999 is the only way here, and the serve layer's admission
         // control rejects non-finite inputs outright.
         if (!std::isfinite(v))
             return fail("number overflows to non-finite");
+        // strtod's ERANGE also flags a subnormal result, which the
+        // encoder writes and must read back; only a nonzero value lost
+        // to zero is an error.
+        if (errno == ERANGE && v == 0.0)
+            return fail("number underflows to zero");
         out = JsonValue(v);
         return std::nullopt;
     }
@@ -316,37 +325,65 @@ serializeString(const std::string &s, std::string &out)
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
           default:
-            if (c < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
+            if (c < 0x20) {
+                out += "\\u00";
+                out.push_back(kHexDigits[c >> 4]);
+                out.push_back(kHexDigits[c & 0xf]);
+            } else {
                 out.push_back(static_cast<char>(c));
+            }
         }
     }
     out.push_back('"');
 }
 
 /**
- * Shortest decimal form that parses back to the same bits: try
- * increasing precision until the round trip is exact. Deterministic,
- * and "16" stays "16" instead of "16.000000000000000".
+ * Shortest decimal form that parses back to the same bits, byte for
+ * byte what `%.{p}g` prints at the smallest precision p that round-
+ * trips (the serializer's historical definition, which checkpoint
+ * header checksums depend on), but found without trying p = 1, 2, ...:
+ *
+ *  1. `std::to_chars` in scientific form prints Ryu's shortest
+ *     round-trip digits; their count d is a lower bound on p, since a
+ *     shorter `%g` string that round-tripped would be a shorter
+ *     round-trip form.
+ *  2. `to_chars` in general form at precision d is, by the standard's
+ *     definition, `%.{d}g`: d digits correctly rounded.
+ *  3. One `from_chars` checks the round trip. It fails only where
+ *     the rounding interval is asymmetric (v an exact power of two,
+ *     whose lower neighbour is half as far away): the shortest digits
+ *     sit inside the interval but the correctly rounded d digits do
+ *     not. Then p = d + 1 is tried, and so on.
+ *
+ * Locale-independent, unlike printf. Integers print as integers:
+ * "30", not the equally round-tripping "3e+01" that %.1g would pick.
  */
 void
 serializeNumber(double v, std::string &out)
 {
-    char buf[40];
-    // Integers print as integers ("30", not the equally-round-trip
-    // "3e+01" that %.1g would pick first).
+    char buf[64];
+    char *const last = buf + sizeof buf;
     if (v == std::floor(v) && std::fabs(v) < 1e15) {
-        std::snprintf(buf, sizeof buf, "%.0f", v);
-        out += buf;
+        out.append(buf,
+                   std::to_chars(buf, last, v, std::chars_format::fixed)
+                       .ptr);
         return;
     }
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
+    char *end =
+        std::to_chars(buf, last, v, std::chars_format::scientific).ptr;
+    int prec = 0;
+    for (const char *p = buf; p != end && *p != 'e'; ++p)
+        prec += *p >= '0' && *p <= '9';
+    for (;; ++prec) {
+        end = std::to_chars(buf, last, v, std::chars_format::general,
+                            prec)
+                  .ptr;
+        double back = 0.0;
+        std::from_chars(buf, end, back);
+        if (back == v || prec >= 17)
             break;
     }
-    out += buf;
+    out.append(buf, end);
 }
 
 void

@@ -131,16 +131,20 @@ class JsonValue
 /**
  * Parse one JSON document. Trailing non-whitespace, nesting beyond 64
  * levels, non-finite numbers (JSON has no NaN/inf literal, and a
- * value like 1e999 overflows), and every syntax error come back as
- * InvalidArgument with a byte offset in the message.
+ * value like 1e999 overflows), a nonzero number that underflows to
+ * zero (1e-400; subnormals parse), and every syntax error come back
+ * as InvalidArgument with a byte offset in the message.
  */
 Expected<JsonValue> parseJson(const std::string &text);
 
 /**
  * Serialize compactly (no whitespace), object keys in sorted order,
- * numbers in shortest round-trip decimal form - the same value always
- * serializes to the same bytes, which is what the serve layer's
- * response-determinism contract rides on.
+ * numbers in shortest round-trip decimal form (what `%.{p}g` prints at
+ * the smallest precision p that parses back exactly; integers below
+ * 1e15 without an exponent) - the same value always serializes to the
+ * same bytes, in any C locale, which is what the serve layer's
+ * response-determinism contract and the checkpoint header checksum
+ * ride on.
  */
 std::string serializeJson(const JsonValue &value);
 

@@ -557,6 +557,44 @@ TEST_F(Checkpoint, CellGapIsRejectedOnResume)
         << res.error().message;
 }
 
+TEST_F(Checkpoint, CommittedV2FileRewritesByteForByte)
+{
+    // The fixture was written by the printf-search number encoder
+    // this build's std::to_chars encoder replaced: this spec with
+    // sweep.cell:every=5 armed, then cell 1's residual and cell 14's
+    // tInterference forced non-finite so two results carry a null.
+    // The NaN swept value is a null in the header and fails its row.
+    SweepSpec spec = smallSpec();
+    spec.values = {0.1, 1.0 / 3.0,
+                   std::numeric_limits<double>::quiet_NaN(), 0.65};
+    spec.protocols.push_back(*findProtocol("Berkeley"));
+    spec.protocols.push_back(*findProtocol("Dragon"));
+    spec.n = 6;
+    const std::string fixture = slurp(SNOOP_CHECKPOINT_FIXTURE);
+    ASSERT_FALSE(fixture.empty());
+    spit(path_, fixture);
+
+    // The header checksum and the grid fingerprint both hash encoder
+    // output, so reading and resuming prove the header bytes match.
+    auto data = readSweepCheckpoint(path_);
+    ASSERT_TRUE(data.ok()) << data.error().describe();
+    ASSERT_EQ(data.value().cells.size(), 16u);
+    spec.checkpointPath = path_;
+    testing::internal::CaptureStderr();
+    auto resumed = tryRunSweep(spec);
+    testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(resumed.ok()) << resumed.error().describe();
+    EXPECT_EQ(resumed.value().failureCount(), 7u);
+    EXPECT_EQ(slurp(path_), fixture);
+
+    // Every cell line too: rewrite the restored grid to a new file.
+    const std::string rewrite = path_ + ".rewrite";
+    ASSERT_TRUE(writeSweepCheckpoint(rewrite, spec, resumed.value()).ok());
+    std::string again = slurp(rewrite);
+    std::remove(rewrite.c_str());
+    EXPECT_EQ(again, fixture);
+}
+
 TEST(ShardSlices, RangesAreContiguousExhaustiveAndOrdered)
 {
     for (size_t cells : {0u, 1u, 7u, 14u, 112u, 113u}) {

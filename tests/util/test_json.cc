@@ -6,10 +6,22 @@
  * offsets, escape handling including surrogate pairs, the depth
  * bound, the non-finite-number rejection the admission contract
  * relies on, and the SolveError round trip error cells ride on.
+ * The number encoder is pinned byte for byte to the printf search
+ * loop it replaced, over 2^20+ seeded doubles and every power of two.
  */
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "random/rng.hh"
 #include "util/json.hh"
 
 namespace snoop {
@@ -50,6 +62,152 @@ TEST(Json, NumbersRoundTripShortest)
     ASSERT_TRUE(bool(r));
     EXPECT_EQ(r.value().asNumber(), v);
     EXPECT_EQ(serializeJson(JsonValue(0.1)), "0.1");
+}
+
+/**
+ * The number encoder's previous implementation, kept verbatim as the
+ * oracle: the smallest `%.{p}g` precision that round-trips through
+ * strtod, integers below 1e15 through `%.0f`. Checkpoint header
+ * checksums hash the encoder's bytes, so the new one must match it.
+ */
+std::string
+printfSearchNumber(double v)
+{
+    char buf[40];
+    if (v == std::floor(v) && std::fabs(v) < 1e15) {
+        std::snprintf(buf, sizeof buf, "%.0f", v);
+        return buf;
+    }
+    for (int prec = 1; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
+}
+
+/** Uniform in [0, 1) from the top 53 bits of one SplitMix64 draw. */
+double
+unitOf(uint64_t &state)
+{
+    return static_cast<double>(splitMix64(state) >> 11) * 0x1p-53;
+}
+
+/**
+ * Count of @p values whose encoding differs from the oracle's or does
+ * not parse back to the same bits; the first few are reported.
+ */
+size_t
+encoderMismatches(const std::vector<double> &values)
+{
+    size_t bad = 0;
+    for (double v : values) {
+        std::string got = serializeJson(JsonValue(v));
+        std::string want = printfSearchNumber(v);
+        auto back = parseJson(got);
+        bool exact = back && back.value().isNumber() &&
+                     std::bit_cast<uint64_t>(back.value().asNumber()) ==
+                         std::bit_cast<uint64_t>(v);
+        if (got == want && exact)
+            continue;
+        if (++bad <= 5) {
+            ADD_FAILURE() << "bits 0x" << std::hex
+                          << std::bit_cast<uint64_t>(v)
+                          << ": encoded \"" << got << "\", oracle \""
+                          << want << "\", parse-back "
+                          << (exact ? "exact" : "inexact");
+        }
+    }
+    return bad;
+}
+
+TEST(JsonNumbers, MatchPrintfSearchOnSeededDoubles)
+{
+    // 2^20 draws in three families: raw finite bit patterns (every
+    // exponent, subnormals included), [0, 1000) uniforms (the model's
+    // own range), and a uniform mantissa at a uniform binary exponent.
+    constexpr size_t kPerFamily = (size_t{1} << 20) / 3 + 1;
+    uint64_t state = 0x5eed0f15ULL;
+    std::vector<double> values;
+    values.reserve(3 * kPerFamily);
+    while (values.size() < kPerFamily) {
+        double v = std::bit_cast<double>(splitMix64(state));
+        if (std::isfinite(v))
+            values.push_back(v);
+    }
+    for (size_t i = 0; i < kPerFamily; ++i)
+        values.push_back(1000.0 * unitOf(state));
+    for (size_t i = 0; i < kPerFamily; ++i) {
+        int exp = static_cast<int>(splitMix64(state) % 2098) - 1074;
+        double v = std::ldexp(1.0 + unitOf(state), exp);
+        values.push_back((splitMix64(state) & 1) ? -v : v);
+    }
+    ASSERT_GE(values.size(), size_t{1} << 20);
+    EXPECT_EQ(encoderMismatches(values), 0u);
+}
+
+TEST(JsonNumbers, MatchPrintfSearchAtEveryPowerOfTwo)
+{
+    // Powers of two are where the rounding interval is asymmetric, so
+    // the correctly rounded shortest-length digits can miss it and
+    // the encoder must step to one more digit. 2^-1074 .. 2^1023,
+    // each with its +-4-ulp neighbours and both signs.
+    std::vector<double> values{-0.0};
+    for (int exp = -1074; exp <= 1023; ++exp) {
+        auto centre = std::bit_cast<int64_t>(std::ldexp(1.0, exp));
+        for (int64_t d = -4; d <= 4; ++d) {
+            auto v = std::bit_cast<double>(centre + d);
+            if (!std::isfinite(v) || v == 0.0)
+                continue;
+            values.push_back(v);
+            values.push_back(-v);
+        }
+    }
+    EXPECT_GE(values.size(), 37000u);
+    EXPECT_EQ(encoderMismatches(values), 0u);
+}
+
+TEST(JsonNumbers, IntegerBranchMatchesPrintf)
+{
+    constexpr double kTwo53 = 9007199254740992.0;
+    std::vector<double> values{-0.0, 0.0, kTwo53, -kTwo53,
+                               999999999999999.0, -999999999999999.0,
+                               1e15, -1e15, 1e15 - 1, 1e14, 1e16};
+    uint64_t state = 0x1e15ULL;
+    for (int i = 0; i < 20000; ++i) {
+        double scale = std::pow(10.0, static_cast<int>(i % 18));
+        values.push_back(std::floor(scale * unitOf(state)));
+    }
+    EXPECT_EQ(encoderMismatches(values), 0u);
+    EXPECT_EQ(serializeJson(JsonValue(-0.0)), "-0");
+    EXPECT_EQ(serializeJson(JsonValue(kTwo53)), "9007199254740992");
+    EXPECT_EQ(serializeJson(JsonValue(-kTwo53)), "-9007199254740992");
+    EXPECT_EQ(serializeJson(JsonValue(999999999999999.0)),
+              "999999999999999");
+}
+
+TEST(JsonNumbers, NonFiniteValuesPrintAsPrintfDoes)
+{
+    // Callers map these to null before serializing; the encoder still
+    // prints them deterministically, as the old loop did.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    for (double v : {kInf, -kInf, kNan, -kNan})
+        EXPECT_EQ(serializeJson(JsonValue(v)), printfSearchNumber(v));
+}
+
+TEST(Json, ControlCharactersEscapeWithLowercaseHex)
+{
+    for (unsigned c = 1; c < 0x20; ++c) {
+        if (c == '\b' || c == '\f' || c == '\n' || c == '\r' ||
+            c == '\t')
+            continue;
+        char want[16];
+        std::snprintf(want, sizeof want, "\"\\u%04x\"", c);
+        EXPECT_EQ(serializeJson(JsonValue(std::string(1, char(c)))),
+                  want)
+            << c;
+    }
 }
 
 TEST(Json, ObjectKeysSerializeSorted)
@@ -119,6 +277,17 @@ TEST(Json, NonFiniteNumbersAreRejected)
     EXPECT_FALSE(bool(parseJson("[-1e999]")));
     EXPECT_FALSE(bool(parseJson("nan")));
     EXPECT_FALSE(bool(parseJson("Infinity")));
+}
+
+TEST(Json, SubnormalsParseButTotalUnderflowIsRejected)
+{
+    // strtod flags every subnormal result with ERANGE; the encoder
+    // writes subnormals, so the decoder must read them back.
+    constexpr double kMin = std::numeric_limits<double>::denorm_min();
+    EXPECT_EQ(parsed("5e-324").asNumber(), kMin);
+    EXPECT_EQ(parsed("-1e-310").asNumber(), -1e-310);
+    EXPECT_FALSE(bool(parseJson("1e-400")));
+    EXPECT_EQ(parsed("0e-400").asNumber(), 0.0);
 }
 
 TEST(Json, DepthBoundRejectsRunawayNesting)

@@ -16,10 +16,15 @@
 #     failure is isolated to its request and the neighbors answer;
 #  4. a malformed-input session: bad JSON, unknown op, unknown
 #     protocol, non-finite workload value - all structured errors,
-#     daemon still exits cleanly on EOF.
+#     daemon still exits cleanly on EOF;
+#  5. analyze answers at Table 4.1 points, compared byte for byte with
+#     the committed transcript tests/serve/fixtures/table41_analyze.jsonl;
+#  6. a request line over the daemon's 1 MiB cap, answered with a
+#     structured error before the next line is served normally.
 set -eu
 
 BIN=$1
+GOLDEN="$(dirname "$0")/../tests/serve/fixtures/table41_analyze.jsonl"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
@@ -128,5 +133,35 @@ expect "$OUT" 2 "unknown op" "the unknown op is named"
 expect "$OUT" 3 '"code":"unknown-protocol"' "the unknown protocol is typed"
 expect "$OUT" 4 '"ok":false' "the non-finite workload value is rejected"
 expect "$OUT" 5 '"ok":true' "the daemon still serves after the garbage"
+
+# --- Session 5: golden bytes at Table 4.1 points --------------------
+# Write-Once, Enhancement 1 and Enhancements 1+4 at the 1%, 5% and 20%
+# sharing levels. The encoder's bytes are a format contract (sweep
+# checkpoint checksums hash them), so a regex match is not enough.
+OUT="$TMP/golden.out"
+"$BIN" >"$OUT" <<'EOF'
+{"id":1,"op":"analyze","protocol":"WriteOnce","preset":"appendixA1","n":4}
+{"id":2,"op":"analyze","protocol":"1","preset":"appendixA5","n":10}
+{"id":3,"op":"analyze","protocol":"14","preset":"appendixA20","n":20}
+{"id":4,"op":"analyze","protocol":"WriteOnce","preset":"appendixA5","n":100}
+EOF
+cmp -s "$OUT" "$GOLDEN" ||
+    fail "analyze responses differ from $GOLDEN" "$OUT"
+
+# --- Session 6: an oversized request line ----------------------------
+# A 2 MiB line is discarded past the cap and answered with an error;
+# the daemon then serves the next line as usual.
+OUT="$TMP/oversized.out"
+awk 'BEGIN {
+    pad = "x"
+    while (length(pad) <= 1048576) pad = pad pad
+    printf "{\"id\":60,\"op\":\"analyze\",\"pad\":\"%s\"}\n", pad
+    print "{\"id\":61,\"op\":\"analyze\",\"protocol\":\"Illinois\"," \
+          "\"preset\":\"appendixA5\",\"n\":4}"
+}' | "$BIN" >"$OUT"
+[ "$(wc -l <"$OUT")" = 2 ] || fail "expected 2 response lines" "$OUT"
+expect "$OUT" 1 '"code":"invalid-argument"' "the oversized line is an error"
+expect "$OUT" 1 'exceeds 1048576 bytes' "the error names the cap"
+expect "$OUT" 2 '"id":61,"ok":true' "the next line is served normally"
 
 echo "run_serve_smoke: PASS"

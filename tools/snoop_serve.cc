@@ -6,20 +6,32 @@
  * (docs/SERVING.md has the full protocol).
  *
  * The process is a thin loop over serve::SolveService: parse, serve,
- * print, flush. Malformed lines become error responses, never exits;
- * the only ways out are EOF and the `shutdown` op.
+ * print, flush. Malformed and oversized lines become error responses,
+ * never exits; the only ways out are EOF and the `shutdown` op.
  */
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "serve/service.hh"
 #include "util/cli.hh"
+#include "util/expected.hh"
 #include "util/parallel.hh"
 
 using namespace snoop;
+
+/**
+ * The longest request line the daemon buffers (1 MiB: a batch of
+ * several thousand requests). The rest of a longer line is skipped
+ * without being stored and the line is answered with an
+ * InvalidArgument error, so a runaway client cannot make the daemon
+ * allocate without bound.
+ */
+constexpr std::streamsize kMaxRequestLineBytes = std::streamsize{1} << 20;
 
 int
 main(int argc, char **argv)
@@ -62,8 +74,34 @@ main(int argc, char **argv)
 
     SolveService service(opts);
 
+    // One buffer for the session, never zero-filled: only the bytes a
+    // line actually occupies are ever touched.
+    std::unique_ptr<char[]> buf(new char[kMaxRequestLineBytes + 1]);
     std::string line;
-    while (std::getline(std::cin, line)) {
+    for (;;) {
+        std::cin.getline(buf.get(), kMaxRequestLineBytes + 1);
+        if (std::cin.fail()) {
+            if (std::cin.eof() || std::cin.bad())
+                return 0;
+            // The line filled the buffer before its newline.
+            std::cin.clear();
+            std::cin.ignore(std::numeric_limits<std::streamsize>::max(),
+                            '\n');
+            std::cout << serializeJson(errorResponse(
+                             0, makeError(SolveErrorCode::InvalidArgument,
+                                          "snoop_serve",
+                                          "request line exceeds %lld "
+                                          "bytes; discarded",
+                                          static_cast<long long>(
+                                              kMaxRequestLineBytes))))
+                      << '\n'
+                      << std::flush;
+            continue;
+        }
+        // gcount() includes the newline unless the line ended at EOF.
+        line.assign(buf.get(),
+                    static_cast<size_t>(std::cin.gcount()) -
+                        (std::cin.eof() ? 0 : 1));
         if (line.empty())
             continue;
 
@@ -90,5 +128,4 @@ main(int argc, char **argv)
         if (shutdown)
             return 0;
     }
-    return 0;
 }
