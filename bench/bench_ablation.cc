@@ -32,7 +32,7 @@ ablatedSpeedup(const DerivedInputs &base, unsigned n, bool no_cache,
     }
     if (no_memory)
         d.memFactor = 0.0;
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     return solver.solve(d, n).speedup;
 }
 
@@ -89,7 +89,7 @@ report()
             BusTiming timing;
             timing.tReadMem = tm;
             timing.tWriteBack = twb;
-            MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+            MvaSolver solver;
             double sum_sq = 0.0;
             size_t count = 0;
             for (const auto &row : rows) {

@@ -21,7 +21,7 @@ report()
                 "0 -> 1 (0 = pure invalidate = mods 1+3, 1 = pure "
                 "broadcast = mods 1+3+4):\n\n");
 
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     Table t({"p_broadcast", "1% sharing", "5% sharing", "20% sharing"});
     for (double p : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
         std::vector<std::string> row = {formatDouble(p, 1)};
@@ -50,7 +50,7 @@ report()
 void
 BM_Adaptive_Sweep(benchmark::State &state)
 {
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     auto wl = presets::appendixA(SharingLevel::TwentyPercent);
     for (auto _ : state) {
         double acc = 0.0;

@@ -18,7 +18,7 @@ void
 report()
 {
     banner("Section 4.1: asymptotic speedups across the design space");
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
 
     for (auto level : kSharingLevels) {
         Table t({"mods", "N=10", "N=20", "N=100", "N=1000",
@@ -50,7 +50,7 @@ report()
     // Mods 2 and 3 indistinguishability (the Section 4 observation).
     banner("mods 2 and 3: effect relative to the base protocol");
     Table t({"sharing", "N", "+mod2", "+mod3"});
-    MvaSolver s2({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver s2;
     for (auto level : kSharingLevels) {
         auto wl = presets::appendixA(level);
         for (unsigned n : {10u, 100u}) {
@@ -80,7 +80,7 @@ report()
 void
 BM_Asymptotic_FullDesignSpace(benchmark::State &state)
 {
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     for (auto _ : state) {
         double acc = 0.0;
         for (auto level : kSharingLevels) {

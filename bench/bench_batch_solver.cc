@@ -121,8 +121,8 @@ run(const char *out_path, bool smoke)
             scalar_results.clear();
             scalar_results.reserve(jobs.size());
             for (const MvaJob &job : jobs) {
-                // snoop-lint: nonconvergence-ok (reference values,
-                // compared bitwise against the batch lanes below)
+                // Reference values, compared bitwise against the
+                // batch lanes below.
                 scalar_results.push_back(
                     scalar.trySolve(job.inputs, job.n, job.seed));
             }

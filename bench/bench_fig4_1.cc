@@ -40,7 +40,7 @@ report()
     std::printf("speedup vs number of processors, one column per "
                 "curve (CSV-friendly; plot N on the x-axis).\n\n");
 
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     std::vector<std::vector<double>> columns;
     for (const auto &s : kSeries) {
         auto inputs = DerivedInputs::compute(
@@ -105,7 +105,7 @@ report()
 void
 BM_Fig41_AllCurves(benchmark::State &state)
 {
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     for (auto _ : state) {
         double acc = 0.0;
         for (const auto &s : kSeries) {

@@ -32,8 +32,7 @@ report()
     for (unsigned clusters : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
         unsigned per = 64 / clusters;
         auto cfg = hierarchicalFromFlat(d, clusters, per, 0.5);
-        auto r = solveHierarchical(
-            cfg, {.onNonConvergence = NonConvergencePolicy::Warn});
+        auto r = solveHierarchical(cfg);
         t.addRow({strprintf("%ux%u", clusters, per),
                   formatDouble(r.speedup, 2),
                   formatPercent(r.localBusUtil, 1),
@@ -51,8 +50,7 @@ report()
     Table s({"clusters", "N", "speedup", "U_global"});
     for (unsigned clusters : {2u, 4u, 8u, 16u, 32u, 64u, 128u}) {
         auto cfg = hierarchicalFromFlat(d, clusters, 4, 0.8);
-        auto r = solveHierarchical(
-            cfg, {.onNonConvergence = NonConvergencePolicy::Warn});
+        auto r = solveHierarchical(cfg);
         s.addRow({strprintf("%u", clusters),
                   strprintf("%u", cfg.totalProcessors()),
                   formatDouble(r.speedup, 2),
@@ -84,8 +82,7 @@ report()
         sc.seed = 7;
         sc.measuredRequests = 200000;
         auto sim = simulateHierarchical(sc);
-        auto mva = solveHierarchical(
-            sc.machine, {.onNonConvergence = NonConvergencePolicy::Warn});
+        auto mva = solveHierarchical(sc.machine);
         v.addRow({strprintf("%ux%u", shape.clusters, shape.per),
                   formatDouble(shape.p_remote, 1),
                   formatDouble(mva.speedup, 3),
@@ -108,9 +105,7 @@ BM_Hierarchical_Solve(benchmark::State &state)
     auto cfg = hierarchicalFromFlat(
         d, static_cast<unsigned>(state.range(0)), 4, 0.8);
     for (auto _ : state)
-        benchmark::DoNotOptimize(solveHierarchical(
-            cfg, {.onNonConvergence =
-                NonConvergencePolicy::Warn}).speedup);
+        benchmark::DoNotOptimize(solveHierarchical(cfg).speedup);
 }
 BENCHMARK(BM_Hierarchical_Solve)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 

@@ -23,7 +23,7 @@ void
 reportProcessingPower()
 {
     banner("E8: processing power, mods 1+2+3, N=9, 5% sharing");
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     auto r = solver.solve(
         DerivedInputs::compute(presets::appendixA(SharingLevel::FivePercent),
                                ProtocolConfig::fromModString("123")),
@@ -51,7 +51,7 @@ reportBusUtilIncrease()
     // write hit decreases significantly in the protocol with mod 2" -
     // i.e. Write-Once re-broadcasts writes that mods 2+3 avoid).
     WorkloadParams wl = presets::highSharing();
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     Table t({"N", "U_bus WriteOnce", "U_bus mods 2+3", "increase"});
     double shown = 0.0;
     for (unsigned n : {2u, 3u, 4u}) {
@@ -79,7 +79,7 @@ void
 reportArchibaldBaer()
 {
     banner("E10: amod_p = 0.95 reconciliation with [ArBa86]");
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
 
     Table t({"amod_p", "N", "speedup +mod1", "speedup +mod2",
              "mod2 / mod1"});
@@ -122,7 +122,7 @@ report()
 void
 BM_Independent_AllChecks(benchmark::State &state)
 {
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     for (auto _ : state) {
         double acc = 0.0;
         acc += solver.solve(

@@ -39,8 +39,7 @@ report()
         std::vector<ProcessorClass> classes = {{"compute", 8, compute}};
         if (k > 0)
             classes.push_back({"io", k, io});
-        auto r = solveMulticlass(
-            classes, {.onNonConvergence = NonConvergencePolicy::Warn});
+        auto r = solveMulticlass(classes);
         t.addRow({strprintf("%u", k),
                   formatDouble(r.classes[0].speedup, 2),
                   k ? formatDouble(r.classes[1].speedup, 2)
@@ -67,8 +66,7 @@ report()
             classes.push_back({"wo", 16 - k, wo});
         if (k > 0)
             classes.push_back({"dragon", k, dragon});
-        auto r = solveMulticlass(
-            classes, {.onNonConvergence = NonConvergencePolicy::Warn});
+        auto r = solveMulticlass(classes);
         double wo_pp = (k < 16)
             ? r.classes[0].speedup / static_cast<double>(16 - k) : 0.0;
         double dr_pp = (k > 0)
@@ -91,9 +89,7 @@ BM_Multiclass_Solve(benchmark::State &state)
     std::vector<ProcessorClass> classes = {{"compute", 8, compute},
                                            {"io", 4, io}};
     for (auto _ : state)
-        benchmark::DoNotOptimize(
-            solveMulticlass(classes, {.onNonConvergence =
-                NonConvergencePolicy::Warn}).totalSpeedup);
+        benchmark::DoNotOptimize(solveMulticlass(classes).totalSpeedup);
 }
 BENCHMARK(BM_Multiclass_Solve);
 

@@ -70,7 +70,7 @@ report()
 void
 BM_Solver_ByN(benchmark::State &state)
 {
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     auto inputs = DerivedInputs::compute(
         presets::appendixA(SharingLevel::FivePercent),
         ProtocolConfig::writeOnce());

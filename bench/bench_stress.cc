@@ -35,7 +35,7 @@ report()
     }
 
     // Show the interference components the stress test exercises.
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     auto inputs = DerivedInputs::compute(presets::stressTest(),
                                          ProtocolConfig::writeOnce());
     Table t({"N", "n_interference", "t_interference",
@@ -53,7 +53,7 @@ report()
 void
 BM_Stress_MvaSolve(benchmark::State &state)
 {
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     auto inputs = DerivedInputs::compute(presets::stressTest(),
                                          ProtocolConfig::writeOnce());
     for (auto _ : state)

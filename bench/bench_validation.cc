@@ -74,7 +74,7 @@ report()
 void
 BM_Validation_OneSweepMva(benchmark::State &state)
 {
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     auto inputs = DerivedInputs::compute(
         presets::appendixA(SharingLevel::FivePercent),
         ProtocolConfig::writeOnce());

@@ -29,7 +29,7 @@ reportTable41(char sub_table, const std::string &caption)
                 "library's MVA and its detailed discrete-event "
                 "simulator (GTPN stand-in, 300k requests).\n\n");
 
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     auto mods = ProtocolConfig::fromModString(table41Mods(sub_table));
 
     // The expensive cells are the detailed simulations (one per
@@ -90,7 +90,7 @@ reportTable41(char sub_table, const std::string &caption)
 inline void
 mvaSubTableTiming(benchmark::State &state, char sub_table)
 {
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     auto mods = ProtocolConfig::fromModString(table41Mods(sub_table));
     for (auto _ : state) {
         double acc = 0.0;

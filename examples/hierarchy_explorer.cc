@@ -69,8 +69,7 @@ main(int argc, char **argv)
     for (unsigned clusters = 1; clusters <= budget; clusters *= 2) {
         unsigned per = budget / clusters;
         auto cfg = hierarchicalFromFlat(d, clusters, per, share);
-        auto r = solveHierarchical(
-            cfg, {.onNonConvergence = NonConvergencePolicy::Warn});
+        auto r = solveHierarchical(cfg);
         const char *bottleneck =
             r.localBusUtil > r.globalBusUtil ? "local buses"
                                              : "global bus";

@@ -61,7 +61,6 @@ Analyzer::tryAnalyze(const ProtocolConfig &protocol,
             .withContext(strprintf("Analyzer::tryAnalyze(%s, N=%u)",
                                    protocol.name().c_str(), n));
     }
-    // snoop-lint: nonconvergence-ok (justification: tools/lint/allowlist.txt)
     return solver_.trySolve(
         DerivedInputs::compute(workload, protocol, timing_), n);
 }
@@ -115,7 +114,6 @@ Analyzer::tryAnalyzeBatch(
                                    "cell %zu pending", i));
     }
 
-    // snoop-lint: nonconvergence-ok
     std::vector<Expected<MvaResult>> solved = batch_.solveBatch(jobs);
     for (size_t k = 0; k < solved.size(); ++k)
         out[slot[k]] = std::move(solved[k]);
@@ -180,9 +178,14 @@ Analyzer::trySaturationPoint(const ProtocolConfig &protocol,
                                    protocol.name().c_str()));
     }
     auto inputs = DerivedInputs::compute(workload, protocol, timing_);
+    // Probes near the knee may end unconverged; the search only
+    // compares their busUtil against the target, so they are accepted
+    // rather than turned into errors.
+    MvaOptions accept = solver_.options();
+    accept.onNonConvergence = NonConvergencePolicy::Accept;
+    const MvaSolver prober(accept);
     auto probe = [&](unsigned n) -> Expected<double> {
-        // snoop-lint: nonconvergence-ok
-        auto r = solver_.trySolve(inputs, n);
+        auto r = prober.trySolve(inputs, n);
         if (!r) {
             return SolveError(std::move(r).error())
                 .withContext(strprintf(

@@ -122,7 +122,8 @@ class Analyzer
      * faulted probe stays one error instead of aborting a caller's
      * whole per-protocol loop - the isolation primitive behind
      * examples/capacity_planner and snoop_serve's `saturation`
-     * request.
+     * request. Probes solve under NonConvergencePolicy::Accept: an
+     * unconverged probe at the knee still compares its busUtil.
      */
     [[nodiscard]] Expected<unsigned>
     trySaturationPoint(const ProtocolConfig &protocol,

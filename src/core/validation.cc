@@ -16,7 +16,7 @@ namespace snoop {
 std::vector<ComparisonPoint>
 validate(const ValidationConfig &config)
 {
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     auto inputs = DerivedInputs::compute(config.workload, config.protocol,
                                          config.timing);
     // One MVA-vs-simulation comparison per N, evaluated in parallel

@@ -91,13 +91,6 @@ disposeMvaResult(MvaResult res, const MvaOptions &opts, long iters_used,
     }
     if (!res.converged) {
         switch (opts.onNonConvergence) {
-          case NonConvergencePolicy::Warn:
-            warn("MvaSolver: no convergence after %d iterations across "
-                 "%zu attempts (N=%u, protocol %s%s)",
-                 opts.maxIterations, res.attempts.size(), n,
-                 d.protocol.name().c_str(),
-                 res.budgetExhausted ? ", budget exhausted" : "");
-            break;
           case NonConvergencePolicy::Fatal:
             return makeError(
                 res.budgetExhausted ? SolveErrorCode::BudgetExhausted

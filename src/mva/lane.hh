@@ -168,9 +168,10 @@ runMvaLanes(MvaLane *lanes, size_t count, Done &&done)
  * they cover unconverged after they ran. Every attempt adds to the
  * <scope>.attempts and <scope>.iterations metrics and records a
  * <scope>.attempt Phase instant keyed by its rung. If none converged,
- * opts.onNonConvergence judges the solve: Warn prints "<site>: no
- * convergence after <maxIterations> iterations<detail>", Fatal throws
- * the same message as a SolveException reported at @p site.
+ * opts.onNonConvergence judges the solve: Fatal throws "no
+ * convergence after <maxIterations> iterations<detail>" as a
+ * SolveException reported at @p site, Accept returns the last
+ * attempt.
  */
 template <class SolveOnce>
 auto
@@ -200,10 +201,6 @@ runRecoveryLadder(const MvaOptions &opts, const char *scope,
             return res;
     }
     switch (opts.onNonConvergence) {
-      case NonConvergencePolicy::Warn:
-        warn("%s: no convergence after %d iterations%s", site,
-             opts.maxIterations, detail.c_str());
-        break;
       case NonConvergencePolicy::Fatal:
         throw SolveException(makeError(
             SolveErrorCode::NonConvergence, site,

@@ -33,7 +33,7 @@ struct MvaOptions
      * Behavior when the damping fallback ladder is exhausted without
      * convergence (see NonConvergencePolicy in util/fixed_point.hh).
      */
-    NonConvergencePolicy onNonConvergence = NonConvergencePolicy::Warn;
+    NonConvergencePolicy onNonConvergence = NonConvergencePolicy::Fatal;
     /**
      * Wall-clock budget in seconds across all ladder attempts; 0
      * means unbudgeted. Exhaustion stops the ladder and is recorded
@@ -98,9 +98,9 @@ class MvaSolver
      * Solve for @p n processors without terminating or throwing.
      * Errors: InvalidArgument (n == 0), NonFiniteIterate (a NaN/inf
      * iterate survived the damping ladder), NonConvergence (only under
-     * NonConvergencePolicy::Fatal), NumericRange (a finished measure
-     * violates its defining range). Under Warn/Accept an unconverged
-     * solve is a *value* with converged == false.
+     * NonConvergencePolicy::Fatal, the default), NumericRange (a
+     * finished measure violates its defining range). Under Accept an
+     * unconverged solve is a *value* with converged == false.
      */
     [[nodiscard]] Expected<MvaResult> trySolve(const DerivedInputs &inputs,
                                  unsigned n) const

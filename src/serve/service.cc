@@ -90,18 +90,7 @@ cellJson(const SolveService::Cell &cell)
 
 SolveService::SolveService(ServeOptions opts)
     : opts_(std::move(opts)),
-      analyzer_(
-          [&] {
-              // The saturation search probes through Analyzer, whose
-              // threshold comparisons tolerate unconverged saturated
-              // probes (clamped busUtil). Fatal would turn the very
-              // probes that locate the knee into errors, so the
-              // analyzer accepts while the solve cells stay Fatal.
-              MvaOptions probe = opts_.solver;
-              probe.onNonConvergence = NonConvergencePolicy::Accept;
-              return probe;
-          }(),
-          opts_.timing),
+      analyzer_(opts_.solver, opts_.timing),
       cache_(opts_.cacheCapacity, opts_.quantum)
 {
     SNOOP_REQUIRE(opts_.cacheCapacity >= 1,
@@ -262,7 +251,6 @@ SolveService::handleBatch(const std::vector<Request> &requests)
     }
     {
         ScopedMetricTimer solve_timer("serve.solve_us");
-        // snoop-lint: nonconvergence-ok (justification: tools/lint/allowlist.txt)
         std::vector<Expected<MvaResult>> solved =
             batch_.solveBatch(jobs);
         for (size_t k = 0; k < solved.size(); ++k) {

@@ -31,14 +31,13 @@
 
 namespace snoop {
 
-/** The solver defaults the serve engine uses: failures must surface
- * as structured errors, never as a warning plus a bogus number. */
+/** The solver defaults the serve engine uses: MvaOptions{}, whose
+ * Fatal non-convergence policy surfaces an unconverged solve as a
+ * structured error, never as a number. */
 inline MvaOptions
 defaultServeSolverOptions()
 {
-    MvaOptions opts;
-    opts.onNonConvergence = NonConvergencePolicy::Fatal;
-    return opts;
+    return MvaOptions{};
 }
 
 /** Configuration of a SolveService. */

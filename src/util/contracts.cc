@@ -12,7 +12,7 @@ namespace detail {
 namespace {
 
 /** Shared failure formatting: "<file>:<line>: (<expr>) [: message]". */
-std::string
+__attribute__((format(printf, 4, 0))) std::string
 describe(const char *file, int line, const char *expr, const char *fmt,
          va_list args)
 {

@@ -20,14 +20,13 @@ namespace snoop {
 
 /**
  * What a solver does when the iteration budget runs out before the
- * tolerance is reached. The silent legacy behavior (return with
- * converged == false and say nothing) is deliberately not offered:
- * an unconverged fixed point consumed as if converged is exactly the
- * failure mode the paper's accuracy claim cannot survive.
+ * tolerance is reached. An unconverged fixed point consumed as if
+ * converged is exactly the failure mode the paper's accuracy claim
+ * cannot survive, so the default is an error; returning the last
+ * iterate is an explicit opt-in for a caller that reads converged.
  */
 enum class NonConvergencePolicy {
-    Warn,   ///< warn() and return the last iterate (default)
-    Fatal,  ///< throw SolveException: treat as an unusable configuration
+    Fatal,  ///< an error from trySolve(), a throw from solve() (default)
     Accept, ///< return silently; caller promises to check converged
 };
 

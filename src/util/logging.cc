@@ -11,7 +11,7 @@ namespace snoop {
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::Normal};
 
-void
+__attribute__((format(printf, 2, 0))) void
 emit(const char *tag, const char *fmt, va_list args)
 {
     // Format the complete line first and write it with one stdio call:

@@ -35,7 +35,8 @@ void setLogLevel(LogLevel level);
 LogLevel logLevel();
 
 /** printf-style formatting into a std::string. */
-std::string vstrprintf(const char *fmt, va_list args);
+std::string vstrprintf(const char *fmt, va_list args)
+    __attribute__((format(printf, 1, 0)));
 
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...)

@@ -208,22 +208,35 @@ TEST(Analyzer, TrySaturationPointMatchesTheThrowingFacade)
 
 TEST(Analyzer, FaultedSaturationProbeIsOneStructuredError)
 {
-    // Under Fatal policy a probe solve that never converges must come
-    // back as an error naming the probe, not abort the process.
-    MvaOptions opts;
-    opts.onNonConvergence = NonConvergencePolicy::Fatal;
-    Analyzer a(opts);
+    // Saturation probes only compare busUtil against the target, so
+    // they tolerate non-convergence whatever the analyzer's policy:
+    // under mva.nonconverge the knee does not move. A probe that fails
+    // outright (a NaN iterate on every rung) must come back as an
+    // error naming the probe, not abort the process. Both hold under
+    // the default options and under an explicit Fatal policy.
     auto wl = presets::appendixA(SharingLevel::FivePercent);
-    ASSERT_TRUE(bool(setFaultSpecs("mva.nonconverge:every=1")));
-    auto r = a.trySaturationPoint(ProtocolConfig::writeOnce(), wl,
-                                  0.95, 64);
-    clearFaultSpecs();
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.error().code, SolveErrorCode::NonConvergence);
-    bool probe_frame = false;
-    for (const auto &frame : r.error().context)
-        probe_frame |= frame.find("probe") != std::string::npos;
-    EXPECT_TRUE(probe_frame);
+    auto protocol = ProtocolConfig::writeOnce();
+    MvaOptions fatal;
+    fatal.onNonConvergence = NonConvergencePolicy::Fatal;
+    for (const MvaOptions &opts : {MvaOptions{}, fatal}) {
+        Analyzer a(opts);
+        const unsigned knee = a.saturationPoint(protocol, wl, 0.95, 64);
+        ASSERT_TRUE(bool(setFaultSpecs("mva.nonconverge:every=1")));
+        auto tolerated = a.trySaturationPoint(protocol, wl, 0.95, 64);
+        clearFaultSpecs();
+        ASSERT_TRUE(tolerated.ok()) << tolerated.error().describe();
+        EXPECT_EQ(tolerated.value(), knee);
+
+        ASSERT_TRUE(bool(setFaultSpecs("mva.nan")));
+        auto r = a.trySaturationPoint(protocol, wl, 0.95, 64);
+        clearFaultSpecs();
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.error().code, SolveErrorCode::NonFiniteIterate);
+        bool probe_frame = false;
+        for (const auto &frame : r.error().context)
+            probe_frame |= frame.find("probe") != std::string::npos;
+        EXPECT_TRUE(probe_frame);
+    }
 }
 
 } // namespace

@@ -95,6 +95,22 @@ TEST_F(FaultInjection, SweepCellFaultIsIsolated)
         EXPECT_NE(w, SweepResult::kNoWinner);
 }
 
+TEST_F(FaultInjection, UnconvergedSweepPublishesNoNumber)
+{
+    // Non-convergence is an error under the default options: with
+    // every ladder rung failing, a default-Analyzer sweep fails every
+    // cell instead of publishing unconverged numbers.
+    ASSERT_TRUE(setFaultSpecs("mva.nonconverge").ok());
+    testing::internal::CaptureStderr();
+    auto res = runSweep(hswSpec());
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(res.failureCount(), 14u);
+    EXPECT_EQ(res.errors[0][0]->code, SolveErrorCode::NonConvergence);
+    EXPECT_NE(err.find("14 of 14 cells failed"), std::string::npos);
+    for (size_t w : res.winners())
+        EXPECT_EQ(w, SweepResult::kNoWinner);
+}
+
 TEST_F(FaultInjection, SweepCellFaultsAreThreadCountInvariant)
 {
     // The injected-cell set is keyed on the flat cell index, never on

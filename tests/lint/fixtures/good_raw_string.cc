@@ -8,7 +8,6 @@ const char *kRuleDoc = R"doc(
     std::thread worker;     // would be no-raw-thread
     using namespace std;    // would be no-using-std
     std::rand(); time(0);   // would be determinism violations
-    auto r = s.solve(n);    // would be converged-check
 )doc";
 
 const char *kPlain = "assert(true); std::thread t;";

@@ -93,11 +93,12 @@ TEST(Sarif, RuleIdsAreStable)
     // rules is fine; renaming or reordering the existing ones is not,
     // and a retired id (no-fatal-in-solver, unchecked-expected,
     // guarded-shared-state: folded into fatal-reachability,
-    // expected-flow and lockset) is never reused.
+    // expected-flow and lockset; format-attr, converged-check:
+    // handed to the compiler and the Fatal non-convergence default)
+    // is never reused.
     const char *kIds[] = {
         "pragma-once",          "doxygen-file",
-        "no-using-std",         "format-attr",
-        "converged-check",      "no-raw-assert",
+        "no-using-std",         "no-raw-assert",
         "no-raw-thread",        "layering",
         "determinism",          "unused-include",
         "fatal-reachability",   "numeric-guard-coverage",
@@ -226,7 +227,7 @@ TEST(Allowlist, ParseMatchAndStale)
         "# registry of inline waivers\n"
         "\n"
         "src/util/fault.cc:fatal-ok        # handler must not recurse\n"
-        "src/core/gone.cc:nonconvergence-ok  # marker removed\n");
+        "src/core/gone.cc:include-ok  # marker removed\n");
     EXPECT_TRUE(a.errors().empty());
     EXPECT_EQ(a.size(), 2u);
 
@@ -237,7 +238,7 @@ TEST(Allowlist, ParseMatchAndStale)
     // Only the never-matched entry is stale.
     auto stale = a.staleEntries();
     ASSERT_EQ(stale.size(), 1u);
-    EXPECT_EQ(stale[0], "src/core/gone.cc:nonconvergence-ok");
+    EXPECT_EQ(stale[0], "src/core/gone.cc:include-ok");
 }
 
 TEST(Allowlist, JustificationIsMandatory)

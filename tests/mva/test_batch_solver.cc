@@ -61,8 +61,8 @@ scalarReference(const std::vector<MvaJob> &jobs)
     out.reserve(jobs.size());
     for (const MvaJob &job : jobs) {
         MvaSolver solver(job.opts);
-        // snoop-lint: nonconvergence-ok (reference values compared
-        // field-for-field below, converged flag included)
+        // Reference values compared field-for-field below, converged
+        // flag included.
         out.push_back(solver.trySolve(job.inputs, job.n, job.seed));
     }
     return out;

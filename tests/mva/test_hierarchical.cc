@@ -236,20 +236,25 @@ TEST_F(HierarchicalLadder, LadderFiresForConfiguredDampingBelowHalf)
 TEST_F(HierarchicalLadder, FatalPolicyThrowsAfterEveryRungFails)
 {
     ASSERT_TRUE(setFaultSpecs("mva.nonconverge").ok());
-    MvaOptions opts;
-    opts.onNonConvergence = NonConvergencePolicy::Fatal;
-    try {
-        solveHierarchical(base(), opts);
-        FAIL() << "expected SolveException";
-    } catch (const SolveException &e) {
-        EXPECT_EQ(e.error().code, SolveErrorCode::NonConvergence);
-        EXPECT_EQ(e.error().site, "solveHierarchical");
-        EXPECT_NE(e.error().message.find("(C=4, P=4)"),
-                  std::string::npos);
+    // Fatal is the default: default-constructed options throw too.
+    MvaOptions fatal;
+    fatal.onNonConvergence = NonConvergencePolicy::Fatal;
+    for (const MvaOptions &opts : {MvaOptions{}, fatal}) {
+        clearTrace();
+        setTrace(TraceLevel::Phase);
+        try {
+            solveHierarchical(base(), opts);
+            FAIL() << "expected SolveException";
+        } catch (const SolveException &e) {
+            EXPECT_EQ(e.error().code, SolveErrorCode::NonConvergence);
+            EXPECT_EQ(e.error().site, "solveHierarchical");
+            EXPECT_NE(e.error().message.find("(C=4, P=4)"),
+                      std::string::npos);
+        }
+        auto attempts = tracedAttempts();
+        ASSERT_EQ(attempts.size(), 5u);
+        EXPECT_DOUBLE_EQ(attempts.back().first, 0.05);
     }
-    auto attempts = tracedAttempts();
-    ASSERT_EQ(attempts.size(), 5u);
-    EXPECT_DOUBLE_EQ(attempts.back().first, 0.05);
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mva/kernel.hh"
 #include "mva/multiclass.hh"
 #include "observe/trace.hh"
 #include "sim/prob_sim.hh"
@@ -37,6 +38,43 @@ TEST(Multiclass, SingleClassMatchesFlatSolverExactly)
             << "N=" << n;
         EXPECT_NEAR(multi.busUtil, flat_res.busUtil, 1e-9);
         EXPECT_NEAR(multi.memUtil, flat_res.memUtil, 1e-9);
+    }
+}
+
+TEST(Multiclass, PPrimeBoundaryBranchesMatchFlatSolver)
+{
+    // Eq. (13)'s boundary branches, on the inputs of the batch
+    // solver's PPrimeBoundaryBranchesMatchScalar: p' >= 1 gives
+    // n_int = p q, p' = 0 gives n_int = p. A single class must land on
+    // the flat solver's fixed point through either branch.
+    MvaSolver flat;
+    for (bool p_prime_one : {true, false}) {
+        SCOPED_TRACE(p_prime_one ? "p' >= 1" : "p' = 0");
+        DerivedInputs d =
+            appendixAInputs(SharingLevel::TwentyPercent, "");
+        d.pA = 0.3;
+        d.pB = p_prime_one ? 1.0 : 0.0;
+        if (!p_prime_one)
+            d.csupFrac = 0.0;
+        for (unsigned n : {2u, 4u, 8u, 16u, 64u}) {
+            SCOPED_TRACE("N=" + std::to_string(n));
+            const double p_prime = mvaStepConstants(d, n).pPrime;
+            if (p_prime_one)
+                ASSERT_GE(p_prime, 1.0);
+            else
+                ASSERT_EQ(p_prime, 0.0);
+            auto flat_res = flat.solve(d, n);
+            auto multi = solveMulticlass({{"all", n, d}});
+            ASSERT_TRUE(multi.converged);
+            ASSERT_GT(flat_res.qBus, 0.0);
+            EXPECT_NEAR(multi.classes[0].responseTime,
+                        flat_res.responseTime,
+                        flat_res.responseTime * 1e-9);
+            EXPECT_NEAR(multi.totalSpeedup, flat_res.speedup,
+                        flat_res.speedup * 1e-9);
+            EXPECT_NEAR(multi.busUtil, flat_res.busUtil, 1e-9);
+            EXPECT_NEAR(multi.memUtil, flat_res.memUtil, 1e-9);
+        }
     }
 }
 
@@ -202,20 +240,26 @@ TEST_F(MulticlassLadder, LadderFiresForConfiguredDampingBelowHalf)
 TEST_F(MulticlassLadder, FatalPolicyThrowsAfterEveryRungFails)
 {
     ASSERT_TRUE(setFaultSpecs("mva.nonconverge").ok());
-    MvaOptions opts;
-    opts.onNonConvergence = NonConvergencePolicy::Fatal;
-    try {
-        solveMulticlass(
-            {{"all", 8, appendixAInputs(SharingLevel::FivePercent, "")}},
-            opts);
-        FAIL() << "expected SolveException";
-    } catch (const SolveException &e) {
-        EXPECT_EQ(e.error().code, SolveErrorCode::NonConvergence);
-        EXPECT_EQ(e.error().site, "solveMulticlass");
+    // Fatal is the default: default-constructed options throw too.
+    MvaOptions fatal;
+    fatal.onNonConvergence = NonConvergencePolicy::Fatal;
+    for (const MvaOptions &opts : {MvaOptions{}, fatal}) {
+        clearTrace();
+        setTrace(TraceLevel::Phase);
+        try {
+            solveMulticlass(
+                {{"all", 8,
+                  appendixAInputs(SharingLevel::FivePercent, "")}},
+                opts);
+            FAIL() << "expected SolveException";
+        } catch (const SolveException &e) {
+            EXPECT_EQ(e.error().code, SolveErrorCode::NonConvergence);
+            EXPECT_EQ(e.error().site, "solveMulticlass");
+        }
+        auto attempts = tracedAttempts();
+        ASSERT_EQ(attempts.size(), 5u);
+        EXPECT_DOUBLE_EQ(attempts.back().first, 0.05);
     }
-    auto attempts = tracedAttempts();
-    ASSERT_EQ(attempts.size(), 5u);
-    EXPECT_DOUBLE_EQ(attempts.back().first, 0.05);
 }
 
 TEST(SimConfigDeath, BadTauMultipliers)

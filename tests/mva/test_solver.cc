@@ -154,18 +154,23 @@ TEST(MvaSolver, SummaryMentionsHeadlineNumbers)
 
 TEST(MvaSolver, ExhaustedIterationBudgetIsReportedHonestly)
 {
-    // With a one-iteration budget the solve cannot converge; the
-    // result must say so (and warn) rather than pretend.
+    // With a one-iteration budget the solve cannot converge; by
+    // default that is an error naming the budget rather than a
+    // number that pretends.
     MvaOptions opts;
     opts.maxIterations = 1;
-    MvaSolver solver(opts);
-    testing::internal::CaptureStderr();
-    auto r = solver.solve(appendixAInputs(SharingLevel::FivePercent, ""),
-                          10);
-    std::string err = testing::internal::GetCapturedStderr();
+    auto inputs = appendixAInputs(SharingLevel::FivePercent, "");
+    auto failed = MvaSolver(opts).trySolve(inputs, 10);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.error().code, SolveErrorCode::NonConvergence);
+    EXPECT_NE(failed.error().message.find("no convergence after 1 "
+                                          "iterations"),
+              std::string::npos);
+    // A caller that accepts the partial result sees it marked.
+    opts.onNonConvergence = NonConvergencePolicy::Accept;
+    auto r = MvaSolver(opts).solve(inputs, 10);
     EXPECT_FALSE(r.converged);
     EXPECT_EQ(r.iterations, 1);
-    EXPECT_NE(err.find("no convergence"), std::string::npos);
     // the partial result is still well-formed
     EXPECT_GT(r.speedup, 0.0);
     EXPECT_GT(r.responseTime, 0.0);

@@ -39,7 +39,7 @@ struct Fit
 Fit
 evaluate(const BusTiming &timing)
 {
-    MvaSolver solver({.onNonConvergence = NonConvergencePolicy::Warn});
+    MvaSolver solver;
     double sum_sq = 0.0, worst = 0.0;
     size_t count = 0;
     for (char sub : {'a', 'b', 'c'}) {

@@ -16,12 +16,6 @@ ruleTable()
         {"doxygen-file", "every header carries a Doxygen @file block"},
         {"no-using-std",
          "no 'using namespace std' at header scope"},
-        {"format-attr",
-         "varargs printf-style declarations carry "
-         "__attribute__((format(printf, ...)))"},
-        {"converged-check",
-         "solver call sites inspect .converged, opt into an explicit "
-         "NonConvergencePolicy, or carry a nonconvergence-ok marker"},
         {"no-raw-assert",
          "no raw assert() outside tests/ (use SNOOP_ASSERT / "
          "SNOOP_REQUIRE, which stay armed in release builds)"},

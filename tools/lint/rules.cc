@@ -57,104 +57,6 @@ checkHeader(const std::string &file, const LexedFile &lx,
     }
 }
 
-// --- R4: printf-style declarations carry a format attribute ----------
-
-void
-checkFormatAttribute(const std::string &file, const LexedFile &lx,
-                     std::vector<Finding> &findings)
-{
-    const auto &code = lx.code;
-    for (size_t i = 0; i < code.size(); ++i) {
-        // A varargs declaration whose last named parameter is a
-        // format string: "const char *fmt, ...".
-        if (!(contains(code[i], "*fmt, ...") ||
-              contains(code[i], "* fmt, ...")))
-            continue;
-        // Scan the whole declaration (to the terminating ';' or '{').
-        bool has_attr = false;
-        for (size_t j = i; j < code.size() && j < i + 6; ++j) {
-            if (contains(code[j], "__attribute__((format")) {
-                has_attr = true;
-                break;
-            }
-            if (contains(code[j], ";") || contains(code[j], "{"))
-                break;
-        }
-        // Definitions in .cc files repeat the signature without the
-        // attribute; only declarations (headers) must carry it.
-        if (!has_attr) {
-            findings.push_back(
-                {file, i + 1, "format-attr",
-                 "printf-style declaration missing "
-                 "__attribute__((format(printf, ...)))"});
-        }
-    }
-}
-
-// --- R5: solver call sites honor the convergence contract ------------
-
-constexpr const char *kNonConvMarker = "nonconvergence-ok";
-
-bool
-isSolveCall(const std::string &code)
-{
-    // Declarations start with the result type; gem5-style definitions
-    // start with the function name itself (return type on the line
-    // above). Neither is a call site.
-    static constexpr const char *kNotCalls[] = {
-        "MvaResult ",        "MulticlassResult ", "HierarchicalResult ",
-        "solveMulticlass(",  "solveHierarchical(",
-    };
-    std::string t = lstrip(code);
-    if (!contains(t, "=")) {
-        for (const char *prefix : kNotCalls)
-            if (t.rfind(prefix, 0) == 0)
-                return false;
-    }
-    if (contains(code, ".solve(") && !contains(code, "::solve("))
-        return true;
-    return containsWord(code, "solveMulticlass") ||
-        containsWord(code, "solveHierarchical");
-}
-
-void
-checkConvergedUse(const std::string &file, const LexedFile &lx,
-                  std::vector<Finding> &findings)
-{
-    const auto &code = lx.code;
-    bool policy_seen = false;
-    for (size_t i = 0; i < code.size(); ++i) {
-        // A policy mentioned in prose (comment) does not opt in: the
-        // code view has comments blanked already.
-        if (contains(code[i], "onNonConvergence"))
-            policy_seen = true;
-        if (!isSolveCall(code[i]))
-            continue;
-        if (policy_seen)
-            continue; // explicit policy opted into earlier in the file
-        if (markerNearby(lx, i + 1, kNonConvMarker))
-            continue;
-        bool checked = false;
-        for (size_t j = i; j < code.size() && j < i + 8; ++j) {
-            // A policy named in the call's own argument list (wrapped
-            // onto the following lines) opts in just as well as a
-            // .converged inspection of the result.
-            if (containsWord(code[j], "converged") ||
-                contains(code[j], "onNonConvergence")) {
-                checked = true;
-                break;
-            }
-        }
-        if (!checked) {
-            findings.push_back(
-                {file, i + 1, "converged-check",
-                 "solve() result consumed without checking "
-                 "'converged', an explicit onNonConvergence policy, "
-                 "or a 'snoop-lint: nonconvergence-ok' marker"});
-        }
-    }
-}
-
 // --- R6: no raw assert() outside tests -------------------------------
 
 void
@@ -328,12 +230,9 @@ runFileRules(const std::string &display, const std::string &original,
     bool is_parallel_impl = path.filename() == "parallel.cc" &&
         path.parent_path().filename() == "util";
 
-    if (is_header) {
+    if (is_header)
         checkHeader(display, lexed, findings);
-        checkFormatAttribute(display, lexed, findings);
-    }
     if (!in_tests) {
-        checkConvergedUse(display, lexed, findings);
         checkRawAssert(display, lexed, findings);
         if (!is_parallel_impl)
             checkRawThread(display, lexed, findings);

@@ -2,8 +2,8 @@
 
 /**
  * @file
- * Per-file convention rules of snoop_analyze: the header, format,
- * convergence, assert and thread rules R1-R7, expressed over the
+ * Per-file convention rules of snoop_analyze: the header, assert and
+ * thread rules R1-R3, R6 and R7, expressed over the
  * lexer's stripped code view (tools/lint/lexer.hh) so comments,
  * string literals, char literals, and raw strings can neither cause
  * false positives nor mask the rest of a line — plus the determinism
@@ -14,7 +14,10 @@
  * Which rules apply to a file is decided from its path (headers get
  * the header rules, tests/ is exempt from the code rules, fixtures
  * opt back in). R8 is unassigned: fatal() on solver paths is the
- * call-graph pass fatal-reachability's (lint/semantic.hh).
+ * call-graph pass fatal-reachability's (lint/semantic.hh). So are R4
+ * and R5: format attributes are the compiler's
+ * (-Werror=suggest-attribute=format), and an unconverged solve is an
+ * error under the default NonConvergencePolicy::Fatal.
  */
 
 #include <string>

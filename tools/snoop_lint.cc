@@ -11,13 +11,6 @@
  *  R1  pragma-once     every header starts with #pragma once
  *  R2  doxygen-file    every header carries a Doxygen @file block
  *  R3  no-using-std    no `using namespace std` at header scope
- *  R4  format-attr     varargs printf-style functions declare
- *                      __attribute__((format(printf, ...)))
- *  R5  converged-check every MVA / fixed-point solve call site either
- *                      inspects .converged nearby, opts into an
- *                      explicit NonConvergencePolicy earlier in the
- *                      file, or carries a
- *                      `snoop-lint: nonconvergence-ok` marker
  *  R6  no-raw-assert   no raw assert() outside tests/ (use
  *                      SNOOP_ASSERT / SNOOP_REQUIRE, which stay armed
  *                      in release builds)
@@ -40,7 +33,9 @@
  *                      `snoop-lint: include-ok`
  *
  * R8 is unassigned: fatal() on solver paths is S1's, proven over the
- * call graph.
+ * call graph. R4 and R5 are unassigned too: the build's
+ * -Werror=suggest-attribute=format and the default
+ * NonConvergencePolicy::Fatal prove what they checked.
  *
  * On top of the per-file and include-graph rules, two semantic
  * passes run over a parsed cross-TU view (declaration parser, symbol
