@@ -87,8 +87,9 @@ struct HierarchicalResult
  * scheme as MvaSolver, including the damped fallback at saturation).
  *
  * Of @p options it honours maxIterations, tolerance, damping (the
- * first rung of runRecoveryLadder, mva/lane.hh) and onNonConvergence;
- * it ignores timeBudget, iterationBudget and recordTrace.
+ * first rung of runRecoveryLadder, mva/lane.hh) and onNonConvergence.
+ * Invalid options, or a non-default timeBudget, iterationBudget or
+ * recordTrace, throw an InvalidArgument SolveException.
  */
 HierarchicalResult solveHierarchical(const HierarchicalConfig &config,
                                      const MvaOptions &options = {});

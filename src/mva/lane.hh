@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mva/kernel.hh"
@@ -161,7 +162,11 @@ runMvaLanes(MvaLane *lanes, size_t count, Done &&done)
 /**
  * The ladder driver of the model's extensions (solveMulticlass,
  * solveHierarchical), whose fixed points carry more waits than a lane
- * holds. @p solve_once(damping) runs one attempt from the cold start
+ * holds. @p opts is admitted first: checkMvaOptions' rules, plus
+ * timeBudget, iterationBudget and recordTrace, which these drivers do
+ * not honour, left at their defaults; a violation throws an
+ * InvalidArgument SolveException reported at @p site naming the
+ * field. @p solve_once(damping) runs one attempt from the cold start
  * and returns its result (`.converged`, `.iterations`); the driver
  * runs it for each damping of recoveryLadder(opts.damping) until one
  * converges. mva.first_attempt and mva.nonconverge mark the attempts
@@ -179,6 +184,20 @@ runRecoveryLadder(const MvaOptions &opts, const char *scope,
                   const char *site, const std::string &detail,
                   SolveOnce &&solve_once)
 {
+    if (auto err = checkMvaOptions(opts)) {
+        err->site = site;
+        throw SolveException(std::move(*err));
+    }
+    const char *ignored = opts.timeBudget != 0.0 ? "timeBudget"
+        : opts.iterationBudget != 0              ? "iterationBudget"
+        : opts.recordTrace                       ? "recordTrace"
+                                                 : nullptr;
+    if (ignored != nullptr) {
+        throw SolveException(makeError(
+            SolveErrorCode::InvalidArgument, site,
+            "%s is not supported here; leave it at its default",
+            ignored));
+    }
     const MvaFaults faults = MvaFaults::armed();
     const std::vector<double> ladder = recoveryLadder(opts.damping);
     const std::string name(scope);

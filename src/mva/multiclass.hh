@@ -62,8 +62,9 @@ struct MulticlassResult
  * matches MvaSolver::solve exactly.
  *
  * Of @p options it honours maxIterations, tolerance, damping (the
- * first rung of runRecoveryLadder, mva/lane.hh) and onNonConvergence;
- * it ignores timeBudget, iterationBudget and recordTrace.
+ * first rung of runRecoveryLadder, mva/lane.hh) and onNonConvergence.
+ * Invalid options, or a non-default timeBudget, iterationBudget or
+ * recordTrace, throw an InvalidArgument SolveException.
  */
 MulticlassResult solveMulticlass(const std::vector<ProcessorClass> &classes,
                                  const MvaOptions &options = {});

@@ -21,11 +21,11 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "util/expected.hh"
+#include "util/guarded.hh"
 
 namespace snoop {
 
@@ -40,8 +40,8 @@ struct MetricEntry
 
 /**
  * The registry. One process-wide instance (metrics()); all mutation
- * goes through it. Thread-safe: a mutex guards the maps, and the
- * enabled flag is checked atomically before it is ever taken.
+ * goes through it. Thread-safe: the slot map is Guarded, and the
+ * enabled flag is checked atomically before its lock is ever taken.
  */
 class MetricsRegistry
 {
@@ -89,8 +89,7 @@ class MetricsRegistry
     };
 
     std::atomic<bool> enabled_{false};
-    mutable std::mutex mutex_;
-    std::map<std::string, Slot> slots_;
+    mutable Guarded<std::map<std::string, Slot>> slots_;
 };
 
 /** The process-wide registry. */

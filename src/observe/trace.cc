@@ -4,13 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <map>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "observe/metrics.hh"
-#include "util/annotations.hh"
 #include "util/atomic_file.hh"
+#include "util/guarded.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -25,17 +25,27 @@ constexpr size_t kMaxEvents = size_t(1) << 22; // ~4M events
 
 // g_level is the fast path: Off (the default) means every hook
 // returns after one relaxed load. The buffer and configuration are
-// mutex-guarded; configuration changes must not race active parallel
+// Guarded; configuration changes must not race active parallel
 // regions (same contract as setFaultSpecs / setParallelJobs).
 std::atomic<int> g_level{static_cast<int>(TraceLevel::Off)};
 std::atomic<uint64_t> g_dropped{0};
-std::mutex g_mutex;
-std::vector<TraceEvent> g_events SNOOP_GUARDED_BY(g_mutex);
-std::string g_trace_path SNOOP_GUARDED_BY(g_mutex);
-std::string g_metrics_path SNOOP_GUARDED_BY(g_mutex);
 std::once_flag g_env_once;
 std::once_flag g_atexit_once;
-bool g_finalized SNOOP_GUARDED_BY(g_mutex) = false;
+
+/** The event buffer and output configuration. */
+struct TraceState
+{
+    std::vector<TraceEvent> events;
+    std::string tracePath;
+    std::string metricsPath;
+    bool finalized = false;
+    /** Recording threads in first-event order; display id = index + 1. */
+    std::vector<std::thread::id> threadIds;
+};
+
+// constinit: a hook that runs during another file's static
+// initialization must find the state already constructed.
+constinit Guarded<TraceState> g_state;
 
 // The deterministic event identity: which task scope this thread is
 // recording under, and how many events that scope has recorded. Both
@@ -52,16 +62,16 @@ nowMicros()
         .count();
 }
 
-/** Small dense display id for the recording thread. Caller holds g_mutex. */
+/** Small dense display id for the recording thread. */
 uint64_t
-threadDisplayId()
+threadDisplayId(TraceState &state)
 {
-    static std::map<std::thread::id, uint64_t> ids
-        SNOOP_GUARDED_BY(g_mutex);
-    auto [it, inserted] =
-        ids.emplace(std::this_thread::get_id(), ids.size() + 1);
-    (void)inserted;
-    return it->second;
+    std::vector<std::thread::id> &ids = state.threadIds;
+    const std::thread::id self = std::this_thread::get_id();
+    auto it = std::find(ids.begin(), ids.end(), self);
+    if (it == ids.end())
+        it = ids.insert(ids.end(), self);
+    return static_cast<uint64_t>(it - ids.begin()) + 1;
 }
 
 /** Append one event (or count a drop past the cap). */
@@ -71,14 +81,14 @@ record(const char *name, uint64_t key, std::string args, char phase,
 {
     uint64_t task = t_task;
     uint64_t seq = t_seq++;
-    std::lock_guard<std::mutex> lock(g_mutex);
-    if (g_events.size() >= kMaxEvents) {
+    auto state = g_state.lock();
+    if (state->events.size() >= kMaxEvents) {
         g_dropped.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    g_events.push_back(TraceEvent{name, task, seq, key, std::move(args),
-                                  phase, ts_us, dur_us,
-                                  threadDisplayId()});
+    state->events.push_back(TraceEvent{name, task, seq, key,
+                                       std::move(args), phase, ts_us,
+                                       dur_us, threadDisplayId(*state)});
 }
 
 bool
@@ -117,8 +127,8 @@ jsonEscape(const std::string &s)
 void
 installTrace(TraceLevel level, std::string path)
 {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    g_trace_path = std::move(path);
+    auto state = g_state.lock();
+    state->tracePath = std::move(path);
     g_level.store(static_cast<int>(level), std::memory_order_release);
 }
 
@@ -167,8 +177,8 @@ loadEnvImpl()
     const char *metricsPath = std::getenv("SNOOP_METRICS");
     if (metricsPath && !trim(metricsPath).empty()) {
         {
-            std::lock_guard<std::mutex> lock(g_mutex);
-            g_metrics_path = trim(metricsPath);
+            auto state = g_state.lock();
+            state->metricsPath = trim(metricsPath);
         }
         metrics().setEnabled(true);
         registerAtExit();
@@ -233,14 +243,15 @@ TraceSpan::~TraceSpan()
         return;
     double end_us = nowMicros();
     uint64_t task = t_task;
-    std::lock_guard<std::mutex> lock(g_mutex);
-    if (g_events.size() >= kMaxEvents) {
+    auto state = g_state.lock();
+    if (state->events.size() >= kMaxEvents) {
         g_dropped.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    g_events.push_back(TraceEvent{name_, task, seq_, key_,
-                                  std::move(args_), 'X', start_us_,
-                                  end_us - start_us_, threadDisplayId()});
+    state->events.push_back(TraceEvent{name_, task, seq_, key_,
+                                       std::move(args_), 'X', start_us_,
+                                       end_us - start_us_,
+                                       threadDisplayId(*state)});
 }
 
 TraceTaskScope::TraceTaskScope(uint64_t task)
@@ -268,11 +279,11 @@ clearTrace()
 {
     markEnvConsumed();
     {
-        std::lock_guard<std::mutex> lock(g_mutex);
+        auto state = g_state.lock();
         g_level.store(static_cast<int>(TraceLevel::Off),
                       std::memory_order_release);
-        g_events.clear();
-        g_trace_path.clear();
+        state->events.clear();
+        state->tracePath.clear();
         g_dropped.store(0, std::memory_order_relaxed);
     }
     // Restart the calling thread's root sequence so a later re-enable
@@ -293,8 +304,8 @@ snapshotTraceEvents()
 {
     std::vector<TraceEvent> events;
     {
-        std::lock_guard<std::mutex> lock(g_mutex);
-        events = g_events;
+        auto state = g_state.lock();
+        events = state->events;
     }
     std::stable_sort(events.begin(), events.end(), identityLess);
     return events;
@@ -352,13 +363,13 @@ observeFinalize()
     std::string tracePath, metricsPath;
     size_t eventCount = 0;
     {
-        std::lock_guard<std::mutex> lock(g_mutex);
-        if (g_finalized)
+        auto state = g_state.lock();
+        if (state->finalized)
             return;
-        g_finalized = true;
-        tracePath = g_trace_path;
-        metricsPath = g_metrics_path;
-        eventCount = g_events.size();
+        state->finalized = true;
+        tracePath = state->tracePath;
+        metricsPath = state->metricsPath;
+        eventCount = state->events.size();
     }
     bool traced = !tracePath.empty() &&
         g_level.load(std::memory_order_acquire) !=
@@ -407,14 +418,14 @@ observeReset()
 {
     markEnvConsumed();
     {
-        std::lock_guard<std::mutex> lock(g_mutex);
+        auto state = g_state.lock();
         g_level.store(static_cast<int>(TraceLevel::Off),
                       std::memory_order_release);
-        g_events.clear();
-        g_trace_path.clear();
-        g_metrics_path.clear();
+        state->events.clear();
+        state->tracePath.clear();
+        state->metricsPath.clear();
         g_dropped.store(0, std::memory_order_relaxed);
-        g_finalized = false;
+        state->finalized = false;
     }
     metrics().setEnabled(false);
     metrics().reset();

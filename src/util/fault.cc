@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <mutex>
 
-#include "util/annotations.hh"
+#include "util/guarded.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -14,11 +14,10 @@ namespace {
 
 // g_armed is the fast path: false (the default) means every site
 // query returns immediately without touching the mutex. The spec list
-// itself is mutex-guarded; configuration changes must not race active
+// itself is Guarded; configuration changes must not race active
 // parallel regions (same contract as setParallelJobs).
 std::atomic<bool> g_armed{false};
-std::mutex g_mutex;
-std::vector<FaultSpec> g_specs SNOOP_GUARDED_BY(g_mutex);
+Guarded<std::vector<FaultSpec>> g_specs;
 std::once_flag g_env_once;
 
 Expected<std::vector<FaultSpec>> parseSpecs(const std::string &spec);
@@ -30,9 +29,9 @@ installSpecs(const std::string &spec)
     auto parsed = parseSpecs(spec);
     if (!parsed)
         return std::move(parsed).error();
-    std::lock_guard<std::mutex> lock(g_mutex);
-    g_specs = std::move(parsed).value();
-    g_armed.store(!g_specs.empty(), std::memory_order_release);
+    auto specs = g_specs.lock();
+    *specs = std::move(parsed).value();
+    g_armed.store(!specs->empty(), std::memory_order_release);
     return {};
 }
 
@@ -97,11 +96,11 @@ parseSpecs(const std::string &spec)
     return specs;
 }
 
-/** Armed spec for @p site, or nullptr. Caller holds g_mutex. */
+/** Armed spec for @p site in the locked @p specs, or nullptr. */
 const FaultSpec *
-findSpec(const char *site)
+findSpec(const std::vector<FaultSpec> &specs, const char *site)
 {
-    for (const auto &fs : g_specs) {
+    for (const auto &fs : specs) {
         if (fs.site == site)
             return &fs;
     }
@@ -121,8 +120,8 @@ void
 clearFaultSpecs()
 {
     markEnvConsumed();
-    std::lock_guard<std::mutex> lock(g_mutex);
-    g_specs.clear();
+    auto specs = g_specs.lock();
+    specs->clear();
     g_armed.store(false, std::memory_order_release);
 }
 
@@ -137,8 +136,8 @@ std::vector<FaultSpec>
 activeFaultSpecs()
 {
     loadEnvOnce();
-    std::lock_guard<std::mutex> lock(g_mutex);
-    return g_specs;
+    auto specs = g_specs.lock();
+    return *specs;
 }
 
 bool
@@ -147,8 +146,8 @@ faultArmed(const char *site)
     loadEnvOnce();
     if (!g_armed.load(std::memory_order_acquire))
         return false;
-    std::lock_guard<std::mutex> lock(g_mutex);
-    return findSpec(site) != nullptr;
+    auto specs = g_specs.lock();
+    return findSpec(*specs, site) != nullptr;
 }
 
 bool
@@ -157,8 +156,8 @@ faultFires(const char *site, uint64_t key)
     loadEnvOnce();
     if (!g_armed.load(std::memory_order_acquire))
         return false;
-    std::lock_guard<std::mutex> lock(g_mutex);
-    const FaultSpec *fs = findSpec(site);
+    auto specs = g_specs.lock();
+    const FaultSpec *fs = findSpec(*specs, site);
     return fs != nullptr && key % fs->every == 0;
 }
 

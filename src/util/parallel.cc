@@ -10,7 +10,7 @@
 
 #include "observe/metrics.hh"
 #include "observe/trace.hh"
-#include "util/annotations.hh"
+#include "util/guarded.hh"
 #include "util/logging.hh"
 
 namespace snoop {
@@ -168,19 +168,25 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
 
 namespace {
 
-std::mutex g_pool_mutex;
-std::unique_ptr<ThreadPool> g_pool SNOOP_GUARDED_BY(g_pool_mutex);
-unsigned g_jobs_override SNOOP_GUARDED_BY(g_pool_mutex) = 0;
+/** The process-wide pool and the job count it is (re)built at. */
+struct PoolState
+{
+    std::unique_ptr<ThreadPool> pool;
+    unsigned jobsOverride = 0; ///< setParallelJobs(); 0 = SNOOP_JOBS
+};
+
+Guarded<PoolState> g_pool;
 
 ThreadPool &
 globalPool()
 {
-    std::lock_guard<std::mutex> lock(g_pool_mutex);
-    if (!g_pool) {
-        unsigned jobs = g_jobs_override ? g_jobs_override : defaultJobs();
-        g_pool = std::make_unique<ThreadPool>(jobs - 1);
+    auto state = g_pool.lock();
+    if (!state->pool) {
+        unsigned jobs =
+            state->jobsOverride ? state->jobsOverride : defaultJobs();
+        state->pool = std::make_unique<ThreadPool>(jobs - 1);
     }
-    return *g_pool;
+    return *state->pool;
 }
 
 } // namespace
@@ -203,18 +209,18 @@ defaultJobs()
 void
 setParallelJobs(unsigned jobs)
 {
-    std::lock_guard<std::mutex> lock(g_pool_mutex);
-    g_jobs_override = jobs;
-    g_pool.reset(); // lazily recreated at the new size
+    auto state = g_pool.lock();
+    state->jobsOverride = jobs;
+    state->pool.reset(); // lazily recreated at the new size
 }
 
 unsigned
 parallelJobs()
 {
     {
-        std::lock_guard<std::mutex> lock(g_pool_mutex);
-        if (g_jobs_override)
-            return g_jobs_override;
+        auto state = g_pool.lock();
+        if (state->jobsOverride)
+            return state->jobsOverride;
     }
     return defaultJobs();
 }

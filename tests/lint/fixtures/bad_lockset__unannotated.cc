@@ -1,7 +1,7 @@
-// Negative fixture for the lockset pass on unannotated state: g_hits
+// Negative fixture for the lockset pass on unguarded state: g_hits
 // is mutable namespace-scope state, bumpCounter touches it, and
 // runSweep launches the parallelFor worker that reaches bumpCounter
-// -- all without a SNOOP_GUARDED_BY annotation to check locks by.
+// -- and g_hits is neither const, thread_local nor Guarded.
 
 #include "util/parallel.hh"
 
@@ -9,7 +9,7 @@ namespace snoop {
 
 namespace {
 
-unsigned g_hits = 0; // must fire: unannotated worker-reachable state
+unsigned g_hits = 0; // must fire: unguarded worker-reachable state
 
 void
 bumpCounter()

@@ -1,24 +1,21 @@
 // Clean fixture for the lockset pass on worker-reachable state:
-// g_total carries SNOOP_GUARDED_BY(g_mutex) and the parallelFor
-// worker's accessor holds g_mutex, so the pass must stay silent.
+// g_total is a Guarded<unsigned>, whose value no code can reach
+// without its lock, so the pass must stay silent.
 
-#include <mutex>
-
-#include "util/annotations.hh"
+#include "util/guarded.hh"
 #include "util/parallel.hh"
 
 namespace snoop {
 
 namespace {
 
-std::mutex g_mutex;
-unsigned g_total SNOOP_GUARDED_BY(g_mutex) = 0;
+Guarded<unsigned> g_total;
 
 void
 addSample(unsigned v)
 {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    g_total += v;
+    auto total = g_total.lock();
+    *total += v;
 }
 
 } // namespace

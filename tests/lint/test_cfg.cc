@@ -36,7 +36,7 @@ dumpOf(const std::string &src, Cfg *out = nullptr)
     return dumpCfg(cfg);
 }
 
-TEST(Cfg, IfElseJoinsAndScopeEnds)
+TEST(Cfg, IfElseJoins)
 {
     EXPECT_EQ(dumpOf("int f(int a)\n"
                      "{\n"
@@ -50,15 +50,15 @@ TEST(Cfg, IfElseJoinsAndScopeEnds)
               "entry=B0 exit=B1\n"
               "B0: S@3 ?[L3] T->B2 F->B4\n"
               "B1:\n"
-              "B2: S@4 E@3 ->B3\n"
+              "B2: S@4 ->B3\n"
               "B3: R@8 ->B1\n"
-              "B4: S@6 E@5 ->B3\n");
+              "B4: S@6 ->B3\n");
 }
 
 TEST(Cfg, WhileWithBreakAndContinue)
 {
     // break edges to the block after the loop (B4), continue back to
-    // the header (B2); the body's ScopeEnd also re-enters the header.
+    // the header (B2); the body's end also re-enters the header.
     EXPECT_EQ(dumpOf("int f(int n)\n"
                      "{\n"
                      "    int s = 0;\n"
@@ -81,7 +81,7 @@ TEST(Cfg, WhileWithBreakAndContinue)
               "B5: B@6 ->B4\n"
               "B6: S@7 ?[L7] T->B7 F->B8\n"
               "B7: C@8 ->B2\n"
-              "B8: S@9 S@10 E@4 ->B2\n");
+              "B8: S@9 S@10 ->B2\n");
 }
 
 TEST(Cfg, SwitchFallthroughAndDefault)

@@ -2,8 +2,7 @@
  * @file
  * Pass-level tests for the flow-sensitive analyses
  * (tools/lint/flow.{hh,cc}) over synthetic in-memory FileSets:
- * fp-determinism roster scoping and sanctioned kernels, lockset
- * branch coverage, the caller-holds seeding idiom and unannotated
+ * fp-determinism roster scoping and sanctioned kernels, lockset's
  * worker-reachable state, expected-flow path sensitivity, call
  * temporaries and unconsulted bindings, and DeterminismRoster
  * parsing. The fixture suite
@@ -22,7 +21,6 @@
 
 #include "lint/flow.hh"
 #include "lint/lexer.hh"
-#include "lint/semantic.hh"
 
 using namespace snoop::lint;
 
@@ -40,20 +38,6 @@ runOn(const std::string &path, const std::string &src,
     SymbolIndex index = SymbolIndex::build(files);
     return runFlowPasses(files, index, CallGraph::build(index, files),
                          roster);
-}
-
-/** Findings of every semantic and flow pass for one synthetic file. */
-std::vector<Finding>
-runAllOn(const std::string &path, const std::string &src)
-{
-    FileSet files;
-    files.emplace(path, lex(src));
-    SymbolIndex index = SymbolIndex::build(files);
-    CallGraph graph = CallGraph::build(index, files);
-    std::vector<Finding> out = runSemanticPasses(files, index, graph);
-    for (Finding &f : runFlowPasses(files, index, graph, {}))
-        out.push_back(std::move(f));
-    return out;
 }
 
 size_t
@@ -115,102 +99,7 @@ TEST(FpDeterminism, MarkerWaives)
               0u);
 }
 
-TEST(Lockset, OneUnlockedBranchFires)
-{
-    const std::string src =
-        "#include <mutex>\n"
-        "std::mutex g_mutex;\n"
-        "unsigned g_x SNOOP_GUARDED_BY(g_mutex) = 0;\n"
-        "unsigned\n"
-        "f(bool fast)\n"
-        "{\n"
-        "    if (!fast)\n"
-        "        g_mutex.lock();\n"
-        "    unsigned v = g_x;\n"
-        "    if (!fast)\n"
-        "        g_mutex.unlock();\n"
-        "    return v;\n"
-        "}\n";
-    std::vector<Finding> fs = runOn("src/core/state.cc", src);
-    ASSERT_EQ(countRule(fs, "lockset"), 1u);
-    EXPECT_EQ(fs[0].line, 9u);
-    // The witness path is part of the message contract.
-    EXPECT_NE(fs[0].message.find("path "), std::string::npos);
-}
-
-TEST(Lockset, GuardOnEveryPathIsSilent)
-{
-    EXPECT_EQ(
-        countRule(runOn("src/core/state.cc",
-                        "#include <mutex>\n"
-                        "std::mutex g_mutex;\n"
-                        "unsigned g_x SNOOP_GUARDED_BY(g_mutex) = 0;\n"
-                        "unsigned\n"
-                        "f()\n"
-                        "{\n"
-                        "    std::lock_guard<std::mutex> lk(g_mutex);\n"
-                        "    return g_x;\n"
-                        "}\n"),
-                  "lockset"),
-        0u);
-}
-
-TEST(Lockset, CallerHoldsCommentSeedsTheEntryLockset)
-{
-    EXPECT_EQ(
-        countRule(runOn("src/core/state.cc",
-                        "#include <mutex>\n"
-                        "std::mutex g_mutex;\n"
-                        "unsigned g_x SNOOP_GUARDED_BY(g_mutex) = 0;\n"
-                        "// Caller holds g_mutex.\n"
-                        "unsigned\n"
-                        "f()\n"
-                        "{\n"
-                        "    return g_x;\n"
-                        "}\n"),
-                  "lockset"),
-        0u);
-}
-
-TEST(Lockset, TrailingCommentDoesNotSeed)
-{
-    // The "hold" idiom only counts on whole-line comments; a trailing
-    // remark on a nearby statement must not grant the lock.
-    EXPECT_EQ(
-        countRule(runOn("src/core/state.cc",
-                        "#include <mutex>\n"
-                        "std::mutex g_mutex;\n"
-                        "unsigned g_x SNOOP_GUARDED_BY(g_mutex) = 0;\n"
-                        "int g_y = 0; // nobody holds g_mutex here\n"
-                        "unsigned\n"
-                        "f()\n"
-                        "{\n"
-                        "    return g_x;\n"
-                        "}\n"),
-                  "lockset"),
-        1u);
-}
-
-TEST(Lockset, AccessorWithoutTheMutexIsReportedOnce)
-{
-    // An annotated global touched by a parallelFor worker that never
-    // takes the mutex: one finding, from the must-hold analysis, at
-    // the access -- no second, syntactic report at the accessor.
-    std::vector<Finding> fs = runAllOn(
-        "src/a.cc",
-        "namespace {\n"
-        "unsigned g_n SNOOP_GUARDED_BY(g_mutex) = 0;\n"
-        "}\n"
-        "namespace {\n"
-        "void bump() { ++g_n; }\n"
-        "}\n"
-        "void run(unsigned n) { parallelFor(n, [] { bump(); }); }\n");
-    ASSERT_EQ(fs.size(), 1u);
-    EXPECT_EQ(fs[0].rule, "lockset");
-    EXPECT_EQ(fs[0].line, 5u);
-}
-
-TEST(Lockset, UnannotatedWorkerGlobalFires)
+TEST(Lockset, UnguardedWorkerGlobalFires)
 {
     std::vector<Finding> fs =
         runOn("src/a.cc",
@@ -225,7 +114,7 @@ TEST(Lockset, UnannotatedWorkerGlobalFires)
         << fs[0].message;
 }
 
-TEST(Lockset, MarkerWaivesAnUnannotatedWorkerGlobal)
+TEST(Lockset, MarkerWaivesAnUnguardedWorkerGlobal)
 {
     EXPECT_TRUE(runOn("src/a.cc",
                       "namespace {\n"

@@ -31,7 +31,6 @@ lintTree(const std::string &root)
     LintOptions opt;
     opt.root = root;
     opt.paths = {root + "/src"};
-    opt.useBaseline = false;
     opt.treePasses = true;
     LintResult r = runLint(opt);
     EXPECT_TRUE(r.errors.empty());
@@ -165,7 +164,6 @@ TEST(RealTree, SrcIsLayerCleanAgainstDeclaredDag)
     LintOptions opt;
     opt.root = kSourceRoot;
     opt.paths = {std::string(kSourceRoot) + "/src"};
-    opt.useBaseline = false;
     opt.treePasses = true;
     LintResult r = runLint(opt);
     EXPECT_TRUE(r.errors.empty());
@@ -173,9 +171,9 @@ TEST(RealTree, SrcIsLayerCleanAgainstDeclaredDag)
         ADD_FAILURE() << f.file << ":" << f.line << ": " << f.message;
 }
 
-TEST(RealTree, FullLintRespectsBaseline)
+TEST(RealTree, FullLintIsClean)
 {
-    // End-to-end: the shipped configuration (baseline included) must
+    // End-to-end: the shipped configuration (allowlist included) must
     // be clean over src/ — same invariant run_lint.sh enforces in CI,
     // checked here so `ctest -R lint/graph` catches it locally too.
     LintOptions opt;

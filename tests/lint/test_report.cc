@@ -2,8 +2,8 @@
  * @file
  * Reporting tests: SARIF 2.1.0 serialization against the checked-in
  * golden file (byte-exact — the log must be deterministic or GitHub
- * code-scanning uploads churn), JSON escaping, the baseline
- * suppression file (parse, match, stale detection), and the
+ * code-scanning uploads churn), JSON escaping, the marker
+ * allowlist (parse, match, stale detection), and the
  * --list-rules snapshot (tests/lint/list_rules.snapshot must track
  * the rule registry).
  */
@@ -88,8 +88,8 @@ TEST(Sarif, SchemaShapeCarriesRequiredKeys)
 
 TEST(Sarif, RuleIdsAreStable)
 {
-    // Rule ids are an external contract: baselines, CI annotations,
-    // and code-scanning alert history all key on them. Appending new
+    // Rule ids are an external contract: CI annotations and
+    // code-scanning alert history key on them. Appending new
     // rules is fine; renaming or reordering the existing ones is not,
     // and a retired id (no-fatal-in-solver, unchecked-expected,
     // guarded-shared-state: folded into fatal-reachability,
@@ -127,42 +127,6 @@ TEST(Sarif, EmptyFindingsIsStillAValidLog)
 {
     std::string s = toSarif({});
     EXPECT_NE(s.find("\"results\": [\n      ]"), std::string::npos);
-}
-
-TEST(Baseline, ParseMatchAndStale)
-{
-    Baseline b = Baseline::parse(
-        "# comment line\n"
-        "\n"
-        "src/util/alpha.cc:no-raw-assert   # legacy assert, issue #7\n"
-        "src/core/gone.cc:determinism      # fixed long ago\n");
-    EXPECT_TRUE(b.errors().empty());
-    EXPECT_EQ(b.size(), 2u);
-
-    size_t suppressed = 0;
-    auto kept = applyBaseline(sampleFindings(), b, &suppressed);
-    EXPECT_EQ(suppressed, 1u);
-    ASSERT_EQ(kept.size(), 1u);
-    EXPECT_EQ(kept[0].rule, "doxygen-file");
-
-    auto stale = b.staleEntries();
-    ASSERT_EQ(stale.size(), 1u);
-    EXPECT_EQ(stale[0], "src/core/gone.cc:determinism");
-}
-
-TEST(Baseline, MalformedLinesAreErrorsNotSilence)
-{
-    Baseline b = Baseline::parse("no-colon-here\n");
-    ASSERT_EQ(b.errors().size(), 1u);
-    EXPECT_NE(b.errors()[0].find("expected"), std::string::npos);
-    EXPECT_EQ(b.size(), 0u);
-}
-
-TEST(Baseline, MissingFileIsEmpty)
-{
-    Baseline b = Baseline::load("/nonexistent/baseline.txt");
-    EXPECT_EQ(b.size(), 0u);
-    EXPECT_TRUE(b.errors().empty());
 }
 
 TEST(ChangedOnly, ToleratesDeletedAndRenamedFiles)
@@ -204,7 +168,6 @@ TEST(ChangedOnly, ToleratesDeletedAndRenamedFiles)
     opt.root = dir.string();
     opt.changedOnly = true;
     opt.changedRef = "HEAD";
-    opt.useBaseline = false;
 
     LintResult r = runLint(opt);
     EXPECT_TRUE(r.errors.empty()) << (r.errors.empty() ? ""

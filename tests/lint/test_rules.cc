@@ -51,8 +51,6 @@ const std::vector<Expected> kExpected = {
     {"bad_fp_determinism.cc", "fp-determinism", 22},
     {"bad_fp_determinism__kernel.cc", "fp-determinism", 16},
     {"bad_fp_determinism__kernel.cc", "fp-determinism", 24},
-    {"bad_lockset.cc", "lockset", 22},
-    {"bad_lockset.cc", "lockset", 31},
     {"bad_lockset__unannotated.cc", "lockset", 12},
     {"bad_marker_allowlist.cc", "marker-allowlist", 7},
     {"bad_numeric_guard_coverage.cc", "numeric-guard-coverage", 9},
@@ -71,7 +69,6 @@ lintOne(const fs::path &file)
     LintOptions opt;
     opt.root = kFixtures;
     opt.paths = {file.string()};
-    opt.useBaseline = false;
     opt.treePasses = false;
     LintResult r = runLint(opt);
     EXPECT_TRUE(r.errors.empty());
@@ -117,7 +114,6 @@ TEST(RuleFixtures, EveryRuleHasAFiringFixture)
             LintOptions opt;
             opt.root = std::string(kFixtures) + "/tree_badedge";
             opt.paths = {opt.root + "/src"};
-            opt.useBaseline = false;
             opt.treePasses = true;
             for (const Finding &f : runLint(opt).findings)
                 fired = fired || f.rule == "layering";

@@ -102,22 +102,24 @@ TEST(Parser, GlobalVariableFlags)
         "#include <mutex>\n"
         "namespace {\n"
         "std::mutex g_mutex;\n"
-        "unsigned g_count SNOOP_GUARDED_BY(g_mutex) = 0;\n"
+        "Guarded<std::vector<Spec>> g_specs;\n"
+        "unsigned g_count = 0;\n"
         "const double kPi = 3.14;\n"
         "thread_local int t_scratch = 0;\n"
-        "MetricsRegistry registry SNOOP_GUARDED_BY(internal);\n"
         "} // namespace\n");
     ASSERT_EQ(pf.globals.size(), 5u);
     const GlobalVar &mu = pf.globals[0];
     EXPECT_EQ(mu.name, "g_mutex");
     EXPECT_TRUE(mu.selfSynchronizing);
-    const GlobalVar &count = pf.globals[1];
+    const GlobalVar &specs = pf.globals[1];
+    EXPECT_EQ(specs.name, "g_specs");
+    EXPECT_TRUE(specs.selfSynchronizing);
+    const GlobalVar &count = pf.globals[2];
     EXPECT_EQ(count.name, "g_count");
-    EXPECT_EQ(count.guardedBy, "g_mutex");
+    EXPECT_FALSE(count.selfSynchronizing);
     EXPECT_FALSE(count.isConst);
-    EXPECT_TRUE(pf.globals[2].isConst);
-    EXPECT_TRUE(pf.globals[3].isThreadLocal);
-    EXPECT_EQ(pf.globals[4].guardedBy, "internal");
+    EXPECT_TRUE(pf.globals[3].isConst);
+    EXPECT_TRUE(pf.globals[4].isThreadLocal);
 }
 
 TEST(Parser, OperatorEqualsDefinitionIsNotAVariable)

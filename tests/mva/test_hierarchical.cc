@@ -182,6 +182,37 @@ TEST(Hierarchical, BadConfigThrows)
     EXPECT_THROW(hierarchicalFromFlat(d, 2, 2, 2.0), SolveException);
 }
 
+TEST(Hierarchical, BadOptionsThrowNamingTheField)
+{
+    // Damping 0 once returned speedup 13.76 marked converged (9.58
+    // at damping 1); the budgets and the trace were silently ignored.
+    // All are rejected now.
+    auto d = DerivedInputs::compute(
+        presets::appendixA(SharingLevel::FivePercent),
+        ProtocolConfig::writeOnce());
+    const HierarchicalConfig cfg = hierarchicalFromFlat(d, 4, 4, 0.5);
+    std::vector<std::pair<MvaOptions, std::string>> cases(4);
+    cases[0].first.damping = 0.0;
+    cases[0].second = "damping";
+    cases[1].first.timeBudget = 1.0;
+    cases[1].second = "timeBudget";
+    cases[2].first.iterationBudget = 3;
+    cases[2].second = "iterationBudget";
+    cases[3].first.recordTrace = true;
+    cases[3].second = "recordTrace";
+    for (const auto &[opts, field] : cases) {
+        try {
+            solveHierarchical(cfg, opts);
+            ADD_FAILURE() << field << ": expected SolveException";
+        } catch (const SolveException &e) {
+            EXPECT_EQ(e.error().code, SolveErrorCode::InvalidArgument);
+            EXPECT_EQ(e.error().site, "solveHierarchical");
+            EXPECT_NE(e.error().message.find(field), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 /** Ladder tests arm fault sites and Phase tracing; both start and end
  * cleared. */
 class HierarchicalLadder : public testing::Test

@@ -184,6 +184,35 @@ TEST(Multiclass, BadInputsThrow)
     }
 }
 
+TEST(Multiclass, BadOptionsThrowNamingTheField)
+{
+    // Damping 0 once froze the waits at zero and returned speedup
+    // 13.34 marked converged (6.44 at damping 1); the budgets and the
+    // trace were silently ignored. All are rejected now.
+    auto inputs = appendixAInputs(SharingLevel::FivePercent, "1");
+    const std::vector<ProcessorClass> classes = {{"all", 16, inputs}};
+    std::vector<std::pair<MvaOptions, std::string>> cases(4);
+    cases[0].first.damping = 0.0;
+    cases[0].second = "damping";
+    cases[1].first.timeBudget = 1.0;
+    cases[1].second = "timeBudget";
+    cases[2].first.iterationBudget = 3;
+    cases[2].second = "iterationBudget";
+    cases[3].first.recordTrace = true;
+    cases[3].second = "recordTrace";
+    for (const auto &[opts, field] : cases) {
+        try {
+            solveMulticlass(classes, opts);
+            ADD_FAILURE() << field << ": expected SolveException";
+        } catch (const SolveException &e) {
+            EXPECT_EQ(e.error().code, SolveErrorCode::InvalidArgument);
+            EXPECT_EQ(e.error().site, "solveMulticlass");
+            EXPECT_NE(e.error().message.find(field), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 /** Ladder tests arm fault sites and Phase tracing; both start and end
  * cleared. */
 class MulticlassLadder : public testing::Test

@@ -1,10 +1,12 @@
 /** Unit tests for the util/fault injection harness. */
 
 #include <cstdlib>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/fault.hh"
+#include "util/parallel.hh"
 
 namespace snoop {
 namespace {
@@ -117,6 +119,24 @@ TEST_F(Fault, InjectedFaultCarriesSiteAndKey)
     EXPECT_EQ(e.code, SolveErrorCode::InjectedFault);
     EXPECT_EQ(e.site, "sweep.cell");
     EXPECT_NE(e.message.find("12"), std::string::npos);
+}
+
+TEST_F(Fault, WorkersSeeTheSerialAnswerPerKey)
+{
+    // Workers query the Guarded spec list concurrently; each key's
+    // answer must match the one a serial query gives.
+    ASSERT_TRUE(setFaultSpecs("sweep.cell:every=3,mva.nan").ok());
+    constexpr size_t kKeys = 4096;
+    std::vector<char> serial(kKeys), parallel(kKeys);
+    for (size_t k = 0; k < kKeys; ++k)
+        serial[k] = faultFires("sweep.cell", k);
+    setParallelJobs(4);
+    parallelFor(kKeys, [&](size_t k) {
+        parallel[k] = faultFires("sweep.cell", k);
+    });
+    setParallelJobs(0);
+    EXPECT_EQ(parallel, serial);
+    EXPECT_TRUE(serial[0] && !serial[1] && serial[3]);
 }
 
 TEST(FaultDeath, MalformedEnvironmentIsFatal)

@@ -1,11 +1,13 @@
 /** Unit tests for the snoop_parallel execution layer. */
 
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/guarded.hh"
 #include "util/parallel.hh"
 
 namespace snoop {
@@ -113,6 +115,25 @@ TEST(GlobalParallelFor, SerialFallbackAtOneJob)
     ASSERT_EQ(order.size(), 10u);
     for (size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i); // strictly in index order when serial
+    setParallelJobs(0);
+}
+
+TEST(GlobalParallelFor, GuardedCounterIsExact)
+{
+    // Every worker's read-modify-write goes through the lock handle,
+    // so no increment is lost at any job count.
+    setParallelJobs(4);
+    Guarded<uint64_t> total;
+    constexpr size_t kWorkers = 8;
+    constexpr uint64_t kAdds = 10000;
+    parallelFor(kWorkers, [&](size_t) {
+        for (uint64_t k = 0; k < kAdds; ++k) {
+            auto value = total.lock();
+            *value += 1;
+        }
+    });
+    auto value = total.lock();
+    EXPECT_EQ(*value, kWorkers * kAdds);
     setParallelJobs(0);
 }
 

@@ -100,9 +100,6 @@ class CfgBuilder
                 return cur;
             }
             size_t out = parseSeq(j + 1, close, cur);
-            // RAII boundary: guards declared inside [j, close] die
-            // here on the normal exit path.
-            addStmt(out, j, close + 1, StmtKind::ScopeEnd);
             *i = close + 1;
             return out;
         }
@@ -223,8 +220,8 @@ class CfgBuilder
      * top-level `||` / `&&` into a chain of single-condition blocks
      * so edge transfers see atomic conditions. The atomic condition
      * is also recorded as a Plain statement of its block, so
-     * statement-scanning passes (lockset accesses, transcendental
-     * calls in conditions) see its tokens.
+     * statement-scanning passes (transcendental calls in
+     * conditions) see its tokens.
      */
     void
     lowerCond(size_t b, size_t e, size_t blk, size_t onTrue,
@@ -617,7 +614,6 @@ class CfgBuilder
         size_t tryExit = parseSeq(bodyOpen + 1, bodyClose, tryEntry);
         if (failed_)
             return cur;
-        addStmt(tryExit, bodyOpen, bodyClose + 1, StmtKind::ScopeEnd);
         edge(tryExit, join, EdgeKind::Next);
 
         size_t p = bodyClose + 1;
@@ -643,7 +639,6 @@ class CfgBuilder
                 parseSeq(cOpen + 1, cClose, catchEntry);
             if (failed_)
                 return cur;
-            addStmt(catchExit, cOpen, cClose + 1, StmtKind::ScopeEnd);
             edge(catchExit, join, EdgeKind::Next);
             p = cClose + 1;
         }
@@ -790,8 +785,6 @@ stmtLetter(StmtKind k)
         return 'C';
       case StmtKind::RangeFor:
         return 'F';
-      case StmtKind::ScopeEnd:
-        return 'E';
     }
     return '?';
 }

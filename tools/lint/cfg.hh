@@ -7,7 +7,7 @@
  * (lint/parser.hh) and the flow-sensitive passes (lint/flow.hh).
  * Where the call graph (lint/callgraph.hh) answers "what can this
  * function reach", the CFG answers "along which paths" — the
- * question the determinism, lockset, and Expected-flow passes need.
+ * question the fp-determinism and Expected-flow passes need.
  *
  * The builder walks one FunctionDef's body token range and recovers:
  *
@@ -23,10 +23,7 @@
  *  - early return (edges to the exit block);
  *  - try/catch (the catch body is an alternative successor of the
  *    statement before the try — conservative: an exception may skip
- *    any prefix of the try body);
- *  - synthetic ScopeEnd statements after every compound statement,
- *    which is how RAII-based passes (lockset) learn where a
- *    lock_guard dies.
+ *    any prefix of the try body).
  *
  * The builder is total in the same sense as the parser: on any
  * construct it cannot classify (goto, statement labels, unbalanced
@@ -52,9 +49,6 @@ enum class StmtKind {
     Break,    //!< break (edge to loop/switch exit)
     Continue, //!< continue (edge to loop header / increment)
     RangeFor, //!< range-for header `(decl : expr)` token range
-    ScopeEnd, //!< synthetic: a compound statement's scope closed;
-              //!< the range covers the whole `{...}` so RAII passes
-              //!< can kill guards declared inside it
 };
 
 /** One statement: a token range [begin, end) into the lexed file. */
@@ -116,7 +110,7 @@ Cfg buildCfg(const LexedFile &file, const FunctionDef &def);
  *     ...
  *
  * Statements render as <kind letter>@<line> (S plain, R return,
- * B break, C continue, F range-for, E scope-end); `?[L<line>]` names
+ * B break, C continue, F range-for); `?[L<line>]` names
  * the line of the block's condition.
  */
 std::string dumpCfg(const Cfg &cfg);

@@ -386,7 +386,7 @@ runLint(const LintOptions &opt)
 
     // 4b. Marker allowlist: every inline snoop-lint: waiver in src/
     // must be registered with a justification; registrations whose
-    // marker is gone are stale (mirrors baseline.txt semantics).
+    // marker is gone are stale.
     {
         std::string allow_path = opt.allowlistPath.empty()
             ? (root / "tools" / "lint" / "allowlist.txt").string()
@@ -409,7 +409,7 @@ runLint(const LintOptions &opt)
             result.staleAllowlist = allow.staleEntries();
     }
 
-    // 5. Deterministic order, then baseline suppression.
+    // 5. Deterministic order.
     std::sort(findings.begin(), findings.end(),
               [](const Finding &a, const Finding &b) {
                   if (a.file != b.file)
@@ -421,22 +421,7 @@ runLint(const LintOptions &opt)
                   return a.message < b.message;
               });
 
-    if (opt.useBaseline) {
-        std::string baseline_path = opt.baselinePath.empty()
-            ? (root / "tools" / "lint" / "baseline.txt").string()
-            : opt.baselinePath;
-        Baseline baseline = Baseline::load(baseline_path);
-        for (const auto &err : baseline.errors())
-            result.errors.push_back(err);
-        result.findings =
-            applyBaseline(findings, baseline, &result.suppressed);
-        // Stale detection only means something when the whole tree
-        // was inspected.
-        if (opt.treePasses && !opt.changedOnly)
-            result.staleBaseline = baseline.staleEntries();
-    } else {
-        result.findings = std::move(findings);
-    }
+    result.findings = std::move(findings);
     return result;
 }
 

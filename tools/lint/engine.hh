@@ -8,7 +8,7 @@
  * (lint/rules.hh) and the IWYU-lite pass, runs the tree passes
  * (layering + include cycles over root/src against
  * tools/lint/layers.txt), relativizes paths against the repo root,
- * sorts, and applies the baseline suppression file.
+ * checks inline waivers against tools/lint/allowlist.txt, and sorts.
  *
  * The snoop_lint binary is a thin driver over runLint(); tests call
  * it directly against fixture trees.
@@ -24,7 +24,7 @@ namespace snoop::lint {
 
 struct LintOptions {
     /** Repo root: anchors src/ resolution, tools/lint/layers.txt,
-     * tools/lint/baseline.txt, and path relativization. */
+     * tools/lint/allowlist.txt, and path relativization. */
     std::string root = ".";
 
     /** Files or directories to lint (dirs recurse over .hh/.cc). */
@@ -42,10 +42,6 @@ struct LintOptions {
      * mode; single-file fixture runs stay per-file only. */
     bool treePasses = false;
 
-    /** Baseline file; empty means root/tools/lint/baseline.txt. */
-    std::string baselinePath;
-    bool useBaseline = true;
-
     /** Layers file; empty means root/tools/lint/layers.txt. */
     std::string layersPath;
 
@@ -58,12 +54,8 @@ struct LintOptions {
 };
 
 struct LintResult {
-    /** Post-baseline findings, sorted by (file, line, rule). */
+    /** Findings, sorted by (file, line, rule). */
     std::vector<Finding> findings;
-    size_t suppressed = 0;
-    /** Baseline entries that matched nothing (full-tree runs only):
-     * fixed violations whose suppression should be deleted. */
-    std::vector<std::string> staleBaseline;
     /** Allowlist entries that matched no marker occurrence (full-tree
      * runs only): removed waivers to delete from allowlist.txt. */
     std::vector<std::string> staleAllowlist;

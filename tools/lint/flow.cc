@@ -191,13 +191,10 @@ unorderedRangeVar(const std::vector<Token> &toks, const CfgStmt &s,
 }
 
 /** Output call (or stream insertion) named by the statement, or ""
- * when it has none. ScopeEnd statements span whole compounds and are
- * never scanned. */
+ * when it has none. */
 std::string
 outputCallIn(const std::vector<Token> &toks, const CfgStmt &s)
 {
-    if (s.kind == StmtKind::ScopeEnd)
-        return "";
     bool hasShift = false;
     std::string stream;
     for (size_t k = s.begin; k < s.end; ++k) {
@@ -380,8 +377,6 @@ checkFpDeterminism(const FileSet &files, const SymbolIndex &index,
                             continue;
                         for (const CfgStmt &q :
                              cfg.blocks[blkId].stmts) {
-                            if (q.kind == StmtKind::ScopeEnd)
-                                continue;
                             for (size_t k = q.begin;
                                  k + 1 < q.end; ++k)
                                 if (isPunct(toks[k], "+") &&
@@ -409,200 +404,15 @@ checkFpDeterminism(const FileSet &files, const SymbolIndex &index,
 // lockset
 // ====================================================================
 
-bool
-lockScope(const std::string &file)
-{
-    return startsWith(file, "src/") || fixtureOptsIn(file, "lockset");
-}
-
-/** Must-hold lockset: top (unreached) or a set of held mutexes plus
- * the live RAII guards that imply them. */
-struct LockState {
-    bool top = true;
-    std::set<std::string> held; //!< via explicit .lock()
-    /** declaration token -> (guard variable, mutexes it holds) */
-    std::map<size_t, std::pair<std::string, std::set<std::string>>>
-        guards;
-
-    bool
-    operator==(const LockState &o) const
-    {
-        return top == o.top && held == o.held && guards == o.guards;
-    }
-
-    bool
-    holds(const std::string &mutex) const
-    {
-        if (held.count(mutex))
-            return true;
-        for (const auto &[tok, g] : guards)
-            if (g.second.count(mutex))
-                return true;
-        return false;
-    }
-};
-
-class LocksetProblem : public DataflowProblem<LockState>
-{
-  public:
-    explicit LocksetProblem(std::set<std::string> entryHeld)
-        : entryHeld_(std::move(entryHeld))
-    {
-    }
-
-    LockState
-    entryState() const override
-    {
-        LockState s;
-        s.top = false;
-        s.held = entryHeld_;
-        return s;
-    }
-
-    LockState
-    initialState() const override
-    {
-        return LockState{};
-    }
-
-    LockState
-    join(const LockState &a, const LockState &b) const override
-    {
-        if (a.top)
-            return b;
-        if (b.top)
-            return a;
-        LockState j;
-        j.top = false;
-        std::set_intersection(a.held.begin(), a.held.end(),
-                              b.held.begin(), b.held.end(),
-                              std::inserter(j.held, j.held.end()));
-        for (const auto &[tok, g] : a.guards) {
-            auto it = b.guards.find(tok);
-            if (it != b.guards.end() && it->second == g)
-                j.guards.emplace(tok, g);
-        }
-        return j;
-    }
-
-    void
-    transfer(LockState &s, const LexedFile &file,
-             const CfgStmt &stmt) const override
-    {
-        const std::vector<Token> &toks = file.tokens;
-        if (stmt.kind == StmtKind::ScopeEnd) {
-            // RAII: guards declared inside the closing compound die.
-            for (auto it = s.guards.begin(); it != s.guards.end();)
-                if (it->first >= stmt.begin && it->first < stmt.end)
-                    it = s.guards.erase(it);
-                else
-                    ++it;
-            return;
-        }
-        for (size_t k = stmt.begin; k < stmt.end; ++k) {
-            const Token &t = toks[k];
-            if (t.kind != TokenKind::Identifier)
-                continue;
-            if (t.text == "lock_guard" || t.text == "unique_lock" ||
-                t.text == "scoped_lock") {
-                applyGuardDecl(s, toks, k, stmt.end);
-                continue;
-            }
-            // X.lock() / X.unlock() — explicit, non-RAII.
-            if ((t.text == "lock" || t.text == "unlock") &&
-                k >= 2 && isPunct(toks[k - 1], ".") &&
-                toks[k - 2].kind == TokenKind::Identifier &&
-                k + 1 < stmt.end && isPunct(toks[k + 1], "(")) {
-                const std::string &obj = toks[k - 2].text;
-                bool isGuardVar = false;
-                for (auto it = s.guards.begin();
-                     it != s.guards.end();) {
-                    if (it->second.first == obj) {
-                        isGuardVar = true;
-                        if (t.text == "unlock") {
-                            it = s.guards.erase(it);
-                            continue;
-                        }
-                    }
-                    ++it;
-                }
-                if (!isGuardVar) {
-                    if (t.text == "lock")
-                        s.held.insert(obj);
-                    else
-                        s.held.erase(obj);
-                }
-            }
-        }
-    }
-
-  private:
-    static void
-    applyGuardDecl(LockState &s, const std::vector<Token> &toks,
-                   size_t at, size_t end)
-    {
-        size_t k = at + 1;
-        if (k < end && isPunct(toks[k], "<"))
-            k = skipAngles(toks, k);
-        if (k >= end || toks[k].kind != TokenKind::Identifier)
-            return; // temporary guard or unparsed shape: ignore
-        std::string var = toks[k].text;
-        ++k;
-        if (k >= end ||
-            !(isPunct(toks[k], "(") || isPunct(toks[k], "{")))
-            return;
-        size_t close = matchBracket(toks, k);
-        if (close >= end)
-            return;
-        // Split constructor args at top-level ','.
-        std::set<std::string> mutexes;
-        bool acquire = true;
-        int depth = 0;
-        std::string cur;
-        auto flush = [&]() {
-            if (cur.empty())
-                return;
-            if (cur == "std::defer_lock" || cur == "defer_lock" ||
-                cur == "std::try_to_lock" || cur == "try_to_lock")
-                acquire = false;
-            else if (cur != "std::adopt_lock" && cur != "adopt_lock")
-                mutexes.insert(cur);
-            cur.clear();
-        };
-        for (size_t j = k + 1; j < close; ++j) {
-            const Token &t = toks[j];
-            if (t.kind == TokenKind::Punct) {
-                if (t.text == "(" || t.text == "[" || t.text == "{")
-                    ++depth;
-                else if (t.text == ")" || t.text == "]" ||
-                         t.text == "}")
-                    --depth;
-                else if (t.text == "," && depth == 0) {
-                    flush();
-                    continue;
-                }
-            }
-            cur += t.text;
-        }
-        flush();
-        if (acquire && !mutexes.empty())
-            s.guards.emplace(at,
-                             std::make_pair(var, std::move(mutexes)));
-    }
-
-    std::set<std::string> entryHeld_;
-};
-
 /**
- * Unannotated shared state: a mutable global named in the body of a
- * function reachable from a parallelFor() launch must carry
- * SNOOP_GUARDED_BY (src/util/annotations.hh), or the must-hold
- * analysis has no mutex to check its accesses against.
- * SNOOP_GUARDED_BY(internal) asserts the object synchronizes itself;
- * const, thread_local and self-synchronizing types (std::atomic,
- * std::mutex, ...) are exempt. Worker lambdas parse as part of the
- * launching function, so the launchers are the reachability roots.
- * Waiver: `// snoop-lint: lockset-ok` at the declaration.
+ * Worker-shared state: a mutable global named in the body of a
+ * function reachable from a parallelFor() launch must be const,
+ * thread_local, or of a type that synchronizes itself: std::atomic,
+ * std::mutex, ..., or Guarded<T> (src/util/guarded.hh), whose value
+ * the compiler lets no code reach without its lock. Worker lambdas
+ * parse as part of the launching function, so the launchers are the
+ * reachability roots. Waiver: `// snoop-lint: lockset-ok` at the
+ * declaration.
  */
 void
 checkWorkerGlobals(const FileSet &files, const SymbolIndex &index,
@@ -622,8 +432,9 @@ checkWorkerGlobals(const FileSet &files, const SymbolIndex &index,
 
     for (const IndexedGlobal &g : index.globals()) {
         const GlobalVar &var = g.var;
-        if (!lockScope(g.file) || !var.guardedBy.empty() || var.isConst ||
-            var.isThreadLocal || var.selfSynchronizing)
+        if (!(startsWith(g.file, "src/") ||
+              fixtureOptsIn(g.file, "lockset")) ||
+            var.isConst || var.isThreadLocal || var.selfSynchronizing)
             continue;
         auto fit = files.find(g.file);
         if (fit == files.end() ||
@@ -643,120 +454,10 @@ checkWorkerGlobals(const FileSet &files, const SymbolIndex &index,
                  "mutable shared state '" + var.name +
                      "' is reachable from parallelFor workers (via " +
                      def.qualified +
-                     ") but has no SNOOP_GUARDED_BY annotation, so no "
-                     "lockset can be checked for it"});
+                     ") but is not const, thread_local or "
+                     "self-synchronizing; wrap it in Guarded<T> "
+                     "(util/guarded.hh)"});
             break;
-        }
-    }
-}
-
-void
-checkLockset(const FileSet &files, const SymbolIndex &index,
-             std::vector<Finding> &out)
-{
-    for (const auto &[file, lexed] : files) {
-        if (!lockScope(file))
-            continue;
-        const ParsedFile &parsed = index.parsed(file);
-
-        std::vector<const GlobalVar *> annotated;
-        std::set<std::string> mutexNames;
-        for (const GlobalVar &g : parsed.globals)
-            if (!g.guardedBy.empty() && g.guardedBy != "internal") {
-                annotated.push_back(&g);
-                mutexNames.insert(g.guardedBy);
-            }
-        if (annotated.empty())
-            continue;
-
-        const std::vector<Token> &toks = lexed.tokens;
-        for (const FunctionDef &fn : parsed.functions) {
-            // Only functions that touch an annotated variable.
-            bool touches = false;
-            for (size_t k = fn.bodyBegin;
-                 k < fn.bodyEnd && !touches; ++k)
-                if (toks[k].kind == TokenKind::Identifier)
-                    for (const GlobalVar *g : annotated)
-                        touches = touches || toks[k].text == g->name;
-            if (!touches)
-                continue;
-
-            Cfg cfg = buildCfg(lexed, fn);
-            if (cfg.degraded)
-                continue;
-
-            // "Caller holds g_mutex." comment above the signature
-            // seeds the entry lockset (the documented idiom).
-            std::set<std::string> entryHeld;
-            size_t from = fn.line > 4 ? fn.line - 4 : 1;
-            for (size_t l = from;
-                 l <= fn.line && l <= lexed.lines.size(); ++l) {
-                const std::string &raw = lexed.lines[l - 1];
-                // Only whole-line comments (// or /** or a block
-                // continuation): a trailing comment on a nearby
-                // statement must not seed the contract.
-                size_t ws = raw.find_first_not_of(" \t");
-                if (ws == std::string::npos)
-                    continue;
-                bool comment = raw.compare(ws, 2, "//") == 0 ||
-                    raw.compare(ws, 2, "/*") == 0 || raw[ws] == '*';
-                if (!comment)
-                    continue;
-                if (raw.find("hold") == std::string::npos)
-                    continue;
-                for (const std::string &m : mutexNames)
-                    if (raw.find(m) != std::string::npos)
-                        entryHeld.insert(m);
-            }
-
-            LocksetProblem problem(entryHeld);
-            DataflowResult<LockState> res =
-                solveForward(cfg, lexed, problem);
-            if (!res.converged)
-                continue;
-
-            std::set<std::pair<std::string, size_t>> reported;
-            for (size_t b = 0; b < cfg.blocks.size(); ++b) {
-                LockState s = res.in[b];
-                for (const CfgStmt &stmt : cfg.blocks[b].stmts) {
-                    problem.transfer(s, lexed, stmt);
-                    if (stmt.kind == StmtKind::ScopeEnd || s.top)
-                        continue;
-                    for (const GlobalVar *g : annotated) {
-                        if (stmt.line == g->line)
-                            continue; // the declaration itself
-                        bool named = false;
-                        for (size_t k = stmt.begin;
-                             k < stmt.end && !named; ++k)
-                            named = toks[k].kind ==
-                                    TokenKind::Identifier &&
-                                toks[k].text == g->name;
-                        if (!named || s.holds(g->guardedBy))
-                            continue;
-                        if (!reported
-                                 .insert({g->name, stmt.line})
-                                 .second)
-                            continue;
-                        if (markerNearby(lexed, stmt.line,
-                                         "lockset-ok"))
-                            continue;
-                        out.push_back(
-                            {file, stmt.line, "lockset",
-                             "'" + g->name +
-                                 "' (SNOOP_GUARDED_BY(" +
-                                 g->guardedBy +
-                                 ")) is accessed in " + fn.name +
-                                 "() on a path where '" +
-                                 g->guardedBy +
-                                 "' is not held (path " +
-                                 describePath(cfg, b) +
-                                 "); lock it, document the "
-                                 "caller-holds contract in a "
-                                 "comment, or waive with "
-                                 "'// snoop-lint: lockset-ok'"});
-                    }
-                }
-            }
         }
     }
 }
@@ -905,8 +606,6 @@ class ExpectedFlowProblem : public DataflowProblem<EState>
     applyStmt(EState &s, const LexedFile &file, const CfgStmt &stmt,
               std::vector<ExpectedHit> *sink) const
     {
-        if (stmt.kind == StmtKind::ScopeEnd)
-            return; // spans whole compounds; inner stmts own events
         const std::vector<Token> &toks = file.tokens;
         const bool report = sink && !s.top;
 
@@ -1183,7 +882,6 @@ runFlowPasses(const FileSet &files, const SymbolIndex &index,
     std::vector<Finding> out;
     checkFpDeterminism(files, index, roster, out);
     checkWorkerGlobals(files, index, graph, out);
-    checkLockset(files, index, out);
     checkExpectedFlow(files, index, out);
     return out;
 }

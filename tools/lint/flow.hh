@@ -5,7 +5,8 @@
  * Flow-sensitive passes of snoop_analyze, built on the CFG
  * (lint/cfg.hh) and the worklist dataflow solver (lint/dataflow.hh).
  * Where the semantic passes (lint/semantic.hh) ask what a function
- * can reach, these ask what holds *along each path*:
+ * can reach, these ask what holds *along each path*, or (lockset)
+ * what state parallel workers can reach:
  *
  *  - fp-determinism: inside the bit-identity-critical modules named
  *    by tools/lint/determinism.txt, flag libm transcendental calls
@@ -17,17 +18,13 @@
  *    execution policies, `+=` folded under an unordered iteration).
  *    Per-line opt-out: `// snoop-lint: fp-ok`.
  *
- *  - lockset: must-hold analysis over std::lock_guard /
- *    std::unique_lock / std::scoped_lock / bare .lock()/.unlock(),
- *    joined by set intersection at CFG merges. An access to a
- *    SNOOP_GUARDED_BY(m) variable on a path where `m` is provably
- *    not held is reported with the witness path. RAII releases are
- *    modeled through the CFG's synthetic ScopeEnd statements; a
- *    "caller holds m" comment above the function seeds the entry
- *    lockset. The pass also reports mutable globals that functions
- *    reachable from a parallelFor() launch (call graph) touch
- *    without any SNOOP_GUARDED_BY annotation: state no lockset can
- *    be checked for. Per-line opt-out: `// snoop-lint: lockset-ok`.
+ *  - lockset: mutable globals that functions reachable from a
+ *    parallelFor() launch (call graph) touch must be const,
+ *    thread_local, or of a self-synchronizing type: std::atomic,
+ *    std::mutex, ..., or Guarded<T> (src/util/guarded.hh). Which
+ *    lock guards a Guarded value is the compiler's to check, not
+ *    this pass's: the value is private behind lock(). Per-line
+ *    opt-out: `// snoop-lint: lockset-ok`.
  *
  *  - expected-flow: path-sensitive unchecked-Expected. Each
  *    variable bound from a function whose every declaration returns
@@ -44,12 +41,12 @@
  *    -Werror=unused-result. Per-line opt-out:
  *    `// snoop-lint: expected-ok`.
  *
- * All three passes share the conservative contract of the stack
- * they sit on: a degraded CFG or a non-converged solve silences the
- * function's path analysis rather than guessing. Fixture opt-in mirrors the other
- * passes: a basename starting with bad_<rule>/good_<rule> joins
- * that pass's scope regardless of path (lint/lexer.hh
- * fixtureOptsIn).
+ * The path-sensitive passes share the conservative contract of the
+ * stack they sit on: a degraded CFG or a non-converged solve silences
+ * the function's path analysis rather than guessing. Fixture opt-in
+ * mirrors the other passes: a basename starting with
+ * bad_<rule>/good_<rule> joins that pass's scope regardless of path
+ * (lint/lexer.hh fixtureOptsIn).
  */
 
 #include <set>
@@ -88,7 +85,7 @@ struct DeterminismRoster {
 
 /** Run the three flow-sensitive passes over @p files, using the
  * @p index and @p graph built from those same files. Findings come
- * back unsorted; the engine orders and baselines them. */
+ * back unsorted; the engine orders them. */
 std::vector<Finding> runFlowPasses(const FileSet &files,
                                    const SymbolIndex &index,
                                    const CallGraph &graph,

@@ -29,14 +29,15 @@ isReserved(const std::string &id)
     return kReserved.count(id) > 0;
 }
 
-/** Types that synchronize themselves: shared state of one of these
- * types needs no SNOOP_GUARDED_BY annotation. */
+/** Types that synchronize themselves, Guarded<T> (util/guarded.hh)
+ * included: worker-shared state of one of these types is safe to
+ * reach from parallelFor workers. */
 bool
 isSelfSyncType(const std::string &typeText)
 {
     static const char *kSelfSync[] = {
         "atomic", "mutex", "once_flag", "condition_variable",
-        "atomic_flag", "shared_mutex", "recursive_mutex",
+        "atomic_flag", "shared_mutex", "recursive_mutex", "Guarded",
     };
     for (const char *name : kSelfSync)
         if (typeText.find(name) != std::string::npos)
@@ -295,17 +296,8 @@ class Parser
                     --angle;
                 if (angle > 0)
                     continue;
-                if (t.text == "(") {
-                    // The SNOOP_GUARDED_BY(mutex) annotation's parens
-                    // are part of a variable declaration, not a
-                    // function signature: hop over and keep scanning.
-                    if (j > i &&
-                        isIdent(toks_[j - 1], "SNOOP_GUARDED_BY")) {
-                        j = matchBracket(toks_, j);
-                        continue;
-                    }
+                if (t.text == "(")
                     return parseFunction(i, j);
-                }
                 if (t.text == "=" &&
                     ((j + 1 < toks_.size() &&
                       isPunct(toks_[j + 1], "=")) ||
@@ -411,16 +403,20 @@ class Parser
     }
 
     /**
-     * Variable declaration whose '=', ';', or '{' initializer is at
-     * @p stop. The name is the last identifier before @p stop that is
-     * not inside brackets (skips array extents and the
-     * SNOOP_GUARDED_BY annotation).
+     * Variable declaration whose '=', ';', or '{' initializer (or, for
+     * a function-local static, direct-initializer '(') is at @p stop.
+     * The name is the last identifier before @p stop that is not
+     * inside brackets (skips array extents). Records namespace-scope
+     * variables and, with @p functionLocal, function-local statics;
+     * type members have their synchronization judged by the owning
+     * object.
      */
     size_t
-    parseVariable(size_t i, size_t stop)
+    parseVariable(size_t i, size_t stop, bool functionLocal = false)
     {
         GlobalVar var;
         size_t name_at = 0;
+        bool named = false;
         for (size_t j = i; j < stop; ++j) {
             const Token &t = toks_[j];
             if (t.kind == TokenKind::Identifier) {
@@ -428,25 +424,15 @@ class Parser
                     var.isConst = true;
                 } else if (t.text == "thread_local") {
                     var.isThreadLocal = true;
-                } else if (t.text == "SNOOP_GUARDED_BY") {
-                    // Capture the mutex expression and hop over it.
-                    if (j + 1 < stop && isPunct(toks_[j + 1], "(")) {
-                        size_t close = matchBracket(toks_, j + 1);
-                        std::string expr;
-                        for (size_t k = j + 2; k < close; ++k)
-                            expr += toks_[k].text;
-                        var.guardedBy = expr;
-                        j = close;
-                    }
                 } else if (!isReserved(t.text)) {
                     name_at = j;
+                    named = true;
                 }
             } else if (isPunct(t, "[")) {
                 j = matchBracket(toks_, j);
             }
         }
-        if (name_at == 0 && !(toks_[i].kind == TokenKind::Identifier &&
-                              name_at == i))
+        if (!named)
             return skipStatement(i);
         var.name = toks_[name_at].text;
         var.line = toks_[name_at].line;
@@ -455,114 +441,33 @@ class Parser
                 var.typeText += ' ';
             var.typeText += toks_[k].text;
         }
-        var.isFunctionLocal = false;
+        var.isFunctionLocal = functionLocal;
         var.selfSynchronizing = isSelfSyncType(var.typeText);
-        // Only record variables at namespace scope; type members have
-        // their synchronization judged by the owning object.
-        if (current() == ScopeKind::Namespace)
+        if (functionLocal || current() == ScopeKind::Namespace)
             out_.globals.push_back(std::move(var));
         return skipStatement(stop);
     }
 
-    /** `static` at function scope: a function-local static. */
+    /** `static` at function scope: a function-local static. Its
+     * declarator ends at the first '=', ';', '{', '[' or '(' (here a
+     * direct-initializer, not a signature). */
     size_t
     parseLocalStatic(size_t i)
     {
-        // Find the end of the declarator part: '=', '{' initializer,
-        // or ';', at depth 0 — same discriminator as parseVariable,
-        // but a '(' here is a direct-initializer, not a signature.
-        int depth = 0;
-        size_t stop = toks_.size();
         for (size_t j = i; j < toks_.size(); ++j) {
             const Token &t = toks_[j];
-            if (t.kind != TokenKind::Punct)
-                continue;
-            if (t.text == "(" || t.text == "[") {
-                if (depth == 0) {
-                    // The annotation's parens are part of the
-                    // declaration, not a direct-initializer.
-                    if (t.text == "(" && j > i &&
-                        isIdent(toks_[j - 1], "SNOOP_GUARDED_BY")) {
-                        j = matchBracket(toks_, j);
-                        continue;
-                    }
-                    stop = j;
-                    break;
-                }
-                ++depth;
-            } else if (t.text == ")" || t.text == "]") {
-                --depth;
-            } else if ((t.text == "=" || t.text == ";" ||
-                        t.text == "{") &&
-                       depth == 0) {
-                stop = j;
-                break;
-            }
+            if (t.kind == TokenKind::Punct &&
+                (t.text == "(" || t.text == "[" || t.text == "=" ||
+                 t.text == ";" || t.text == "{"))
+                return parseVariable(i, j, true);
         }
-        if (stop >= toks_.size() || isPunct(toks_[stop], "}"))
-            return skipStatement(i);
-
-        size_t save = out_.globals.size();
-        size_t next = parseVariableAt(i, stop);
-        // parseVariable only records at namespace scope; do it here
-        // for the function-local case.
-        if (out_.globals.size() == save && last_var_.line != 0) {
-            last_var_.isFunctionLocal = true;
-            out_.globals.push_back(last_var_);
-            last_var_ = GlobalVar{};
-        }
-        return next;
-    }
-
-    /** parseVariable wrapper that stashes the parsed var so
-     * parseLocalStatic can record it with isFunctionLocal set. */
-    size_t
-    parseVariableAt(size_t i, size_t stop)
-    {
-        GlobalVar var;
-        size_t name_at = 0;
-        for (size_t j = i; j < stop; ++j) {
-            const Token &t = toks_[j];
-            if (t.kind == TokenKind::Identifier) {
-                if (t.text == "const" || t.text == "constexpr")
-                    var.isConst = true;
-                else if (t.text == "thread_local")
-                    var.isThreadLocal = true;
-                else if (t.text == "SNOOP_GUARDED_BY") {
-                    if (j + 1 < stop && isPunct(toks_[j + 1], "(")) {
-                        size_t close = matchBracket(toks_, j + 1);
-                        std::string expr;
-                        for (size_t k = j + 2; k < close; ++k)
-                            expr += toks_[k].text;
-                        var.guardedBy = expr;
-                        j = close;
-                    }
-                } else if (!isReserved(t.text)) {
-                    name_at = j;
-                }
-            } else if (isPunct(t, "[")) {
-                j = matchBracket(toks_, j);
-            }
-        }
-        if (name_at == 0)
-            return skipStatement(i);
-        var.name = toks_[name_at].text;
-        var.line = toks_[name_at].line;
-        for (size_t k = i; k < name_at; ++k) {
-            if (!var.typeText.empty())
-                var.typeText += ' ';
-            var.typeText += toks_[k].text;
-        }
-        var.selfSynchronizing = isSelfSyncType(var.typeText);
-        last_var_ = std::move(var);
-        return skipStatement(stop);
+        return skipStatement(i);
     }
 
     const std::vector<Token> &toks_;
     const std::vector<std::string> &lines_;
     ParsedFile out_;
     std::vector<Scope> scopes_;
-    GlobalVar last_var_;
 };
 
 } // namespace

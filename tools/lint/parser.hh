@@ -17,10 +17,9 @@
  *    how the symbol index learns that `trySolve` returns
  *    Expected<...> without parsing templates;
  *  - mutable global state: namespace-scope variables and
- *    function-local statics, with constness, self-synchronizing
- *    types (std::atomic, std::mutex, std::once_flag, ...), and the
- *    SNOOP_GUARDED_BY(mutex) annotation (src/util/annotations.hh)
- *    recovered from the declaration.
+ *    function-local statics, with constness and self-synchronizing
+ *    types (std::atomic, std::mutex, std::once_flag, ...,
+ *    Guarded<T>) recovered from the declaration.
  *
  * The parser is deliberately heuristic and total: it never fails, it
  * skips what it does not understand, and every downstream pass is
@@ -65,11 +64,8 @@ struct GlobalVar {
     bool isThreadLocal = false;
     bool isFunctionLocal = false; //!< `static` inside a function body
     /** True when the type synchronizes itself (std::atomic, std::mutex,
-     * std::once_flag, std::condition_variable, ...). */
+     * std::once_flag, std::condition_variable, ..., Guarded<T>). */
     bool selfSynchronizing = false;
-    /** Mutex expression from SNOOP_GUARDED_BY(expr); empty when the
-     * declaration carries no annotation. */
-    std::string guardedBy;
 };
 
 /** Everything the parser recovered from one file. */

@@ -46,10 +46,10 @@ ruleTable()
          "and never let unordered-container iteration order reach an "
          "output or accumulation"},
         {"lockset",
-         "mutable state reachable from parallelFor workers carries "
-         "SNOOP_GUARDED_BY(m), and its accesses happen only on CFG "
-         "paths where m is provably held (lock_guard/unique_lock/"
-         "explicit lock(), must-hold dataflow)"},
+         "mutable state reachable from parallelFor workers is const, "
+         "thread_local, or of a self-synchronizing type (std::atomic, "
+         "std::mutex, ..., or Guarded<T>, whose value the compiler "
+         "lets no code reach without its lock)"},
         {"expected-flow",
          "an Expected<T> result is consulted, and never read via "
          ".value() on a path (or a call temporary) where it was not "
@@ -161,90 +161,6 @@ toSarif(const std::vector<Finding> &findings)
       << "  ]\n"
       << "}\n";
     return o.str();
-}
-
-Baseline
-Baseline::parse(const std::string &text)
-{
-    Baseline b;
-    std::istringstream in(text);
-    std::string line;
-    size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        size_t hash = line.find('#');
-        std::string body =
-            hash == std::string::npos ? line : line.substr(0, hash);
-        // Trim.
-        size_t first = body.find_first_not_of(" \t");
-        size_t last = body.find_last_not_of(" \t");
-        if (first == std::string::npos)
-            continue;
-        body = body.substr(first, last - first + 1);
-        size_t colon = body.rfind(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 >= body.size()) {
-            b.errors_.push_back("baseline line " +
-                                std::to_string(lineno) +
-                                ": expected '<path>:<rule>', got '" +
-                                body + "'");
-            continue;
-        }
-        b.entries_.push_back(
-            {body.substr(0, colon), body.substr(colon + 1), false});
-    }
-    return b;
-}
-
-Baseline
-Baseline::load(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return Baseline{};
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return parse(buf.str());
-}
-
-bool
-Baseline::matches(const Finding &f) const
-{
-    bool hit = false;
-    for (const Entry &e : entries_) {
-        if (e.file == f.file && e.rule == f.rule) {
-            e.used = true;
-            hit = true;
-        }
-    }
-    return hit;
-}
-
-std::vector<std::string>
-Baseline::staleEntries() const
-{
-    std::vector<std::string> stale;
-    for (const Entry &e : entries_)
-        if (!e.used)
-            stale.push_back(e.file + ":" + e.rule);
-    return stale;
-}
-
-std::vector<Finding>
-applyBaseline(const std::vector<Finding> &all, const Baseline &baseline,
-              size_t *suppressed)
-{
-    std::vector<Finding> kept;
-    size_t dropped = 0;
-    for (const Finding &f : all) {
-        if (baseline.matches(f))
-            ++dropped;
-        else
-            kept.push_back(f);
-    }
-    if (suppressed)
-        *suppressed = dropped;
-    return kept;
 }
 
 Allowlist

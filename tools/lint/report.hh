@@ -5,10 +5,8 @@
  * Reporting side of snoop_analyze: the Finding record, the rule
  * registry (one row per rule, shared by `--list-rules` and the SARIF
  * rules array), SARIF 2.1.0 serialization for GitHub code scanning,
- * and the baseline suppression file that lets a new rule land
- * without a flag day (pre-existing violations are entered in
- * tools/lint/baseline.txt with a justification and burned down over
- * time instead of blocking the rule).
+ * and the allowlist that registers every inline waiver marker with
+ * its justification.
  */
 
 #include <cstddef>
@@ -40,53 +38,6 @@ const std::vector<RuleInfo> &ruleTable();
 std::string toSarif(const std::vector<Finding> &findings);
 
 /**
- * Baseline file: suppressions of the form
- *
- *     <repo-relative-path>:<rule>   # justification
- *
- * matched by (file, rule) so line drift cannot un-suppress an entry.
- * Blank lines and full-line comments are ignored.
- */
-class Baseline
-{
-  public:
-    /** Parse baseline text. Malformed lines are reported in
-     * `errors()` rather than silently dropped. */
-    static Baseline parse(const std::string &text);
-
-    /** Load from a file; a missing file yields an empty baseline. */
-    static Baseline load(const std::string &path);
-
-    /** True when (finding.file, finding.rule) matches an entry; the
-     * entry is marked used for stale detection. */
-    bool matches(const Finding &f) const;
-
-    /** Entries that matched nothing, i.e. fixed violations whose
-     * suppression should now be deleted. Call after filtering. */
-    std::vector<std::string> staleEntries() const;
-
-    const std::vector<std::string> &errors() const { return errors_; }
-    size_t size() const { return entries_.size(); }
-
-  private:
-    struct Entry {
-        std::string file;
-        std::string rule;
-        mutable bool used = false;
-    };
-    std::vector<Entry> entries_;
-    std::vector<std::string> errors_;
-};
-
-/**
- * Partition `all` into kept findings (returned) and baselined ones
- * (counted in `suppressed`).
- */
-std::vector<Finding> applyBaseline(const std::vector<Finding> &all,
-                                   const Baseline &baseline,
-                                   size_t *suppressed);
-
-/**
  * Marker allowlist: the registry of inline `// snoop-lint: <marker>`
  * waivers in src/. Entries take the form
  *
@@ -96,8 +47,9 @@ std::vector<Finding> applyBaseline(const std::vector<Finding> &all,
  * that every waiver carries its why in one reviewable place
  * (tools/lint/allowlist.txt) instead of scattered comments. A marker
  * used in src/ without a matching entry raises the marker-allowlist
- * rule; an entry matching no marker is reported stale, mirroring
- * baseline.txt semantics.
+ * rule; an entry matching no marker is reported stale. It is the
+ * only waiver registry: a finding is fixed or waived at its line,
+ * never suppressed wholesale.
  */
 class Allowlist
 {

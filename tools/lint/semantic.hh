@@ -45,7 +45,7 @@ namespace snoop::lint {
 /** Run both semantic passes over @p files (keys are repo-relative
  * paths, or basenames for fixture sets), using the @p index and
  * @p graph built from those same files. Findings come back
- * unsorted; the engine orders and baselines them. */
+ * unsorted; the engine orders them. */
 std::vector<Finding> runSemanticPasses(const FileSet &files,
                                        const SymbolIndex &index,
                                        const CallGraph &graph);

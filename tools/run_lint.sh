@@ -1,9 +1,9 @@
 #!/bin/sh
 # Drives snoop_lint as a ctest: lints the real tree (must be clean,
 # including the layering / determinism / unused-include passes, the
-# flow-sensitive passes (fp-determinism, lockset, expected-flow,
-# marker-allowlist) and the baseline), verifies on the negative
-# fixtures that every rule
+# flow-sensitive passes (fp-determinism, lockset, expected-flow) and
+# marker-allowlist; there is no baseline to hide a finding behind),
+# verifies on the negative fixtures that every rule
 # still fires, verifies the good_* fixtures stay clean, and checks
 # the --list-rules snapshot — a linter that silently stopped
 # detecting anything would otherwise keep passing forever.
@@ -73,10 +73,10 @@ echo "== SARIF determinism across SNOOP_JOBS =="
 # depend on worker scheduling. Lint src/ twice at different job
 # counts and demand identical bytes.
 sarif_a=$(mktemp) && sarif_b=$(mktemp)
-SNOOP_JOBS=1 "$LINT" --root="$ROOT" --format=sarif --no-baseline \
-    "$ROOT/src" > "$sarif_a" 2>/dev/null
-SNOOP_JOBS=8 "$LINT" --root="$ROOT" --format=sarif --no-baseline \
-    "$ROOT/src" > "$sarif_b" 2>/dev/null
+SNOOP_JOBS=1 "$LINT" --root="$ROOT" --format=sarif "$ROOT/src" \
+    > "$sarif_a" 2>/dev/null
+SNOOP_JOBS=8 "$LINT" --root="$ROOT" --format=sarif "$ROOT/src" \
+    > "$sarif_b" 2>/dev/null
 if cmp -s "$sarif_a" "$sarif_b"; then
     echo "ok: SARIF output is byte-identical at SNOOP_JOBS=1 and 8"
 else

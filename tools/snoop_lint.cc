@@ -69,11 +69,11 @@
  *                      accumulation-order hazards in kernel files;
  *                      waiver marker `snoop-lint: fp-ok`
  *  F2  lockset         mutable state reachable from parallelFor
- *                      workers carries SNOOP_GUARDED_BY(m)
- *                      (src/util/annotations.hh), and must-hold
- *                      lockset analysis flags its accesses on CFG
- *                      paths where m is provably not held; waiver
- *                      marker `snoop-lint: lockset-ok`
+ *                      workers is const, thread_local, or of a
+ *                      self-synchronizing type (std::atomic, ...,
+ *                      or Guarded<T>, src/util/guarded.hh, whose
+ *                      locking the compiler checks); waiver marker
+ *                      `snoop-lint: lockset-ok`
  *  F3  expected-flow   path-sensitive unchecked-Expected: a result
  *                      checked on one branch but read via .value()
  *                      on another is flagged with the offending
@@ -85,24 +85,23 @@
  * Every inline `snoop-lint:` waiver in src/ must additionally be
  * registered with a justification in tools/lint/allowlist.txt
  * (rule marker-allowlist); entries whose marker is gone are
- * reported stale, mirroring baseline.txt.
+ * reported stale. There is no baseline: a finding is fixed or
+ * waived at its line.
  *
  * Usage:
  *   snoop_lint [--list-rules] [--root=DIR] [--format=text|sarif]
- *              [--changed-only[=REF]] [--baseline=FILE]
- *              [--no-baseline] [--fail-on-stale] [<file-or-dir>...]
+ *              [--changed-only[=REF]] [--fail-on-stale]
+ *              [<file-or-dir>...]
  *
  * --format=sarif writes a SARIF 2.1.0 log to stdout (for GitHub code
  * scanning upload); text findings always go to stderr.
  * --changed-only lints `git diff --name-only REF` (default HEAD)
- * instead of explicit paths. Findings listed in
- * tools/lint/baseline.txt are suppressed so a new rule can land
- * without a flag day; stale baseline entries are reported on
+ * instead of explicit paths. Stale allowlist entries are reported on
  * full-tree runs (as warnings, or as failures under
- * --fail-on-stale, which CI uses to keep the baseline shrinking).
+ * --fail-on-stale, which CI uses to keep the allowlist minimal).
  *
  * Exit status: 0 when clean, 1 when any rule fired (or a stale
- * baseline entry exists under --fail-on-stale), 2 on usage or
+ * allowlist entry exists under --fail-on-stale), 2 on usage or
  * environment error.
  */
 
@@ -125,7 +124,6 @@ usage()
         stderr,
         "usage: snoop_lint [--list-rules] [--root=DIR]\n"
         "                  [--format=text|sarif] [--changed-only[=REF]]\n"
-        "                  [--baseline=FILE] [--no-baseline]\n"
         "                  [--fail-on-stale] [<file-or-dir>...]\n");
     return 2;
 }
@@ -159,10 +157,6 @@ main(int argc, char **argv)
         } else if (arg.rfind("--changed-only=", 0) == 0) {
             opt.changedOnly = true;
             opt.changedRef = arg.substr(15);
-        } else if (arg.rfind("--baseline=", 0) == 0) {
-            opt.baselinePath = arg.substr(11);
-        } else if (arg == "--no-baseline") {
-            opt.useBaseline = false;
         } else if (arg == "--fail-on-stale") {
             failOnStale = true;
         } else if (arg.rfind("--", 0) == 0) {
@@ -203,12 +197,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "%s:%zu: [%s] %s\n", f.file.c_str(),
                      f.line, f.rule.c_str(), f.message.c_str());
     }
-    for (const std::string &stale : result.staleBaseline) {
-        std::fprintf(stderr,
-                     "snoop_lint: %s: stale baseline entry "
-                     "(violation fixed; delete it): %s\n",
-                     failOnStale ? "error" : "warning", stale.c_str());
-    }
     for (const std::string &stale : result.staleAllowlist) {
         std::fprintf(stderr,
                      "snoop_lint: %s: stale allowlist entry "
@@ -218,13 +206,11 @@ main(int argc, char **argv)
     if (!result.errors.empty())
         return 2;
     if (!result.findings.empty()) {
-        std::fprintf(stderr, "snoop_lint: %zu finding(s), %zu "
-                             "baselined\n",
-                     result.findings.size(), result.suppressed);
+        std::fprintf(stderr, "snoop_lint: %zu finding(s)\n",
+                     result.findings.size());
         return 1;
     }
-    if (failOnStale &&
-        !(result.staleBaseline.empty() && result.staleAllowlist.empty()))
+    if (failOnStale && !result.staleAllowlist.empty())
         return 1;
     return 0;
 }
