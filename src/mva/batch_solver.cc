@@ -205,11 +205,15 @@ struct HotSoA
     }
 };
 
-#if defined(__GNUC__) && defined(__x86_64__) && !defined(__clang__)
+#if defined(__GNUC__) && defined(__x86_64__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 /** Compile the fused tick once per x86 SIMD level and dispatch at
  * load time, so one portable binary still gets 4- or 8-wide lanes on
  * AVX2/AVX-512 hosts. Every clone performs the same IEEE operations
- * in the same order, so the selected clone never changes the bits. */
+ * in the same order, so the selected clone never changes the bits.
+ * Not under ThreadSanitizer: the instrumented ifunc resolver runs
+ * before the TSan runtime is initialized and crashes the process
+ * before main(). */
 #define SNOOP_MVA_TICK_CLONES \
     __attribute__((target_clones("default", "avx2", "avx512f")))
 #else

@@ -67,7 +67,7 @@ ProtocolConfig::index() const
 ProtocolConfig
 ProtocolConfig::fromIndex(unsigned idx)
 {
-    if (idx > 15)
+    if (idx >= kProtocolCount)
         panic("ProtocolConfig::fromIndex: index %u out of range", idx);
     return ProtocolConfig{(idx & 1u) != 0, (idx & 2u) != 0,
                           (idx & 4u) != 0, (idx & 8u) != 0};

@@ -21,6 +21,9 @@
 
 namespace snoop {
 
+/** Number of protocol configurations (the range of index()). */
+inline constexpr unsigned kProtocolCount = 16;
+
 /** One point in the Write-Once modification design space. */
 struct ProtocolConfig
 {

@@ -106,43 +106,63 @@ SolutionCache::SolutionCache(size_t capacity, double quantum)
                   "SolutionCache: quantum must be positive and finite");
 }
 
+void
+SolutionCache::touch(Recency::iterator it)
+{
+    Recency &list = recency_[it->key.protocolIndex];
+    list.splice(list.begin(), list, it);
+    it->lastUse = ++clock_;
+}
+
 const MvaResult *
 SolutionCache::find(const CacheKey &key)
 {
     auto it = index_.find(key);
     if (it == index_.end())
         return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second);
+    touch(it->second);
     return &it->second->result;
 }
 
 void
 SolutionCache::insert(const CacheKey &key, const MvaResult &result)
 {
+    SNOOP_REQUIRE(key.protocolIndex < kProtocolCount,
+                  "SolutionCache: protocol index out of range");
     auto it = index_.find(key);
     if (it != index_.end()) {
         it->second->result = result;
-        lru_.splice(lru_.begin(), lru_, it->second);
+        touch(it->second);
         return;
     }
     if (index_.size() >= capacity_) {
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
+        // Each list is in recency order, so the global LRU entry is
+        // the tail with the smallest stamp.
+        Recency *victim = nullptr;
+        for (Recency &list : recency_) {
+            if (!list.empty() &&
+                (victim == nullptr ||
+                 list.back().lastUse < victim->back().lastUse))
+                victim = &list;
+        }
+        index_.erase(victim->back().key);
+        victim->pop_back();
         ++evictions_;
         metricAdd("serve.evictions");
     }
-    lru_.push_front(Entry{key, result});
-    index_[key] = lru_.begin();
+    Recency &list = recency_[key.protocolIndex];
+    list.push_front(Entry{key, result, ++clock_});
+    index_[key] = list.begin();
 }
 
 std::optional<MvaSeed>
 SolutionCache::nearest(const CacheKey &key) const
 {
+    if (key.protocolIndex >= kProtocolCount)
+        return std::nullopt;
     const Entry *best = nullptr;
     double best_dist = 0.0;
-    for (const Entry &entry : lru_) {
-        if (entry.key.protocolIndex != key.protocolIndex)
-            continue;
+    for (const Entry &entry : recency_[key.protocolIndex]) {
         if (entry.key == key)
             continue;
         double dist = 0.0;
@@ -174,7 +194,8 @@ void
 SolutionCache::clear()
 {
     index_.clear();
-    lru_.clear();
+    for (Recency &list : recency_)
+        list.clear();
 }
 
 } // namespace snoop

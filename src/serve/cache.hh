@@ -96,16 +96,23 @@ class SolutionCache
      */
     const MvaResult *find(const CacheKey &key);
 
-    /** Insert or overwrite @p key, evicting the LRU entry if full. */
+    /**
+     * Insert or overwrite @p key, evicting the least recently used
+     * entry (across all protocols) if full. Requires
+     * key.protocolIndex < kProtocolCount.
+     */
     void insert(const CacheKey &key, const MvaResult &result);
 
     /**
      * The seed of the nearest cached neighbor: same protocol, any
      * (workload, n), by squared relative distance over the key
      * fields. Exact matches are excluded (they are find()'s
-     * business). Deterministic: ties keep the most recently used
-     * entry, and the scan order is the LRU list itself - a pure
+     * business). Only the request protocol's recency list is
+     * scanned, most recently used first, so the visit order is the
+     * single global LRU order restricted to that protocol.
+     * Deterministic: ties keep the most recently used entry - a pure
      * function of the request history, never of thread scheduling.
+     * An out-of-range protocol index has no neighbors.
      */
     std::optional<MvaSeed> nearest(const CacheKey &key) const;
 
@@ -117,15 +124,22 @@ class SolutionCache
     {
         CacheKey key;
         MvaResult result;
+        uint64_t lastUse; ///< clock_ at the last insert or hit
     };
+    using Recency = std::list<Entry>;
+
+    /** Move @p it to the front of its protocol's list and stamp it. */
+    void touch(Recency::iterator it);
 
     size_t capacity_;
     double quantum_;
     uint64_t evictions_ = 0;
-    std::list<Entry> lru_; // front = most recently used
-    std::unordered_map<CacheKey, std::list<Entry>::iterator,
-                       CacheKeyHash>
-        index_;
+    uint64_t clock_ = 0; // bumped on every insert and hit
+    // One list per protocol, front = most recently used. Each list is
+    // the global LRU order restricted to its protocol, so the global
+    // LRU entry is the list tail with the smallest lastUse.
+    std::array<Recency, kProtocolCount> recency_;
+    std::unordered_map<CacheKey, Recency::iterator, CacheKeyHash> index_;
 };
 
 } // namespace snoop

@@ -206,7 +206,7 @@ SolveService::handleBatch(const std::vector<Request> &requests)
                 addCell(req.protocol, n);
             break;
           case RequestOp::Rank:
-            for (unsigned idx = 0; idx < 16; ++idx)
+            for (unsigned idx = 0; idx < kProtocolCount; ++idx)
                 addCell(ProtocolConfig::fromIndex(idx), req.n);
             break;
           default:

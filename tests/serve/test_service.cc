@@ -102,8 +102,9 @@ TEST(ServeService, WarmStartConvergesInFewerIterationsAndAgrees)
     EXPECT_LT(field(warm, "iterations"), cold_iters);
 
     // The continuation lands on the same fixed point within the
-    // documented envelope (docs/SERVING.md): the tolerance-limited
-    // answers agree to ~1e-6 relative; 1e-5 is asserted.
+    // documented envelope (docs/SERVING.md): at this near-duplicate
+    // point 1e-5 relative is asserted; the measured worst case over
+    // ~60k serve_explore answers is ~2e-4 (ROADMAP item 4).
     for (const char *name : {"responseTime", "speedup", "busUtil"}) {
         double a = field(cold, name), b = field(warm, name);
         EXPECT_NEAR(a, b, 1e-5 * std::fabs(a)) << name;

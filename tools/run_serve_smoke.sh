@@ -3,7 +3,7 @@
 #
 #   run_serve_smoke.sh <path-to-snoop_serve>
 #
-# Drives four sessions through the real binary over stdin/stdout and
+# Drives scripted sessions through the real binary over stdin/stdout and
 # asserts on the response lines with grep - no interpreter needed:
 #
 #  1. a mixed session: cache miss -> exact hit -> warm-started
@@ -20,11 +20,18 @@
 #  5. analyze answers at Table 4.1 points, compared byte for byte with
 #     the committed transcript tests/serve/fixtures/table41_analyze.jsonl;
 #  6. a request line over the daemon's 1 MiB cap, answered with a
-#     structured error before the next line is served normally.
+#     structured error before the next line is served normally;
+#  7. ~150 warm-start requests through a 24-entry cache (protocol mix,
+#     exact repeats, near neighbours, ranks, sweeps, batches), compared
+#     byte for byte with tests/serve/fixtures/warm_responses.jsonl, so
+#     eviction order, hit re-touch and neighbour choice stay fixed;
+#  8. out-of-range --quantum / --max-time-budget / --max-iteration-
+#     budget values, each rejected with a message naming the option.
 set -eu
 
 BIN=$1
-GOLDEN="$(dirname "$0")/../tests/serve/fixtures/table41_analyze.jsonl"
+FIXTURES="$(dirname "$0")/../tests/serve/fixtures"
+GOLDEN="$FIXTURES/table41_analyze.jsonl"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
@@ -163,5 +170,31 @@ awk 'BEGIN {
 expect "$OUT" 1 '"code":"invalid-argument"' "the oversized line is an error"
 expect "$OUT" 1 'exceeds 1048576 bytes' "the error names the cap"
 expect "$OUT" 2 '"id":61,"ok":true' "the next line is served normally"
+
+# --- Session 7: golden bytes for warm starts ------------------------
+# Which cached neighbour seeds a miss changes the answer's low bits, so
+# a byte comparison pins the seed choice, not just the fixed point.
+# The small cache evicts throughout the session; the closing stats
+# line records the final size and eviction count.
+OUT="$TMP/warm_golden.out"
+"$BIN" --cache-capacity=24 <"$FIXTURES/warm_requests.jsonl" >"$OUT"
+cmp -s "$OUT" "$FIXTURES/warm_responses.jsonl" ||
+    fail "warm-start responses differ from warm_responses.jsonl" "$OUT"
+
+# --- Session 8: option errors name the option ------------------------
+bad_option() { # bad_option <flag> <message>
+    if "$BIN" "$1" </dev/null >"$TMP/opt.out" 2>"$TMP/opt.err"; then
+        fail "$1 was accepted" "$TMP/opt.err"
+    else
+        rc=$?
+    fi
+    [ "$rc" = 1 ] || fail "$1: expected exit 1, got $rc" "$TMP/opt.err"
+    grep -q "^snoop_serve: $2\$" "$TMP/opt.err" ||
+        fail "$1: expected 'snoop_serve: $2'" "$TMP/opt.err"
+}
+bad_option --quantum=0 '--quantum must be positive and finite'
+bad_option --quantum=-1e-9 '--quantum must be positive and finite'
+bad_option --max-time-budget=-1 '--max-time-budget must be finite and >= 0'
+bad_option --max-iteration-budget=-5 '--max-iteration-budget must be >= 0'
 
 echo "run_serve_smoke: PASS"

@@ -64,8 +64,27 @@ main(int argc, char **argv)
     }
     opts.cacheCapacity = static_cast<size_t>(capacity);
     opts.quantum = cli.getDouble("quantum");
+    // getDouble() already rejects NaN and infinities.
+    if (opts.quantum <= 0.0) {
+        std::fprintf(stderr,
+                     "snoop_serve: --quantum must be positive and "
+                     "finite\n");
+        return 1;
+    }
     opts.maxTimeBudget = cli.getDouble("max-time-budget");
+    if (opts.maxTimeBudget < 0.0) {
+        std::fprintf(stderr,
+                     "snoop_serve: --max-time-budget must be finite "
+                     "and >= 0\n");
+        return 1;
+    }
     opts.maxIterationBudget = cli.getLong("max-iteration-budget");
+    if (opts.maxIterationBudget < 0) {
+        std::fprintf(stderr,
+                     "snoop_serve: --max-iteration-budget must be "
+                     ">= 0\n");
+        return 1;
+    }
     opts.warmStart = !cli.getFlag("no-warm-start");
 
     int jobs = cli.getInt("jobs");
