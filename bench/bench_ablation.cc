@@ -83,7 +83,7 @@ report()
     banner("sensitivity of Table 4.1(a) agreement to timing constants");
     Table s({"tReadMem", "tReadCache", "tWriteBack",
              "rms error vs paper MVA"});
-    const auto &rows = paperTable41('a');
+    const auto &rows = paperTable41(Table41::A);
     for (double tm : {8.0, 9.0, 10.0}) {
         for (double twb : {1.0, 2.0, 3.0}) {
             BusTiming timing;

@@ -8,13 +8,13 @@ namespace {
 void
 report()
 {
-    reportTable41('a', "speedups for the Write-Once protocol");
+    reportTable41(Table41::A, "speedups for the Write-Once protocol");
 }
 
 void
 BM_Table41a_MvaSweep(benchmark::State &state)
 {
-    mvaSubTableTiming(state, 'a');
+    mvaSubTableTiming(state, Table41::A);
 }
 BENCHMARK(BM_Table41a_MvaSweep);
 

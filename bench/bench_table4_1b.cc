@@ -8,13 +8,13 @@ namespace {
 void
 report()
 {
-    reportTable41('b', "speedups for enhancement 1 (exclusive-on-miss)");
+    reportTable41(Table41::B, "speedups for enhancement 1 (exclusive-on-miss)");
 }
 
 void
 BM_Table41b_MvaSweep(benchmark::State &state)
 {
-    mvaSubTableTiming(state, 'b');
+    mvaSubTableTiming(state, Table41::B);
 }
 BENCHMARK(BM_Table41b_MvaSweep);
 

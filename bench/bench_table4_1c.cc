@@ -8,14 +8,14 @@ namespace {
 void
 report()
 {
-    reportTable41('c',
+    reportTable41(Table41::C,
                   "speedups for enhancements 1 and 4 (broadcast update)");
 }
 
 void
 BM_Table41c_MvaSweep(benchmark::State &state)
 {
-    mvaSubTableTiming(state, 'c');
+    mvaSubTableTiming(state, Table41::C);
 }
 BENCHMARK(BM_Table41c_MvaSweep);
 

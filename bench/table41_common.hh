@@ -22,9 +22,10 @@ namespace snoop::bench {
  * and our detailed simulator (the GTPN's stand-in) for N <= 10.
  */
 inline void
-reportTable41(char sub_table, const std::string &caption)
+reportTable41(Table41 sub_table, const std::string &caption)
 {
-    banner(strprintf("Table 4.1(%c): %s", sub_table, caption.c_str()));
+    banner(strprintf("Table 4.1(%c): %s", static_cast<char>(sub_table),
+                     caption.c_str()));
     std::printf("paper columns: MVA and GTPN as published; ours: this "
                 "library's MVA and its detailed discrete-event "
                 "simulator (GTPN stand-in, 300k requests).\n\n");
@@ -88,7 +89,7 @@ reportTable41(char sub_table, const std::string &caption)
 
 /** google-benchmark: one full sub-table of MVA solves. */
 inline void
-mvaSubTableTiming(benchmark::State &state, char sub_table)
+mvaSubTableTiming(benchmark::State &state, Table41 sub_table)
 {
     MvaSolver solver;
     auto mods = ProtocolConfig::fromModString(table41Mods(sub_table));

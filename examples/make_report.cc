@@ -60,9 +60,13 @@ main(int argc, char **argv)
 
     std::string out = cli.get("out");
     if (out.empty()) {
-        std::fputs(generateReport(spec).c_str(), stdout);
+        auto md = generateReport(spec);
+        if (!md)
+            fatal("%s", md.error().describe().c_str());
+        std::fputs(md.value().c_str(), stdout);
     } else {
-        writeReport(spec, out);
+        if (auto written = writeReport(spec, out); !written)
+            fatal("%s", written.error().describe().c_str());
         std::printf("wrote %s\n", out.c_str());
     }
     return 0;

@@ -185,28 +185,23 @@ Analyzer::trySaturationPoint(const ProtocolConfig &protocol,
     accept.onNonConvergence = NonConvergencePolicy::Accept;
     const MvaSolver prober(accept);
     auto probe = [&](unsigned n) -> Expected<double> {
-        auto r = prober.trySolve(inputs, n);
-        if (!r) {
-            return SolveError(std::move(r).error())
-                .withContext(strprintf(
-                    "Analyzer::trySaturationPoint(%s, probe N=%u)",
-                    protocol.name().c_str(), n));
-        }
-        return r.value().busUtil;
+        SNOOP_TRY_OR(const MvaResult &r, prober.trySolve(inputs, n),
+                     [&](SolveError &&e) {
+                         return std::move(e).withContext(strprintf(
+                             "Analyzer::trySaturationPoint(%s, probe N=%u)",
+                             protocol.name().c_str(), n));
+                     });
+        return r.busUtil;
     };
     // Utilization is monotone in N, so binary search.
     unsigned lo = 1, hi = limit;
-    auto top = probe(hi);
-    if (!top)
-        return std::move(top).error();
-    if (top.value() < target)
+    SNOOP_TRY(double top, probe(hi));
+    if (top < target)
         return 0u;
     while (lo < hi) {
         unsigned mid = lo + (hi - lo) / 2;
-        auto u = probe(mid);
-        if (!u)
-            return std::move(u).error();
-        if (u.value() >= target)
+        SNOOP_TRY(double u, probe(mid));
+        if (u >= target)
             hi = mid;
         else
             lo = mid + 1;

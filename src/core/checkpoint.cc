@@ -236,11 +236,9 @@ mvaResultFromJson(const JsonValue &value, MvaResult &out)
                          static_cast<int>(value.kind()));
     }
     MvaResult parsed;
-    auto np = readIndex(value.get("numProcessors"), "mvaResultFromJson",
-                        "numProcessors");
-    if (!np)
-        return std::move(np).error();
-    parsed.numProcessors = static_cast<unsigned>(np.value());
+    SNOOP_TRY(size_t np, readIndex(value.get("numProcessors"),
+                                   "mvaResultFromJson", "numProcessors"));
+    parsed.numProcessors = static_cast<unsigned>(np);
     struct Field
     {
         const char *name;
@@ -368,9 +366,8 @@ CheckpointLog::resume(const CheckpointData &data)
                          "append-only log cannot fill the gap",
                          spec_.checkpointPath.c_str());
     }
-    auto opened = AppendFile::open(spec_.checkpointPath, data.validBytes);
-    if (!opened)
-        return std::move(opened).error();
+    SNOOP_TRY(AppendFile opened,
+              AppendFile::open(spec_.checkpointPath, data.validBytes));
     if (data.tornBytes > 0) {
         inform("runSweep: dropped a torn %llu-byte append from '%s' "
                "(truncated back to its last commit, %llu bytes)",
@@ -378,7 +375,7 @@ CheckpointLog::resume(const CheckpointData &data)
                spec_.checkpointPath.c_str(),
                static_cast<unsigned long long>(data.validBytes));
     }
-    file_.emplace(std::move(opened).value());
+    file_.emplace(std::move(opened));
     return {};
 }
 
@@ -388,14 +385,11 @@ CheckpointLog::commit(const SweepResult &res,
 {
     if (!file_) {
         // A fresh run: the header and this first batch, atomically.
-        auto created = createCheckpoint(spec_.checkpointPath, spec_, res);
-        if (!created)
-            return created;
-        auto opened =
-            AppendFile::open(spec_.checkpointPath, created.value());
-        if (!opened)
-            return std::move(opened).error();
-        file_.emplace(std::move(opened).value());
+        SNOOP_TRY(uint64_t created,
+                  createCheckpoint(spec_.checkpointPath, spec_, res));
+        SNOOP_TRY(AppendFile opened,
+                  AppendFile::open(spec_.checkpointPath, created));
+        file_.emplace(std::move(opened));
         return created;
     }
     std::string lines;
@@ -426,12 +420,13 @@ readSweepCheckpoint(const std::string &path)
     // can tear), so an unterminated header is corruption.
     if (in.eof())
         return readError(path, 1, 0, "header line is not terminated");
-    auto parsed = parseJson(line);
-    if (!parsed) {
-        return readError(path, 1, 0,
-                         "malformed header: " + parsed.error().message);
-    }
-    JsonValue header = std::move(parsed).value();
+    // A header field's own error, rejected at line 1.
+    auto atHeader = [&](SolveError &&e) {
+        return readError(path, 1, 0, e.message);
+    };
+    SNOOP_TRY_OR(JsonValue header, parseJson(line), [&](SolveError &&e) {
+        return readError(path, 1, 0, "malformed header: " + e.message);
+    });
     auto format = header.get("format");
     if (format == nullptr || !format->isString() ||
         format->asString() != kCheckpointFormat) {
@@ -453,49 +448,47 @@ readSweepCheckpoint(const std::string &path)
                                    stored_check.c_str(),
                                    expect.c_str()));
     }
-    auto version = readIndex(header.get("version"),
-                             "readSweepCheckpoint", "version");
-    if (!version)
-        return readError(path, 1, 0, version.error().message);
-    if (version.value() != kCheckpointVersion) {
+    SNOOP_TRY_OR(size_t version,
+                 readIndex(header.get("version"), "readSweepCheckpoint",
+                           "version"),
+                 atHeader);
+    if (version != kCheckpointVersion) {
         return readError(
             path, 1, 0,
             strprintf("format version %zu is not the supported "
                       "version %u",
-                      version.value(), kCheckpointVersion));
+                      version, kCheckpointVersion));
     }
 
     CheckpointData data;
-    data.version = static_cast<unsigned>(version.value());
+    data.version = static_cast<unsigned>(version);
     auto fp = header.get("fingerprint");
     if (fp == nullptr || !fp->isString())
         return readError(path, 1, 0, "header has no fingerprint");
     data.fingerprint = fp->asString();
     const JsonValue *shard = header.get("shard");
-    auto sidx = readIndex(shard ? shard->get("index") : nullptr,
-                          "readSweepCheckpoint", "shard.index");
-    auto scnt = readIndex(shard ? shard->get("count") : nullptr,
-                          "readSweepCheckpoint", "shard.count");
-    if (!sidx || !scnt)
-        return readError(path, 1, 0,
-                         (sidx ? scnt : sidx).error().message);
-    data.shard.index = sidx.value();
-    data.shard.count = scnt.value();
+    SNOOP_TRY_OR(data.shard.index,
+                 readIndex(shard ? shard->get("index") : nullptr,
+                           "readSweepCheckpoint", "shard.index"),
+                 atHeader);
+    SNOOP_TRY_OR(data.shard.count,
+                 readIndex(shard ? shard->get("count") : nullptr,
+                           "readSweepCheckpoint", "shard.count"),
+                 atHeader);
     if (data.shard.count == 0 || data.shard.index >= data.shard.count)
         return readError(path, 1, 0, "malformed shard descriptor");
-    auto grid = readIndex(header.get("gridCells"),
-                          "readSweepCheckpoint", "gridCells");
-    if (!grid)
-        return readError(path, 1, 0, grid.error().message);
-    data.gridCells = grid.value();
+    SNOOP_TRY_OR(data.gridCells,
+                 readIndex(header.get("gridCells"), "readSweepCheckpoint",
+                           "gridCells"),
+                 atHeader);
     auto param = header.get("param");
     if (param == nullptr || !param->isString())
         return readError(path, 1, 0, "header has no param name");
     data.paramName = param->asString();
-    auto n = readIndex(header.get("n"), "readSweepCheckpoint", "n");
-    if (!n)
-        return readError(path, 1, 0, n.error().message);
-    data.n = static_cast<unsigned>(n.value());
+    SNOOP_TRY_OR(size_t n,
+                 readIndex(header.get("n"), "readSweepCheckpoint", "n"),
+                 atHeader);
+    data.n = static_cast<unsigned>(n);
     auto values = header.get("values");
     if (values == nullptr || !values->isArray())
         return readError(path, 1, 0, "header has no values array");
@@ -537,6 +530,10 @@ readSweepCheckpoint(const std::string &path)
     size_t prev_cell = 0;
     bool have_prev = false;
     offset = line.size() + 1;
+    // A cell field's own error, rejected at the current line.
+    auto atLine = [&](SolveError &&e) {
+        return readError(path, line_no, offset, e.message);
+    };
     while (std::getline(in, line)) {
         ++line_no;
         // getline hit EOF before a newline: the final line is a torn
@@ -549,20 +546,15 @@ readSweepCheckpoint(const std::string &path)
             return readError(path, line_no, offset,
                              "empty cell line (truncated write?)");
         }
-        auto cell_parsed = parseJson(line);
-        if (!cell_parsed) {
+        SNOOP_TRY_OR(JsonValue cv, parseJson(line), [&](SolveError &&e) {
             return readError(path, line_no, offset,
-                             "malformed cell: " +
-                                 cell_parsed.error().message);
-        }
-        JsonValue cv = std::move(cell_parsed).value();
+                             "malformed cell: " + e.message);
+        });
         CheckpointCell cell;
-        auto idx = readIndex(cv.get("cell"), "readSweepCheckpoint",
-                             "cell");
-        if (!idx)
-            return readError(path, line_no, offset,
-                             idx.error().message);
-        cell.cell = idx.value();
+        SNOOP_TRY_OR(cell.cell,
+                     readIndex(cv.get("cell"), "readSweepCheckpoint",
+                               "cell"),
+                     atLine);
         if (cell.cell < begin || cell.cell >= end) {
             return readError(
                 path, line_no, offset,

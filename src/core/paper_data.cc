@@ -1,6 +1,6 @@
 #include "core/paper_data.hh"
 
-#include "util/logging.hh"
+#include "util/contracts.hh"
 
 namespace snoop {
 
@@ -20,7 +20,7 @@ table41GtpnNs()
 }
 
 const std::vector<PaperRow> &
-paperTable41(char sub_table)
+paperTable41(Table41 sub_table)
 {
     static const std::vector<PaperRow> a = {
         {SharingLevel::OnePercent,
@@ -56,31 +56,30 @@ paperTable41(char sub_table)
          {0.88, 1.75, 3.39, 4.87, 6.09, 6.93}},
     };
     switch (sub_table) {
-      case 'a':
+      case Table41::A:
         return a;
-      case 'b':
+      case Table41::B:
         return b;
-      case 'c':
+      case Table41::C:
         return c;
-      default:
-        fatal("paperTable41: unknown sub-table '%c' (expected a, b, c)",
-              sub_table);
     }
+    SNOOP_ASSERT(false, "paperTable41: not a Table41 enumerator");
+    return a;
 }
 
 std::string
-table41Mods(char sub_table)
+table41Mods(Table41 sub_table)
 {
     switch (sub_table) {
-      case 'a':
+      case Table41::A:
         return "";
-      case 'b':
+      case Table41::B:
         return "1";
-      case 'c':
+      case Table41::C:
         return "14";
-      default:
-        fatal("table41Mods: unknown sub-table '%c'", sub_table);
     }
+    SNOOP_ASSERT(false, "table41Mods: not a Table41 enumerator");
+    return "";
 }
 
 PaperSpotChecks

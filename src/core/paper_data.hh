@@ -31,13 +31,17 @@ struct PaperRow
 };
 
 /**
- * Table 4.1(a|b|c): sub-table 'a' is Write-Once, 'b' is enhancement 1,
- * 'c' is enhancements 1+4. fatal() on any other id.
+ * The sub-tables of Table 4.1: (a) is Write-Once, (b) is enhancement
+ * 1, (c) is enhancements 1+4. The underlying value is the sub-table's
+ * letter, for captions.
  */
-const std::vector<PaperRow> &paperTable41(char sub_table);
+enum class Table41 : char { A = 'a', B = 'b', C = 'c' };
 
-/** Modification string of a Table 4.1 sub-table ('a' -> ""). */
-std::string table41Mods(char sub_table);
+/** The rows of one Table 4.1 sub-table. */
+const std::vector<PaperRow> &paperTable41(Table41 sub_table);
+
+/** Modification string of a Table 4.1 sub-table (A -> ""). */
+std::string table41Mods(Table41 sub_table);
 
 /** Section 4.4 spot-check constants. */
 struct PaperSpotChecks

@@ -1,9 +1,8 @@
 #include "core/report.hh"
 
-#include <fstream>
-
 #include "core/analyzer.hh"
 #include "protocol/catalog.hh"
+#include "util/atomic_file.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -26,13 +25,15 @@ mdRule(size_t columns)
 
 } // namespace
 
-std::string
+Expected<std::string>
 generateReport(const ReportSpec &spec)
 {
-    spec.workload.validate();
-    spec.timing.validate();
-    if (spec.ns.empty())
-        fatal("generateReport: need at least one system size");
+    if (auto ok = spec.workload.check(); !ok)
+        return std::move(ok).error().withContext("generateReport");
+    if (spec.ns.empty()) {
+        return makeError(SolveErrorCode::InvalidArgument, "generateReport",
+                         "need at least one system size");
+    }
 
     Analyzer analyzer({}, spec.timing);
     auto inputs =
@@ -101,7 +102,8 @@ generateReport(const ReportSpec &spec)
                  "U_mem"});
     md += mdRule(6);
     for (unsigned n : spec.ns) {
-        auto r = analyzer.analyze(spec.protocol, spec.workload, n);
+        SNOOP_TRY(const MvaResult &r,
+                  analyzer.tryAnalyze(spec.protocol, spec.workload, n));
         md += mdRow({strprintf("%u", n), formatDouble(r.speedup, 3),
                      formatDouble(r.responseTime, 2),
                      formatPercent(r.busUtil, 1),
@@ -142,15 +144,17 @@ generateReport(const ReportSpec &spec)
     return md;
 }
 
-void
+Expected<void>
 writeReport(const ReportSpec &spec, const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        fatal("writeReport: cannot open '%s' for writing", path.c_str());
-    out << generateReport(spec);
-    if (!out)
-        fatal("writeReport: write to '%s' failed", path.c_str());
+    SNOOP_TRY(std::string md, generateReport(spec));
+    AtomicFile file(path);
+    if (!file.ok()) {
+        return makeError(SolveErrorCode::IoError, "writeReport",
+                         "cannot open a temporary for '%s'", path.c_str());
+    }
+    file.stream() << md;
+    return file.commit();
 }
 
 } // namespace snoop

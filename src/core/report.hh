@@ -13,6 +13,7 @@
 
 #include "core/validation.hh"
 #include "protocol/config.hh"
+#include "util/expected.hh"
 #include "workload/params.hh"
 
 namespace snoop {
@@ -32,10 +33,16 @@ struct ReportSpec
     uint64_t measuredRequests = 200000;
 };
 
-/** Produce the full markdown report text. */
-std::string generateReport(const ReportSpec &spec);
+/**
+ * Produce the full markdown report text. An invalid workload, an empty
+ * size list, or a failed solve is an error, not a process exit.
+ */
+Expected<std::string> generateReport(const ReportSpec &spec);
 
-/** Write the report to @p path (fatal() on I/O failure). */
-void writeReport(const ReportSpec &spec, const std::string &path);
+/**
+ * Write the report to @p path through AtomicFile, so a failed write
+ * leaves any previous file intact and comes back as an IoError.
+ */
+Expected<void> writeReport(const ReportSpec &spec, const std::string &path);
 
 } // namespace snoop

@@ -342,19 +342,20 @@ tryRunSweep(const SweepSpec &spec, const Analyzer &analyzer)
     const bool checkpointing = !spec.checkpointPath.empty();
     CheckpointLog writer(spec);
     if (checkpointing && checkpointExists(spec.checkpointPath)) {
-        auto data = readSweepCheckpoint(spec.checkpointPath);
-        if (!data) {
-            return std::move(data).error().withContext(
-                "resuming sweep from its checkpoint");
-        }
-        if (auto applied = applyCheckpoint(data.value(), spec, res);
+        SNOOP_TRY_OR(const CheckpointData &data,
+                     readSweepCheckpoint(spec.checkpointPath),
+                     [](SolveError &&e) {
+                         return std::move(e).withContext(
+                             "resuming sweep from its checkpoint");
+                     });
+        if (auto applied = applyCheckpoint(data, spec, res);
             !applied) {
             SolveError err = applied.error();
             err.withContext(strprintf("resuming sweep from '%s'",
                                       spec.checkpointPath.c_str()));
             return err;
         }
-        if (auto adopted = writer.resume(data.value()); !adopted)
+        if (auto adopted = writer.resume(data); !adopted)
             return adopted.error();
         inform("runSweep: resumed %zu completed cells from '%s'",
                res.evaluatedCount(), spec.checkpointPath.c_str());
@@ -429,10 +430,9 @@ tryRunSweep(const SweepSpec &spec, const Analyzer &analyzer)
             const size_t idx = request_cell[k];
             size_t v = idx / num_protocols;
             size_t p = idx % num_protocols;
-            if (solved[k])
-                res.results[v][p] = std::move(solved[k]).value();
-            else
-                res.errors[v][p] = std::move(solved[k]).error();
+            std::move(solved[k]).match(
+                [&](MvaResult &&r) { res.results[v][p] = std::move(r); },
+                [&](SolveError &&e) { res.errors[v][p] = std::move(e); });
         }
         // Per-cell bookkeeping (serial, in cell order): the
         // sweep.cell span with its outcome args, and the error
@@ -462,16 +462,17 @@ tryRunSweep(const SweepSpec &spec, const Analyzer &analyzer)
         }
         if (checkpointing) {
             ++checkpoint_ordinal;
-            auto written =
-                writer.commit(res, std::span(pending).subspan(start, batch));
-            if (!written) {
-                return std::move(written).error().withContext(
-                    "checkpointing sweep progress (completed work up "
-                    "to the previous commit survives)");
-            }
+            SNOOP_TRY_OR(
+                uint64_t written,
+                writer.commit(res, std::span(pending).subspan(start, batch)),
+                [](SolveError &&e) {
+                    return std::move(e).withContext(
+                        "checkpointing sweep progress (completed work up "
+                        "to the previous commit survives)");
+                });
             metricAdd("sweep.checkpoints");
             metricAdd("sweep.checkpoint_bytes",
-                      static_cast<double>(written.value()));
+                      static_cast<double>(written));
             // The chaos harness's crash point: the commit above
             // SUCCEEDED, so aborting here is exactly "the process
             // died between checkpoints" - the strongest point to

@@ -52,6 +52,7 @@ validate(const ValidationConfig &config)
             sim_cfg.seed = config.seed + n; // distinct but reproducible
             sim_cfg.warmupRequests = config.warmupRequests;
             sim_cfg.measuredRequests = config.measuredRequests;
+            sim_cfg.check().orThrow();
             p.sim = simulate(sim_cfg);
         } catch (const SolveException &e) {
             p.error = e.error();

@@ -346,12 +346,10 @@ MvaLane::finish()
     r.attempts = std::move(attempts);
     r.convergenceTrace = std::move(convTrace);
 
-    Expected<MvaResult> fin =
-        disposeMvaResult(std::move(r), opts, itersUsed, n, inputs);
-    if (fin.ok()) {
-        if (auto err = validateMvaResult(fin.value()))
-            return std::move(*err);
-    }
+    SNOOP_TRY(MvaResult fin,
+              disposeMvaResult(std::move(r), opts, itersUsed, n, inputs));
+    if (auto err = validateMvaResult(fin))
+        return std::move(*err);
     return fin;
 }
 

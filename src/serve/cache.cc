@@ -117,11 +117,11 @@ SolutionCache::touch(Recency::iterator it)
 const MvaResult *
 SolutionCache::find(const CacheKey &key)
 {
-    auto it = index_.find(key);
-    if (it == index_.end())
+    Recency::iterator *it = index_.find(key);
+    if (it == nullptr)
         return nullptr;
-    touch(it->second);
-    return &it->second->result;
+    touch(*it);
+    return &(*it)->result;
 }
 
 void
@@ -129,10 +129,9 @@ SolutionCache::insert(const CacheKey &key, const MvaResult &result)
 {
     SNOOP_REQUIRE(key.protocolIndex < kProtocolCount,
                   "SolutionCache: protocol index out of range");
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-        it->second->result = result;
-        touch(it->second);
+    if (Recency::iterator *it = index_.find(key)) {
+        (*it)->result = result;
+        touch(*it);
         return;
     }
     if (index_.size() >= capacity_) {
@@ -152,7 +151,7 @@ SolutionCache::insert(const CacheKey &key, const MvaResult &result)
     }
     Recency &list = recency_[key.protocolIndex];
     list.push_front(Entry{key, result, ++clock_});
-    index_[key] = list.begin();
+    index_.insertOrAssign(key, list.begin());
 }
 
 std::optional<MvaSeed>

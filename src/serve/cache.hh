@@ -19,12 +19,12 @@
 #include <cstdint>
 #include <list>
 #include <optional>
-#include <unordered_map>
 
 #include "mva/result.hh"
 #include "mva/solver.hh"
 #include "protocol/config.hh"
 #include "util/expected.hh"
+#include "util/lookup_map.hh"
 #include "workload/params.hh"
 
 namespace snoop {
@@ -139,7 +139,7 @@ class SolutionCache
     // the global LRU order restricted to its protocol, so the global
     // LRU entry is the list tail with the smallest lastUse.
     std::array<Recency, kProtocolCount> recency_;
-    std::unordered_map<CacheKey, Recency::iterator, CacheKeyHash> index_;
+    LookupMap<CacheKey, Recency::iterator, CacheKeyHash> index_;
 };
 
 } // namespace snoop

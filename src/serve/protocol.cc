@@ -267,10 +267,7 @@ parseRequest(const JsonValue &value)
 Expected<std::vector<Request>>
 parseRequestLine(const std::string &line)
 {
-    Expected<JsonValue> doc = parseJson(line);
-    if (!doc)
-        return std::move(doc).error();
-    const JsonValue &value = doc.value();
+    SNOOP_TRY(const JsonValue &value, parseJson(line));
 
     std::vector<Request> out;
     const JsonValue *op = value.get("op");
@@ -282,32 +279,27 @@ parseRequestLine(const std::string &line)
                 "batch envelope needs a non-empty 'requests' array");
         }
         for (const JsonValue &item : requests->asArray()) {
-            Expected<Request> req = parseRequest(item);
-            if (!req)
-                return std::move(req).error();
-            if (req.value().op == RequestOp::Shutdown) {
+            SNOOP_TRY(Request req, parseRequest(item));
+            if (req.op == RequestOp::Shutdown) {
                 return badRequest(
                     "'shutdown' cannot ride inside a batch");
             }
-            out.push_back(std::move(req).value());
+            out.push_back(std::move(req));
         }
         return out;
     }
 
-    Expected<Request> req = parseRequest(value);
-    if (!req)
-        return std::move(req).error();
-    out.push_back(std::move(req).value());
+    SNOOP_TRY(Request req, parseRequest(value));
+    out.push_back(std::move(req));
     return out;
 }
 
 int64_t
 recoverRequestId(const std::string &line)
 {
-    Expected<JsonValue> doc = parseJson(line);
-    if (!doc)
-        return 0;
-    const JsonValue *id = doc.value().get("id");
+    SNOOP_TRY_OR(const JsonValue &doc, parseJson(line),
+                 [](SolveError &&) { return int64_t{0}; });
+    const JsonValue *id = doc.get("id");
     if (id == nullptr || !id->isNumber())
         return 0;
     return static_cast<int64_t>(id->asNumber());

@@ -169,30 +169,29 @@ SolveService::handleBatch(const std::vector<Request> &requests)
             cell.protocol = protocol;
             cell.n = n;
             if (!req.noCache) {
-                auto key = canonicalKey(protocol, req.workload, n,
-                                        cache_.quantum());
-                if (!key) {
-                    cell.failed = true;
-                    cell.error = std::move(key).error();
-                    cells.push_back(std::move(cell));
-                    return;
-                }
-                cell.key = key.value();
-                cell.hasKey = true;
-                if (const MvaResult *hit = cache_.find(cell.key)) {
-                    cell.cached = true;
-                    cell.result = *hit;
-                    metricAdd("serve.hits");
-                    cells.push_back(std::move(cell));
-                    return;
-                }
-                metricAdd("serve.misses");
-                if (opts_.warmStart && !req.noWarmStart) {
-                    if (auto seed = cache_.nearest(cell.key)) {
-                        cell.seed = *seed;
-                        metricAdd("serve.warm_starts");
-                    }
-                }
+                canonicalKey(protocol, req.workload, n, cache_.quantum())
+                    .match(
+                        [&](const CacheKey &key) {
+                            cell.key = key;
+                            cell.hasKey = true;
+                            if (const MvaResult *hit = cache_.find(key)) {
+                                cell.cached = true;
+                                cell.result = *hit;
+                                metricAdd("serve.hits");
+                                return;
+                            }
+                            metricAdd("serve.misses");
+                            if (opts_.warmStart && !req.noWarmStart) {
+                                if (auto seed = cache_.nearest(key)) {
+                                    cell.seed = *seed;
+                                    metricAdd("serve.warm_starts");
+                                }
+                            }
+                        },
+                        [&](SolveError &&e) {
+                            cell.failed = true;
+                            cell.error = std::move(e);
+                        });
             }
             cells.push_back(std::move(cell));
         };
@@ -256,19 +255,22 @@ SolveService::handleBatch(const std::vector<Request> &requests)
         for (size_t k = 0; k < solved.size(); ++k) {
             Cell &cell = cells[job_cell[k]];
             const Request &req = requests[cell.request];
-            if (!solved[k]) {
-                cell.failed = true;
-                cell.error = std::move(solved[k]).error().withContext(
-                    strprintf("serve::%s(id=%lld, %s, N=%u)",
-                              to_string(req.op),
-                              static_cast<long long>(req.id),
-                              cell.protocol.name().c_str(), cell.n));
-                continue;
-            }
-            cell.result = std::move(solved[k]).value();
-            metricAdd(cell.result.warmStarted ? "serve.warm_iterations"
-                                              : "serve.cold_iterations",
-                      cell.result.iterations);
+            std::move(solved[k]).match(
+                [&](MvaResult &&r) {
+                    cell.result = std::move(r);
+                    metricAdd(cell.result.warmStarted
+                                  ? "serve.warm_iterations"
+                                  : "serve.cold_iterations",
+                              cell.result.iterations);
+                },
+                [&](SolveError &&e) {
+                    cell.failed = true;
+                    cell.error = std::move(e).withContext(
+                        strprintf("serve::%s(id=%lld, %s, N=%u)",
+                                  to_string(req.op),
+                                  static_cast<long long>(req.id),
+                                  cell.protocol.name().c_str(), cell.n));
+                });
         }
     }
 
@@ -353,19 +355,23 @@ SolveService::handleBatch(const std::vector<Request> &requests)
                                   static_cast<uint64_t>(req.id))));
                 break;
             }
-            auto knee = analyzer_.trySaturationPoint(
-                req.protocol, req.workload, req.target, req.limit);
-            if (!knee) {
-                responses.push_back(
-                    errorResponse(req.id, std::move(knee).error()));
-                break;
-            }
-            JsonValue::Object result;
-            result["n"] = JsonValue(knee.value());
-            result["found"] = JsonValue(knee.value() > 0);
-            result["target"] = JsonValue(req.target);
-            responses.push_back(okResponse(
-                req.id, req.op, JsonValue(std::move(result))));
+            responses.push_back(
+                analyzer_
+                    .trySaturationPoint(req.protocol, req.workload,
+                                        req.target, req.limit)
+                    .match(
+                        [&](unsigned knee) {
+                            JsonValue::Object result;
+                            result["n"] = JsonValue(knee);
+                            result["found"] = JsonValue(knee > 0);
+                            result["target"] = JsonValue(req.target);
+                            return okResponse(
+                                req.id, req.op,
+                                JsonValue(std::move(result)));
+                        },
+                        [&](SolveError &&e) {
+                            return errorResponse(req.id, std::move(e));
+                        }));
             break;
           }
           case RequestOp::Stats:

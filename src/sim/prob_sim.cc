@@ -22,28 +22,42 @@
 
 namespace snoop {
 
+Expected<void>
+SimConfig::check() const
+{
+    auto invalid = [](const std::string &what) {
+        return makeError(SolveErrorCode::InvalidArgument, "SimConfig",
+                         "%s", what.c_str());
+    };
+    if (numProcessors == 0)
+        return invalid("need at least one processor");
+    if (auto ok = workload.check(); !ok)
+        return ok;
+    if (measuredRequests == 0)
+        return invalid("measuredRequests must be positive");
+    if (batchSize == 0)
+        return invalid("batchSize must be positive");
+    if (collectHistogram && (histogramBins == 0 || histogramMax <= 0.0))
+        return invalid("histogram needs positive bins and range");
+    if (!tauMultipliers.empty()) {
+        if (tauMultipliers.size() != numProcessors)
+            return invalid(strprintf("%zu tauMultipliers for %u processors",
+                                     tauMultipliers.size(), numProcessors));
+        for (double m : tauMultipliers) {
+            if (m <= 0.0)
+                return invalid("tau multipliers must be positive");
+        }
+    }
+    return {};
+}
+
 void
 SimConfig::validate() const
 {
-    if (numProcessors == 0)
-        fatal("SimConfig: need at least one processor");
-    workload.validate();
     timing.validate();
-    if (measuredRequests == 0)
-        fatal("SimConfig: measuredRequests must be positive");
-    if (batchSize == 0)
-        fatal("SimConfig: batchSize must be positive");
-    if (collectHistogram && (histogramBins == 0 || histogramMax <= 0.0))
-        fatal("SimConfig: histogram needs positive bins and range");
-    if (!tauMultipliers.empty()) {
-        if (tauMultipliers.size() != numProcessors)
-            fatal("SimConfig: %zu tauMultipliers for %u processors",
-                  tauMultipliers.size(), numProcessors);
-        for (double m : tauMultipliers) {
-            if (m <= 0.0)
-                fatal("SimConfig: tau multipliers must be positive");
-        }
-    }
+    // snoop-lint: fatal-ok (justification: tools/lint/allowlist.txt)
+    if (auto ok = check(); !ok)
+        fatal("%s", ok.error().describe().c_str());
 }
 
 std::string

@@ -25,6 +25,7 @@
 #include "sim/bus.hh"
 #include "stats/batch_means.hh"
 #include "stats/histogram.hh"
+#include "util/expected.hh"
 #include "workload/derived.hh"
 #include "workload/params.hh"
 
@@ -76,7 +77,12 @@ struct SimConfig
     double histogramMax = 200.0;
     size_t histogramBins = 100;
 
-    /** fatal() on nonsensical settings. */
+    /** A structured error for nonsensical settings (the bus timing
+     * aside: BusTiming::validate owns it). */
+    [[nodiscard]] Expected<void> check() const;
+
+    /** fatal() wrapper around BusTiming::validate and check(), for
+     * tool/CLI boundaries. */
     void validate() const;
 };
 

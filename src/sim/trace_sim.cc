@@ -54,7 +54,7 @@ struct Ratio
         ++total;
     }
     double
-    value() const
+    fraction() const
     {
         return total ? static_cast<double>(hits) /
                 static_cast<double>(total) : 0.0;
@@ -360,13 +360,13 @@ TraceSimulator::run()
     r.memUtilization = memory_.utilization(now);
     r.meanBusWait = bus_.waitStats().mean();
     r.requestsMeasured = measured_;
-    r.measured.hitPrivate = hitPrivate_.value();
-    r.measured.hitSro = hitSro_.value();
-    r.measured.hitSw = hitSw_.value();
-    r.measured.amodPrivate = amodPrivate_.value();
-    r.measured.amodSw = amodSw_.value();
-    r.measured.csupplyShared = csupplyShared_.value();
-    r.measured.repAll = victimDirty_.value();
+    r.measured.hitPrivate = hitPrivate_.fraction();
+    r.measured.hitSro = hitSro_.fraction();
+    r.measured.hitSw = hitSw_.fraction();
+    r.measured.amodPrivate = amodPrivate_.fraction();
+    r.measured.amodSw = amodSw_.fraction();
+    r.measured.csupplyShared = csupplyShared_.fraction();
+    r.measured.repAll = victimDirty_.fraction();
     r.busOps = busOps_;
     return r;
 }

@@ -15,14 +15,16 @@
  *  - SolveException: the same error as a throwable, for legacy
  *                    call paths that cannot return Expected.
  *  - Expected<T>:    a value or a SolveError, with explicit unwrap.
+ *  - SNOOP_TRY / SNOOP_TRY_OR / match(): the ways library code reaches
+ *                    a value; each checks ok() first, so src/ never
+ *                    calls value() (snoop_lint rule `expected-flow`).
  *
- * Library solver paths (util/csv, the mva layer, core/analyzer,
- * core/sweep, core/solve_for) report failures through
- * these types and never call fatal() - enforced by the snoop_lint rule
- * `fatal-reachability`, which proves no public function of those files
- * (nor any try* function in core/) reaches a process-terminating call. Converting an error into process exit is the
- * business of CLI/tool boundaries (examples/, tools/), not of the
- * library.
+ * Library solver paths (util/csv, the mva layer, all of core/) report
+ * failures through these types and never call fatal() - enforced by
+ * the snoop_lint rule `fatal-reachability`, which proves no public
+ * function of those files reaches a process-terminating call.
+ * Converting an error into process exit is the business of CLI/tool
+ * boundaries (examples/, tools/), not of the library.
  */
 
 #include <stdexcept>
@@ -104,16 +106,26 @@ class SolveException : public std::runtime_error
  * needs "did it work, and if not, what exactly failed", not a monadic
  * combinator suite.
  *
+ * Library code (src/) reaches the value only through a construct
+ * that checks it first: SNOOP_TRY / SNOOP_TRY_OR below, or match().
+ * value() is for tests and tool boundaries, where a held error is a
+ * bug worth an assertion. The class is [[nodiscard]] and
+ * [[gnu::warn_unused]]: the build rejects a result that is discarded
+ * (-Werror=unused-result) or bound and never used
+ * (-Werror=unused-variable).
+ *
  * @code
- *   Expected<MvaResult> r = analyzer.tryAnalyze(cfg, wl, n);
- *   if (!r)
- *       warn("%s", r.error().describe().c_str());
- *   else
- *       use(r.value());
+ *   Expected<double>
+ *   tryBusUtil(const Analyzer &analyzer, const ProtocolConfig &cfg,
+ *              const WorkloadParams &wl, unsigned n)
+ *   {
+ *       SNOOP_TRY(const MvaResult &r, analyzer.tryAnalyze(cfg, wl, n));
+ *       return r.busUtil;
+ *   }
  * @endcode
  */
 template <typename T>
-class [[nodiscard]] Expected
+class [[nodiscard, gnu::warn_unused]] Expected
 {
   public:
     /** Implicit from a value (the success path reads naturally). */
@@ -175,6 +187,29 @@ class [[nodiscard]] Expected
         return std::get<T>(std::move(state_));
     }
 
+    /**
+     * Call exactly one of @p onOk (with the value) or @p onErr (with
+     * the error) and return its result; both must return the same
+     * type. For sites that handle the error in place.
+     */
+    template <typename OnOk, typename OnErr>
+    auto
+    match(OnOk &&onOk, OnErr &&onErr) const &
+    {
+        if (ok())
+            return std::forward<OnOk>(onOk)(std::get<T>(state_));
+        return std::forward<OnErr>(onErr)(std::get<SolveError>(state_));
+    }
+    template <typename OnOk, typename OnErr>
+    auto
+    match(OnOk &&onOk, OnErr &&onErr) &&
+    {
+        if (ok())
+            return std::forward<OnOk>(onOk)(std::get<T>(std::move(state_)));
+        return std::forward<OnErr>(onErr)(
+            std::get<SolveError>(std::move(state_)));
+    }
+
   private:
     std::variant<T, SolveError> state_;
 };
@@ -184,7 +219,7 @@ class [[nodiscard]] Expected
  * "no error, or exactly one SolveError".
  */
 template <>
-class [[nodiscard]] Expected<void>
+class [[nodiscard, gnu::warn_unused]] Expected<void>
 {
   public:
     /** Success. */
@@ -196,10 +231,15 @@ class [[nodiscard]] Expected<void>
     bool ok() const { return error_.empty(); }
     explicit operator bool() const { return ok(); }
 
-    const SolveError &error() const
+    const SolveError &error() const &
     {
         SNOOP_ASSERT(!ok(), "Expected<void>::error() on success");
         return error_.front();
+    }
+    SolveError &&error() &&
+    {
+        SNOOP_ASSERT(!ok(), "Expected<void>::error() on success");
+        return std::move(error_.front());
     }
 
     /** No-op on success; throws SolveException on error. */
@@ -215,4 +255,44 @@ class [[nodiscard]] Expected<void>
     std::vector<SolveError> error_;
 };
 
+namespace detail {
+
+/** SNOOP_TRY's error handler: hand the error on unchanged. */
+inline SolveError
+passError(SolveError &&error)
+{
+    return std::move(error);
+}
+
+} // namespace detail
+
 } // namespace snoop
+
+#define SNOOP_TRY_CAT_(a, b) a##b
+#define SNOOP_TRY_NAME_(n) SNOOP_TRY_CAT_(snoop_try_, n)
+#define SNOOP_TRY_IMPL_(tmp, lhs, expr, ...)                             \
+    auto tmp = (expr);                                                   \
+    if (!tmp.ok())                                                       \
+        return (__VA_ARGS__)(std::move(tmp).error());                    \
+    lhs = std::move(tmp).value()
+
+/**
+ * Evaluate @p expr (an Expected<T>) once. On error, return the error
+ * from the enclosing function, which must return an Expected; on
+ * success, bind the value to @p lhs: a declaration
+ * (`SNOOP_TRY(auto x, f())`, `SNOOP_TRY(const T &x, f())`, which
+ * refers into the hidden temporary) or an lvalue
+ * (`SNOOP_TRY(out.n, f())`). Expands to several statements, so an
+ * `if` or loop body holding it needs braces; @p lhs must not contain
+ * a top-level comma.
+ */
+#define SNOOP_TRY(lhs, expr) SNOOP_TRY_OR(lhs, expr, ::snoop::detail::passError)
+
+/**
+ * SNOOP_TRY, but on error return `onErr(std::move(error))` instead:
+ * rewrap or annotate the error, or map it to a plain fallback value
+ * in a function that does not return Expected. The handler is the
+ * remaining argument(s), so a lambda may contain commas.
+ */
+#define SNOOP_TRY_OR(lhs, expr, ...)                                     \
+    SNOOP_TRY_IMPL_(SNOOP_TRY_NAME_(__COUNTER__), lhs, expr, __VA_ARGS__)

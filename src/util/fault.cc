@@ -26,11 +26,9 @@ Expected<std::vector<FaultSpec>> parseSpecs(const std::string &spec);
 Expected<void>
 installSpecs(const std::string &spec)
 {
-    auto parsed = parseSpecs(spec);
-    if (!parsed)
-        return std::move(parsed).error();
+    SNOOP_TRY(std::vector<FaultSpec> parsed, parseSpecs(spec));
     auto specs = g_specs.lock();
-    *specs = std::move(parsed).value();
+    *specs = std::move(parsed);
     g_armed.store(!specs->empty(), std::memory_order_release);
     return {};
 }

@@ -18,13 +18,13 @@
 namespace snoop {
 namespace {
 
-class GtpnColumn : public testing::TestWithParam<char>
+class GtpnColumn : public testing::TestWithParam<Table41>
 {
 };
 
 TEST_P(GtpnColumn, SimulatorMatchesPaperGtpnValues)
 {
-    char sub = GetParam();
+    Table41 sub = GetParam();
     auto mods = ProtocolConfig::fromModString(table41Mods(sub));
     for (const auto &row : paperTable41(sub)) {
         for (size_t i = 0; i < table41GtpnNs().size(); ++i) {
@@ -39,7 +39,8 @@ TEST_P(GtpnColumn, SimulatorMatchesPaperGtpnValues)
             double sim = simulate(sc).speedup;
             double rel = (sim - row.gtpn[i]) / row.gtpn[i];
             EXPECT_LE(std::fabs(rel), 0.06)
-                << "sub=" << sub << " " << to_string(row.level)
+                << "sub=" << static_cast<char>(sub) << " "
+                << to_string(row.level)
                 << " N=" << n << " sim=" << sim
                 << " paper GTPN=" << row.gtpn[i];
         }
@@ -48,7 +49,7 @@ TEST_P(GtpnColumn, SimulatorMatchesPaperGtpnValues)
 
 TEST_P(GtpnColumn, MvaWithinCompoundBandOfPaperGtpn)
 {
-    char sub = GetParam();
+    Table41 sub = GetParam();
     MvaSolver solver;
     auto mods = ProtocolConfig::fromModString(table41Mods(sub));
     for (const auto &row : paperTable41(sub)) {
@@ -59,14 +60,16 @@ TEST_P(GtpnColumn, MvaWithinCompoundBandOfPaperGtpn)
             double mva = solver.solve(inputs, n).speedup;
             double rel = (mva - row.gtpn[i]) / row.gtpn[i];
             EXPECT_LE(std::fabs(rel), 0.085)
-                << "sub=" << sub << " " << to_string(row.level)
+                << "sub=" << static_cast<char>(sub) << " "
+                << to_string(row.level)
                 << " N=" << n;
         }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Table41, GtpnColumn,
-                         testing::Values('a', 'b', 'c'));
+                         testing::Values(Table41::A, Table41::B,
+                                         Table41::C));
 
 } // namespace
 } // namespace snoop

@@ -25,7 +25,7 @@ basicSpec()
 
 TEST(Report, ContainsAllSections)
 {
-    auto md = generateReport(basicSpec());
+    std::string md = generateReport(basicSpec()).value();
     EXPECT_NE(md.find("# Illinois on the 5% workload"),
               std::string::npos);
     EXPECT_NE(md.find("## Protocol"), std::string::npos);
@@ -39,7 +39,7 @@ TEST(Report, ContainsAllSections)
 
 TEST(Report, SweepRowsMatchRequestedSizes)
 {
-    auto md = generateReport(basicSpec());
+    std::string md = generateReport(basicSpec()).value();
     EXPECT_NE(md.find("| 1 |"), std::string::npos);
     EXPECT_NE(md.find("| 4 |"), std::string::npos);
     EXPECT_NE(md.find("| 10 |"), std::string::npos);
@@ -48,7 +48,7 @@ TEST(Report, SweepRowsMatchRequestedSizes)
 
 TEST(Report, ModFlagsRendered)
 {
-    auto md = generateReport(basicSpec());
+    std::string md = generateReport(basicSpec()).value();
     EXPECT_NE(md.find("mod 1 (exclusive-on-miss): yes"),
               std::string::npos);
     EXPECT_NE(md.find("mod 2 (dirty cache supplies data): no"),
@@ -63,7 +63,7 @@ TEST(Report, ValidationSectionWhenRequested)
     spec.ns = {1, 2, 8};
     spec.validateUpTo = 2;
     spec.measuredRequests = 30000;
-    auto md = generateReport(spec);
+    std::string md = generateReport(spec).value();
     EXPECT_NE(md.find("## Validation against detailed simulation"),
               std::string::npos);
     EXPECT_NE(md.find("Max |relative error|"), std::string::npos);
@@ -76,7 +76,7 @@ TEST(Report, ValidationSectionWhenRequested)
 TEST(Report, WritesToDisk)
 {
     std::string path = testing::TempDir() + "snoop_report_test.md";
-    writeReport(basicSpec(), path);
+    ASSERT_TRUE(writeReport(basicSpec(), path));
     std::ifstream in(path);
     std::ostringstream ss;
     ss << in.rdbuf();
@@ -85,14 +85,24 @@ TEST(Report, WritesToDisk)
     std::remove(path.c_str());
 }
 
-TEST(ReportDeath, BadSpecs)
+TEST(Report, BadSpecsAreErrors)
 {
     auto spec = basicSpec();
     spec.ns.clear();
-    EXPECT_EXIT(generateReport(spec), testing::ExitedWithCode(1),
-                "at least one");
-    EXPECT_EXIT(writeReport(basicSpec(), "/nonexistent-dir-xyz/r.md"),
-                testing::ExitedWithCode(1), "cannot open");
+    auto md = generateReport(spec);
+    ASSERT_FALSE(md);
+    EXPECT_EQ(md.error().code, SolveErrorCode::InvalidArgument);
+    EXPECT_NE(md.error().message.find("at least one"), std::string::npos);
+
+    spec = basicSpec();
+    spec.workload.hPrivate = 2.0;
+    ASSERT_FALSE(generateReport(spec));
+
+    auto written = writeReport(basicSpec(), "/nonexistent-dir-xyz/r.md");
+    ASSERT_FALSE(written);
+    EXPECT_EQ(written.error().code, SolveErrorCode::IoError);
+    EXPECT_NE(written.error().message.find("cannot open"),
+              std::string::npos);
 }
 
 } // namespace

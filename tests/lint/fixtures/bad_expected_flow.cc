@@ -1,8 +1,8 @@
-// Negative fixture for the expected-flow pass: tryLoad's result is
-// read via .value() on one path that never checked it, and on the
-// branch where ok() was established to be false -- the two
-// path-sensitive cases the flow-insensitive unchecked-expected pass
-// cannot see (each function also checks on SOME path).
+// Negative fixture for expected-flow: tryLoad's result is read via
+// .value() on a path that never checked it, and on the branch where
+// ok() is false. The rule bans the `.value(` token in library code, so
+// both reads fire with no path analysis; the checked reads go through
+// match() and valueOr(), which cannot reach an unchecked value.
 
 #include "util/expected.hh"
 
@@ -23,9 +23,8 @@ readMixed(int key, bool fast)
     auto r = tryLoad(key);
     if (fast)
         return r.value(); // must fire: unchecked on this path
-    if (!r.ok())
-        return 0.0;
-    return r.value(); // checked on this path: silent
+    return r.match([](double v) { return v; },
+                   [](const SolveError &) { return 0.0; }); // silent
 }
 
 double
@@ -33,7 +32,7 @@ readErrBranch(int key)
 {
     auto r = tryLoad(key);
     if (r.ok())
-        return r.value(); // checked: silent
+        return r.valueOr(0.0); // checked accessor: silent
     return r.value(); // must fire: reads the not-ok branch
 }
 

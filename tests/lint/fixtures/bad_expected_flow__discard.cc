@@ -1,10 +1,10 @@
-// Negative fixture for the expected-flow cases that need no path:
-// tryParse returns Expected<double>; one caller reads .value() off
-// the call temporary and another binds the result and never looks
-// at it. The third caller discards the result as a bare statement:
-// that case belongs to the compiler (Expected is [[nodiscard]] and
-// the build passes -Werror=unused-result), and the lint/nodiscard
-// test compiles this file to prove the build rejects it.
+// Negative fixture for the expected-flow cases that need no path.
+// readValue reads .value() off the call temporary: the expected-flow
+// token rule fires. The other two are the compiler's: a bare-statement
+// discard fails -Werror=unused-result (Expected is [[nodiscard]];
+// ctest lint/nodiscard), and a binding never used fails
+// -Werror=unused-variable (Expected is [[gnu::warn_unused]]; ctest
+// lint/unused_expected). Both ctests compile this file.
 
 #include "util/expected.hh"
 
@@ -34,7 +34,7 @@ readValue(const std::string &text)
 void
 bindOnly(const std::string &text)
 {
-    auto parsed = tryParse(text); // must fire: never consulted
+    auto parsed = tryParse(text); // compile error: never used
 }
 
 } // namespace snoop

@@ -1,20 +1,21 @@
-// Negative fixture for the fp-determinism kernel-file checks: the
-// "kernel" in the basename opts this file in as a kernel, where
-// accumulation order itself is part of the bit-identity contract.
+// Negative fixture for fp-determinism in a kernel file: the "kernel"
+// in the basename opts this file in as a kernel, where accumulation
+// order itself is part of the bit-identity contract. A fold over an
+// unordered container fires on the container's name, and std::reduce
+// fires because its accumulation order is unspecified.
 
 #include <numeric>
-#include <unordered_map>
+#include <unordered_map> // must fire
 #include <vector>
 
 namespace snoop {
 
 double
-foldUnordered(const std::unordered_map<int, double> &weights)
+foldUnordered(const std::unordered_map<int, double> &weights) // must fire
 {
     double acc = 0.0;
-    for (const auto &kv : weights) {
-        acc += kv.second; // must fire: fold order follows hash order
-    }
+    for (const auto &kv : weights)
+        acc += kv.second; // fold order follows hash order
     return acc;
 }
 

@@ -1,6 +1,6 @@
-// Clean fixture for the expected-flow pass: every .value() read is
-// dominated by an ok() (or operator bool) check on its own path, or
-// goes through the safe accessors -- the pass must stay silent.
+// Clean fixture for expected-flow: every read of tryLoad's result
+// goes through a construct that checks it first -- SNOOP_TRY,
+// SNOOP_TRY_OR, match() or valueOr() -- so the rule stays silent.
 
 #include "util/expected.hh"
 
@@ -15,29 +15,26 @@ tryLoad(int key)
     return 1.0;
 }
 
-double
-readGuarded(int key)
+Expected<double>
+readTry(int key)
 {
-    auto r = tryLoad(key);
-    if (!r.ok())
-        return 0.0;
-    return r.value(); // the not-ok path returned early
+    SNOOP_TRY(double v, tryLoad(key)); // an error goes to the caller
+    return 2.0 * v;
 }
 
 double
-readBoolTested(int key)
+readTryOr(int key)
 {
-    auto r = tryLoad(key);
-    if (r)
-        return r.value(); // operator bool established ok
-    return 0.0;
+    SNOOP_TRY_OR(double v, tryLoad(key), [](SolveError &&) { return 0.0; });
+    return v;
 }
 
 double
-readTernary(int key)
+readMatch(int key)
 {
     auto r = tryLoad(key);
-    return r.ok() ? r.value() : 0.0; // same-statement check
+    return r.match([](double v) { return v; },
+                   [](const SolveError &) { return 0.0; });
 }
 
 double

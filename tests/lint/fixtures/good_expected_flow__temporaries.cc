@@ -1,7 +1,6 @@
-// Clean fixture for the expected-flow pass on call temporaries and
-// negation checks: every Expected result below is checked, consumed
-// through a safe accessor, or forwarded, so the pass must stay
-// silent.
+// Clean fixture for expected-flow on call temporaries: each result
+// below is read through match() or valueOr() straight off the call,
+// bound by SNOOP_TRY, or forwarded, so the rule stays silent.
 
 #include "util/expected.hh"
 
@@ -17,18 +16,24 @@ tryParse(const std::string &text)
 }
 
 double
-readChecked(const std::string &text)
+readMatched(const std::string &text)
 {
-    auto r = tryParse(text);
-    if (!r)
-        return 0.0;
-    return r.value();
+    return tryParse(text).match([](double v) { return v; },
+                                [](SolveError &&) { return 0.0; });
 }
 
 double
 readOr(const std::string &text)
 {
     return tryParse(text).valueOr(0.0);
+}
+
+Expected<double>
+readBoth(const std::string &a, const std::string &b)
+{
+    SNOOP_TRY(double x, tryParse(a));
+    SNOOP_TRY(double y, tryParse(b));
+    return x + y;
 }
 
 Expected<double>

@@ -1,13 +1,14 @@
 // Clean fixture for the fp-determinism pass: the deterministic
 // kernel call, the waived hoisted log2 idiom, ordered-map iteration
-// into output, and unordered iteration that never reaches output --
-// all of which must stay silent.
+// into output, and a lookup-only LookupMap index -- all of which must
+// stay silent.
 
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <string>
-#include <unordered_map>
+
+#include "util/lookup_map.hh"
 
 namespace snoop {
 
@@ -34,12 +35,10 @@ emitOrdered(const std::map<std::string, double> &counts)
 }
 
 double
-sumUnordered(const std::unordered_map<std::string, double> &counts)
+lookUp(LookupMap<int, double> &index, int key)
 {
-    double total = 0.0;
-    for (const auto &kv : counts)
-        total += kv.second; // no output on any path from the loop
-    return total;
+    const double *v = index.find(key); // no order to leak
+    return v ? *v : 0.0;
 }
 
 } // namespace snoop

@@ -1,11 +1,11 @@
 /**
  * @file
- * Pass-level tests for the flow-sensitive analyses
- * (tools/lint/flow.{hh,cc}) over synthetic in-memory FileSets:
- * fp-determinism roster scoping and sanctioned kernels, lockset's
- * worker-reachable state, expected-flow path sensitivity, call
- * temporaries and unconsulted bindings, and DeterminismRoster
- * parsing. The fixture suite
+ * Pass-level tests for the analyses that decide where Expected and
+ * floating-point results may flow, over synthetic in-memory files:
+ * the expected-flow token rule (an unchecked value() in the library),
+ * fp-determinism roster scoping, sanctioned kernels, unordered
+ * containers and parallel reductions, DeterminismRoster parsing, and
+ * the lockset pass's worker-reachable state. The fixture suite
  * (test_rules.cc) proves end-to-end line numbers; these tests pin
  * the pass logic itself so a regression names the analysis, not
  * just "the suite diff changed".
@@ -19,8 +19,11 @@
 #include <string>
 #include <vector>
 
-#include "lint/flow.hh"
+#include "lint/callgraph.hh"
 #include "lint/lexer.hh"
+#include "lint/rules.hh"
+#include "lint/semantic.hh"
+#include "lint/symbols.hh"
 
 using namespace snoop::lint;
 
@@ -28,16 +31,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** Findings for a single synthetic file under @p roster. */
+/** Per-file rule findings for one synthetic file at @p path. */
 std::vector<Finding>
-runOn(const std::string &path, const std::string &src,
-      const DeterminismRoster &roster = {})
+fileRules(const std::string &path, const std::string &src,
+          const DeterminismRoster &roster = {})
 {
-    FileSet files;
-    files.emplace(path, lex(src));
-    SymbolIndex index = SymbolIndex::build(files);
-    return runFlowPasses(files, index, CallGraph::build(index, files),
-                         roster);
+    std::vector<Finding> out;
+    runFileRules(path, path, lex(src), roster, out);
+    return out;
 }
 
 size_t
@@ -49,6 +50,40 @@ countRule(const std::vector<Finding> &fs, const std::string &rule)
         }));
 }
 
+TEST(ExpectedFlow, ValueCallFiresInSrcOnly)
+{
+    const std::string src = "int f(Expected<int> &r) { return r.value(); }\n"
+                            "int g(Expected<int> *r)\n"
+                            "{\n"
+                            "    return r->value();\n"
+                            "}\n";
+    std::vector<Finding> fs = fileRules("src/core/use.cc", src);
+    ASSERT_EQ(countRule(fs, "expected-flow"), 2u);
+    EXPECT_EQ(fs[0].line, 1u);
+    EXPECT_EQ(fs[1].line, 4u);
+    // The header that defines value() and the SNOOP_TRY macros, and
+    // code outside the library (tests, tools, bench, examples), may
+    // call it.
+    EXPECT_EQ(countRule(fileRules("src/util/expected.hh", src),
+                        "expected-flow"),
+              0u);
+    EXPECT_EQ(countRule(fileRules("tools/calibrate.cc", src),
+                        "expected-flow"),
+              0u);
+}
+
+TEST(ExpectedFlow, CheckedAccessorsAndLookalikesAreSilent)
+{
+    EXPECT_EQ(countRule(fileRules("src/core/use.cc",
+                                  "double a = r.valueOr(0.0);\n"
+                                  "double b = ratio.value;\n"
+                                  "double c = value(r);\n"
+                                  "// r.value() in a comment\n"
+                                  "const char *d = \"r.value()\";\n"),
+                        "expected-flow"),
+              0u);
+}
+
 TEST(FpDeterminism, RosterModuleScopesThePass)
 {
     const std::string src = "double f(double x)\n"
@@ -58,11 +93,11 @@ TEST(FpDeterminism, RosterModuleScopesThePass)
     DeterminismRoster roster;
     roster.modules = {"src/mva/"};
     // In a roster module the transcendental fires...
-    EXPECT_EQ(countRule(runOn("src/mva/solve.cc", src, roster),
+    EXPECT_EQ(countRule(fileRules("src/mva/solve.cc", src, roster),
                         "fp-determinism"),
               1u);
     // ...outside it (same content) the pass does not run.
-    EXPECT_EQ(countRule(runOn("src/stats/solve.cc", src, roster),
+    EXPECT_EQ(countRule(fileRules("src/stats/solve.cc", src, roster),
                         "fp-determinism"),
               0u);
 }
@@ -74,12 +109,12 @@ TEST(FpDeterminism, SanctionedKernelBodyIsExempt)
     roster.sanctioned.insert("fastExp");
     // The sanctioned function IS the deterministic replacement; libm
     // inside its own body is the point, not a violation.
-    EXPECT_EQ(countRule(runOn("src/mva/kern.cc",
-                              "double fastExp(double x)\n"
-                              "{\n"
-                              "    return std::exp(x);\n"
-                              "}\n",
-                              roster),
+    EXPECT_EQ(countRule(fileRules("src/mva/kern.cc",
+                                  "double fastExp(double x)\n"
+                                  "{\n"
+                                  "    return std::exp(x);\n"
+                                  "}\n",
+                                  roster),
                         "fp-determinism"),
               0u);
 }
@@ -88,176 +123,51 @@ TEST(FpDeterminism, MarkerWaives)
 {
     DeterminismRoster roster;
     roster.modules = {"src/mva/"};
-    EXPECT_EQ(countRule(runOn("src/mva/solve.cc",
-                              "double f(double x)\n"
-                              "{\n"
-                              "    // snoop-lint: fp-ok\n"
-                              "    return std::exp(x);\n"
-                              "}\n",
-                              roster),
+    EXPECT_EQ(countRule(fileRules("src/mva/solve.cc",
+                                  "double f(double x)\n"
+                                  "{\n"
+                                  "    // snoop-lint: fp-ok\n"
+                                  "    return std::exp(x);\n"
+                                  "}\n",
+                                  roster),
                         "fp-determinism"),
               0u);
 }
 
-TEST(Lockset, UnguardedWorkerGlobalFires)
-{
-    std::vector<Finding> fs =
-        runOn("src/a.cc",
-              "namespace {\n"
-              "unsigned g_n = 0;\n"
-              "void bump() { ++g_n; }\n"
-              "}\n"
-              "void run(unsigned n) { parallelFor(n, [] { bump(); }); }\n");
-    ASSERT_EQ(countRule(fs, "lockset"), 1u);
-    EXPECT_EQ(fs[0].line, 2u);
-    EXPECT_NE(fs[0].message.find("via bump"), std::string::npos)
-        << fs[0].message;
-}
-
-TEST(Lockset, MarkerWaivesAnUnguardedWorkerGlobal)
-{
-    EXPECT_TRUE(runOn("src/a.cc",
-                      "namespace {\n"
-                      "// snoop-lint: lockset-ok\n"
-                      "unsigned g_n = 0;\n"
-                      "void bump() { ++g_n; }\n"
-                      "}\n"
-                      "void run(unsigned n) { parallelFor(n, [] { bump(); }); }\n")
-                    .empty());
-}
-
-TEST(Lockset, UnreachableStateIsNotFlagged)
-{
-    // No parallelFor anywhere: nothing is worker-reachable.
-    EXPECT_TRUE(runOn("src/a.cc",
-                      "namespace {\n"
-                      "unsigned g_n = 0;\n"
-                      "void bump() { ++g_n; }\n"
-                      "}\n"
-                      "void run() { bump(); }\n")
-                    .empty());
-}
-
-TEST(ExpectedFlow, CheckedOnOneBranchReadOnAnother)
+TEST(FpDeterminism, UnorderedNameFiresOncePerLineInTheRoster)
 {
     const std::string src =
-        "#include \"util/expected.hh\"\n"
-        "Expected<int> tryGet(int k);\n"
-        "int\n"
-        "f(int k, bool fast)\n"
-        "{\n"
-        "    auto r = tryGet(k);\n"
-        "    if (fast)\n"
-        "        return r.value();\n"
-        "    if (!r.ok())\n"
-        "        return 0;\n"
-        "    return r.value();\n"
-        "}\n";
-    std::vector<Finding> fs = runOn("src/core/use.cc", src);
-    ASSERT_EQ(countRule(fs, "expected-flow"), 1u);
-    EXPECT_EQ(fs[0].line, 8u);
-}
-
-TEST(ExpectedFlow, CheckedEveryPathIsSilent)
-{
-    EXPECT_EQ(countRule(runOn("src/core/use.cc",
-                              "#include \"util/expected.hh\"\n"
-                              "Expected<int> tryGet(int k);\n"
-                              "int\n"
-                              "f(int k)\n"
-                              "{\n"
-                              "    auto r = tryGet(k);\n"
-                              "    if (!r.ok())\n"
-                              "        return 0;\n"
-                              "    return r.value();\n"
-                              "}\n"),
-                        "expected-flow"),
+        "std::unordered_map<int, std::unordered_set<int>> g_index;\n"
+        "LookupMap<int, double> g_lookupOnly;\n"
+        "double unorderedness(double x);\n";
+    DeterminismRoster roster;
+    roster.modules = {"src/serve/"};
+    std::vector<Finding> fs = fileRules("src/serve/cache.hh", src, roster);
+    ASSERT_EQ(countRule(fs, "fp-determinism"), 1u);
+    auto hit = std::find_if(fs.begin(), fs.end(), [](const Finding &f) {
+        return f.rule == "fp-determinism";
+    });
+    EXPECT_EQ(hit->line, 1u);
+    EXPECT_NE(hit->message.find("LookupMap"), std::string::npos);
+    EXPECT_EQ(countRule(fileRules("src/stats/index.cc", src, roster),
+                        "fp-determinism"),
               0u);
 }
 
-TEST(ExpectedFlow, ErrBranchReadFires)
+TEST(FpDeterminism, ReduceAndExecutionFireInKernelFilesOnly)
 {
-    std::vector<Finding> fs =
-        runOn("src/core/use.cc",
-              "#include \"util/expected.hh\"\n"
-              "Expected<int> tryGet(int k);\n"
-              "int\n"
-              "f(int k)\n"
-              "{\n"
-              "    auto r = tryGet(k);\n"
-              "    if (r.ok())\n"
-              "        return r.value();\n"
-              "    return r.value();\n"
-              "}\n");
-    ASSERT_EQ(countRule(fs, "expected-flow"), 1u);
-    EXPECT_EQ(fs[0].line, 9u);
-}
-
-TEST(ExpectedFlow, TrackedVariableNeverConsulted)
-{
-    std::vector<Finding> fs = runOn("src/a.cc",
-                                    "Expected<int> tryLoad() { return 1; }\n"
-                                    "void use()\n"
-                                    "{\n"
-                                    "    auto r = tryLoad();\n"
-                                    "    unrelated();\n"
-                                    "}\n");
-    ASSERT_EQ(countRule(fs, "expected-flow"), 1u);
-    EXPECT_EQ(fs[0].line, 4u);
-    EXPECT_NE(fs[0].message.find("never consulted"), std::string::npos);
-}
-
-TEST(ExpectedFlow, NegationCheckSilences)
-{
-    EXPECT_TRUE(runOn("src/a.cc",
-                      "Expected<int> tryLoad() { return 1; }\n"
-                      "int use()\n"
-                      "{\n"
-                      "    auto r = tryLoad();\n"
-                      "    if (!r)\n"
-                      "        return 0;\n"
-                      "    return r.value();\n"
-                      "}\n")
-                    .empty());
-}
-
-TEST(ExpectedFlow, ValueOnCallTemporaryFires)
-{
-    // The temporary's .value() fires even when bound; valueOr() on a
-    // temporary is the safe accessor and stays silent.
-    std::vector<Finding> fs =
-        runOn("src/a.cc",
-              "Expected<int> tryLoad(int k);\n"
-              "int use(int k)\n"
-              "{\n"
-              "    int a = tryLoad(k).valueOr(0);\n"
-              "    int b = tryLoad(k).value();\n"
-              "    return a + b;\n"
-              "}\n");
-    ASSERT_EQ(countRule(fs, "expected-flow"), 1u);
-    EXPECT_EQ(fs[0].line, 5u);
-    EXPECT_NE(fs[0].message.find("tryLoad()"), std::string::npos);
-}
-
-TEST(ExpectedFlow, PathFreeCasesFireWhereTheCfgDegrades)
-{
-    // A goto degrades the CFG, so the path analysis stays silent; the
-    // call temporary and the unconsulted binding need no path.
-    std::vector<Finding> fs =
-        runOn("src/a.cc",
-              "Expected<int> tryLoad(int k);\n"
-              "int use(int k)\n"
-              "{\n"
-              "    auto r = tryLoad(k);\n"
-              "    if (k < 0)\n"
-              "        goto out;\n"
-              "    return tryLoad(k).value();\n"
-              "out:\n"
-              "    return 0;\n"
-              "}\n");
-    ASSERT_EQ(countRule(fs, "expected-flow"), 2u);
-    EXPECT_EQ(fs[0].line, 4u);
-    EXPECT_EQ(fs[1].line, 7u);
+    const std::string src =
+        "double s = std::reduce(v.begin(), v.end(), 0.0);\n"
+        "auto policy = std::execution::par;\n";
+    DeterminismRoster roster;
+    roster.modules = {"src/mva/"};
+    roster.kernels = {"src/mva/kernel.hh"};
+    EXPECT_EQ(countRule(fileRules("src/mva/kernel.hh", src, roster),
+                        "fp-determinism"),
+              2u);
+    EXPECT_EQ(countRule(fileRules("src/mva/solve.cc", src, roster),
+                        "fp-determinism"),
+              0u);
 }
 
 TEST(Roster, LoadParsesDirectives)
@@ -303,6 +213,63 @@ TEST(Roster, MissingFileIsAnEmptyRosterNotAnError)
     EXPECT_TRUE(err.empty());
     EXPECT_TRUE(r.modules.empty());
     EXPECT_TRUE(r.kernels.empty());
+}
+
+/** Semantic-pass findings over synthetic files (path, source). */
+std::vector<Finding>
+runOn(std::vector<std::pair<std::string, std::string>> sources)
+{
+    FileSet files;
+    for (auto &[path, src] : sources)
+        files.emplace(path, lex(src));
+    SymbolIndex index = SymbolIndex::build(files);
+    return runSemanticPasses(files, index, CallGraph::build(index, files));
+}
+
+TEST(Lockset, UnguardedWorkerGlobalFires)
+{
+    std::vector<Finding> fs = runOn({
+        {"src/a.cc",
+         "namespace {\n"
+         "unsigned g_n = 0;\n"
+         "void bump() { ++g_n; }\n"
+         "}\n"
+         "void run(unsigned n) { parallelFor(n, [] { bump(); }); }\n"},
+    });
+    ASSERT_EQ(fs.size(), 1u);
+    EXPECT_EQ(fs[0].rule, "lockset");
+    EXPECT_EQ(fs[0].line, 2u);
+    EXPECT_NE(fs[0].message.find("via bump"), std::string::npos)
+        << fs[0].message;
+}
+
+TEST(Lockset, MarkerWaivesAnUnguardedWorkerGlobal)
+{
+    EXPECT_TRUE(runOn({
+                    {"src/a.cc",
+                     "namespace {\n"
+                     "// snoop-lint: lockset-ok\n"
+                     "unsigned g_n = 0;\n"
+                     "void bump() { ++g_n; }\n"
+                     "}\n"
+                     "void run(unsigned n) "
+                     "{ parallelFor(n, [] { bump(); }); }\n"},
+                })
+                    .empty());
+}
+
+TEST(Lockset, UnreachableStateIsNotFlagged)
+{
+    // No parallelFor anywhere: nothing is worker-reachable.
+    EXPECT_TRUE(runOn({
+                    {"src/a.cc",
+                     "namespace {\n"
+                     "unsigned g_n = 0;\n"
+                     "void bump() { ++g_n; }\n"
+                     "}\n"
+                     "void run() { bump(); }\n"},
+                })
+                    .empty());
 }
 
 } // namespace

@@ -41,16 +41,18 @@ struct Expected {
 const std::vector<Expected> kExpected = {
     {"bad_determinism.cc", "determinism", 13},
     {"bad_expected_flow.cc", "expected-flow", 25},
-    {"bad_expected_flow.cc", "expected-flow", 37},
+    {"bad_expected_flow.cc", "expected-flow", 36},
     {"bad_expected_flow__discard.cc", "expected-flow", 31},
-    {"bad_expected_flow__discard.cc", "expected-flow", 37},
     {"bad_fatal_reachability.cc", "fatal-reachability", 24},
     {"bad_fatal_reachability__entry.cc", "fatal-reachability", 10},
     {"bad_fatal_reachability__marker.cc", "fatal-reachability", 11},
-    {"bad_fp_determinism.cc", "fp-determinism", 16},
-    {"bad_fp_determinism.cc", "fp-determinism", 22},
-    {"bad_fp_determinism__kernel.cc", "fp-determinism", 16},
-    {"bad_fp_determinism__kernel.cc", "fp-determinism", 24},
+    {"bad_fp_determinism.cc", "fp-determinism", 13},
+    {"bad_fp_determinism.cc", "fp-determinism", 20},
+    {"bad_fp_determinism.cc", "fp-determinism", 25},
+    {"bad_fp_determinism.cc", "fp-determinism", 33},
+    {"bad_fp_determinism__kernel.cc", "fp-determinism", 8},
+    {"bad_fp_determinism__kernel.cc", "fp-determinism", 14},
+    {"bad_fp_determinism__kernel.cc", "fp-determinism", 25},
     {"bad_lockset__unannotated.cc", "lockset", 12},
     {"bad_marker_allowlist.cc", "marker-allowlist", 7},
     {"bad_numeric_guard_coverage.cc", "numeric-guard-coverage", 9},

@@ -3,8 +3,9 @@
  * Semantic-layer tests: the declaration/definition parser
  * (lint/parser.hh), the cross-TU symbol index (lint/symbols.hh), the
  * call graph with its resolution policy (lint/callgraph.hh), and the
- * two semantic passes (lint/semantic.hh) driven over synthetic
- * FileSets. The fixture suite (test_rules.cc / run_lint.sh) proves
+ * fatal-reachability and numeric-guard-coverage passes
+ * (lint/semantic.hh) driven over synthetic FileSets; the lockset
+ * pass has its own tests in test_flow.cc. The fixture suite (test_rules.cc / run_lint.sh) proves
  * the passes fire end-to-end; these tests pin the layer contracts —
  * scope tracking, linkage restrictions, and witness chains — that
  * the fixtures rely on.
@@ -12,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -190,28 +193,22 @@ TEST(Parser, MatchBracketNestsAllKinds)
 
 // --- symbol index ----------------------------------------------------
 
-TEST(SymbolIndex, ReturnsExpectedIsConservative)
+TEST(SymbolIndex, DefinitionsAreFoundByName)
 {
     FileSet files = makeFiles({
         {"src/a.cc",
-         "Expected<int> tryLoad() { return 1; }\n"
          "Expected<void> check();\n"
-         "void validate();\n"},
+         "void validate() { }\n"},
         {"src/b.cc",
          "Expected<void> check() { return {}; }\n"
-         "Expected<void> validate() { return {}; }\n"
-         "int plain() { return 0; }\n"},
+         "Expected<void> validate() { return {}; }\n"},
     });
     SymbolIndex index = SymbolIndex::build(files);
-    EXPECT_TRUE(index.returnsExpected("tryLoad"));
-    EXPECT_TRUE(index.returnsExpected("check"));
-    // Overload set disagrees (void vs Expected): degrade to false.
-    EXPECT_FALSE(index.returnsExpected("validate"));
-    EXPECT_FALSE(index.returnsExpected("plain"));
-    EXPECT_FALSE(index.returnsExpected("unknown"));
-    EXPECT_EQ(index.definitionsOf("check").size(), 1u);
-    EXPECT_TRUE(index.isKnownFunction("tryLoad"));
-    EXPECT_FALSE(index.isKnownFunction("unknown"));
+    // A declaration is not a definition.
+    ASSERT_EQ(index.definitionsOf("check").size(), 1u);
+    EXPECT_EQ(index.definitionsOf("check")[0]->file, "src/b.cc");
+    EXPECT_EQ(index.definitionsOf("validate").size(), 2u);
+    EXPECT_TRUE(index.definitionsOf("unknown").empty());
 }
 
 // --- call graph ------------------------------------------------------
@@ -338,12 +335,15 @@ TEST(FatalReachability, WitnessChainInMessage)
               std::string::npos);
 }
 
-TEST(FatalReachability, EveryExternalSolverFunctionIsAnEntry)
+TEST(FatalReachability, EveryExternalLibraryFunctionIsAnEntry)
 {
-    // Solver files need no try* prefix: a public function that
+    // Library files need no try* prefix: a public function that
     // reaches fatal() fires; its file-local helper is not reported
     // again as an entry of its own.
-    for (const char *path : {"src/core/solve_for.cc", "src/util/csv.cc"}) {
+    for (const char *path :
+         {"src/core/solve_for.cc", "src/core/report.cc",
+          "src/core/paper_data.cc", "src/mva/solver.cc",
+          "src/util/csv.cc"}) {
         auto findings = runOn({
             {path, "namespace {\n"
                    "void check() { fatal(\"boom\"); }\n"
@@ -356,10 +356,32 @@ TEST(FatalReachability, EveryExternalSolverFunctionIsAnEntry)
                   std::string::npos)
             << findings[0].message;
     }
-    // Outside the solver files only try* functions are entries.
-    EXPECT_TRUE(runOn({{"src/core/report.cc",
+    // Outside the library files nothing is an entry.
+    EXPECT_TRUE(runOn({{"src/sim/trace.cc",
                         "void writeAll() { fatal(\"boom\"); }\n"}})
                     .empty());
+}
+
+TEST(FatalReachability, FatalPlantedInTheReportWriterFires)
+{
+    // src/core/ holds no fatal(): the real report.cc lints clean, and
+    // a fatal() planted in generateReport is reported at its entry.
+    std::ifstream in(std::string(SNOOP_SOURCE_ROOT) + "/src/core/report.cc");
+    std::stringstream ss;
+    ss << in.rdbuf();
+    std::string src = ss.str();
+    EXPECT_TRUE(runOn({{"src/core/report.cc", src}}).empty());
+
+    const std::string body = "generateReport(const ReportSpec &spec)\n{\n";
+    size_t at = src.find(body);
+    ASSERT_NE(at, std::string::npos);
+    src.insert(at + body.size(), "    fatal(\"planted\");\n");
+    auto findings = runOn({{"src/core/report.cc", src}});
+    ASSERT_FALSE(findings.empty());
+    EXPECT_EQ(findings[0].rule, "fatal-reachability");
+    EXPECT_NE(findings[0].message.find("generateReport -> fatal()"),
+              std::string::npos)
+        << findings[0].message;
 }
 
 TEST(FatalReachability, MarkerSuppressesTheSink)

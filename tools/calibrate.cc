@@ -42,7 +42,7 @@ evaluate(const BusTiming &timing)
     MvaSolver solver;
     double sum_sq = 0.0, worst = 0.0;
     size_t count = 0;
-    for (char sub : {'a', 'b', 'c'}) {
+    for (Table41 sub : {Table41::A, Table41::B, Table41::C}) {
         auto mods = ProtocolConfig::fromModString(table41Mods(sub));
         for (const auto &row : paperTable41(sub)) {
             auto inputs = DerivedInputs::compute(

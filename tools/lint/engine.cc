@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <map>
 
-#include "lint/flow.hh"
 #include "lint/include_graph.hh"
 #include "lint/lexer.hh"
 #include "lint/rules.hh"
@@ -262,6 +261,14 @@ runLint(const LintOptions &opt)
 
     // 2. Per-file rules + IWYU-lite (+ marker collection for the
     // allowlist check in step 4b).
+    std::string roster_path = opt.rosterPath.empty()
+        ? (root / "tools" / "lint" / "determinism.txt").string()
+        : opt.rosterPath;
+    std::string roster_err;
+    DeterminismRoster roster =
+        DeterminismRoster::load(roster_path, &roster_err);
+    if (!roster_err.empty())
+        result.errors.push_back(roster_err);
     std::vector<Finding> findings;
     std::map<std::string, bool> is_target;
     std::vector<MarkerUse> markers;
@@ -271,7 +278,7 @@ runLint(const LintOptions &opt)
             continue;
         std::string display = relativize(root, p);
         is_target[display] = true;
-        runFileRules(display, p.string(), *lexed, findings);
+        runFileRules(display, p.string(), *lexed, roster, findings);
         if (!isTestExempt(p.string()))
             checkUnusedIncludes(display, p.string(), *lexed, resolver,
                                 findings);
@@ -324,8 +331,8 @@ runLint(const LintOptions &opt)
         }
     }
 
-    // 4. Semantic and flow passes over one parse (symbol index + call
-    // graph). Their file set is src/ when tree passes run (cross-TU
+    // 4. Semantic passes over one parse (symbol index + call graph).
+    // Their file set is src/ when tree passes run (cross-TU
     // edges need the whole library) plus any explicitly targeted src/
     // files or fixtures (bad_/good_ basenames opt in);
     // tools/bench/examples are CLI boundary code where fatal() and
@@ -365,19 +372,6 @@ runLint(const LintOptions &opt)
             // Same ownership rule as the tree passes: a finding
             // belongs to the run only when its file was asked about.
             for (Finding &f : runSemanticPasses(sem, index, graph)) {
-                if (is_target.count(f.file))
-                    findings.push_back(std::move(f));
-            }
-            std::string roster_path = opt.rosterPath.empty()
-                ? (root / "tools" / "lint" / "determinism.txt")
-                      .string()
-                : opt.rosterPath;
-            std::string roster_err;
-            DeterminismRoster roster =
-                DeterminismRoster::load(roster_path, &roster_err);
-            if (!roster_err.empty())
-                result.errors.push_back(roster_err);
-            for (Finding &f : runFlowPasses(sem, index, graph, roster)) {
                 if (is_target.count(f.file))
                     findings.push_back(std::move(f));
             }

@@ -391,15 +391,9 @@ class Parser
             scopes_.push_back({ScopeKind::Function});
             return j + 1;
         }
-        if (j < toks_.size() && isPunct(toks_[j], "=")) {
-            // = default / = delete / = 0; still a declaration.
-            j = skipStatement(j);
-            out_.declarations.push_back(
-                {nameTok.text, nameTok.line, ret});
-            return j;
-        }
-        out_.declarations.push_back({nameTok.text, nameTok.line, ret});
-        return j + 1;
+        if (j < toks_.size() && isPunct(toks_[j], "="))
+            return skipStatement(j); // = default / = delete / = 0
+        return j + 1; // a declaration
     }
 
     /**

@@ -8,14 +8,11 @@
  * cross-TU passes need — no types, no templates, no overload
  * resolution, just the shapes this tree actually uses:
  *
- *  - function definitions: qualified name, signature line, and the
- *    token range of the body (lambda bodies stay part of the
- *    enclosing function, which is exactly what the lockset pass
- *    wants: a parallelFor worker lambda is analyzed as part of the
- *    function that launches it);
- *  - function declarations: name plus the return-type text, which is
- *    how the symbol index learns that `trySolve` returns
- *    Expected<...> without parsing templates;
+ *  - function definitions: qualified name, signature line,
+ *    return-type text, and the token range of the body (lambda bodies
+ *    stay part of the enclosing function, which is exactly what the
+ *    lockset pass wants: a parallelFor worker lambda is analyzed as
+ *    part of the function that launches it);
  *  - mutable global state: namespace-scope variables and
  *    function-local statics, with constness and self-synchronizing
  *    types (std::atomic, std::mutex, std::once_flag, ...,
@@ -47,13 +44,6 @@ struct FunctionDef {
     bool fileLocal = false;
 };
 
-/** One function declaration (prototype, no body). */
-struct FunctionDecl {
-    std::string name;
-    size_t line = 0;
-    std::string returnText;
-};
-
 /** One mutable-or-not global: namespace-scope variable or
  * function-local static. */
 struct GlobalVar {
@@ -71,7 +61,6 @@ struct GlobalVar {
 /** Everything the parser recovered from one file. */
 struct ParsedFile {
     std::vector<FunctionDef> functions;
-    std::vector<FunctionDecl> declarations;
     std::vector<GlobalVar> globals;
 };
 

@@ -33,8 +33,8 @@ ruleTable()
          "name (IWYU-lite heuristic)"},
         {"fatal-reachability",
          "no fatal()/abort()/exit() transitively reachable from a "
-         "solver entry point (every public function of a solver file, "
-         "every try* in src/core/; call-graph proof; the finding "
+         "library entry point (every public function of src/mva/, "
+         "src/core/ and util/csv.cc; call-graph proof; the finding "
          "carries the witness chain)"},
         {"numeric-guard-coverage",
          "solver boundary functions route results through "
@@ -43,17 +43,18 @@ ruleTable()
         {"fp-determinism",
          "bit-identity-critical modules (tools/lint/determinism.txt) "
          "use no libm transcendentals outside the sanctioned kernels "
-         "and never let unordered-container iteration order reach an "
-         "output or accumulation"},
+         "and name no unordered_ container; kernel files use no "
+         "std::reduce or execution policy"},
         {"lockset",
          "mutable state reachable from parallelFor workers is const, "
          "thread_local, or of a self-synchronizing type (std::atomic, "
          "std::mutex, ..., or Guarded<T>, whose value the compiler "
          "lets no code reach without its lock)"},
         {"expected-flow",
-         "an Expected<T> result is consulted, and never read via "
-         ".value() on a path (or a call temporary) where it was not "
-         "checked ok (path-sensitive CFG analysis)"},
+         "no .value() in src/ outside util/expected.hh: library code "
+         "reaches an Expected<T> only through SNOOP_TRY, SNOOP_TRY_OR "
+         "or match(), which check it first (discarded or unused "
+         "results are build errors)"},
         {"marker-allowlist",
          "every inline 'snoop-lint:' waiver marker in src/ is "
          "registered with a justification in "

@@ -2,6 +2,10 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+
+#include "lint/parser.hh"
 
 namespace snoop::lint {
 
@@ -192,6 +196,112 @@ checkDeterminism(const std::string &file, const LexedFile &lx,
     }
 }
 
+// --- expected-flow: src/ reaches an Expected only through checks ----
+
+void
+checkExpectedFlow(const std::string &file, const LexedFile &lx,
+                  std::vector<Finding> &findings)
+{
+    const std::vector<Token> &toks = lx.tokens;
+    for (size_t i = 1; i + 1 < toks.size(); ++i) {
+        if (!isIdent(toks[i], "value") || !isPunct(toks[i + 1], "("))
+            continue;
+        bool member = isPunct(toks[i - 1], ".") ||
+            (i >= 2 && isPunct(toks[i - 1], ">") &&
+             isPunct(toks[i - 2], "-"));
+        if (!member)
+            continue;
+        findings.push_back(
+            {file, toks[i].line, "expected-flow",
+             "'.value()' in library code: reach an Expected's value "
+             "through SNOOP_TRY / SNOOP_TRY_OR or match() "
+             "(util/expected.hh), which check it first"});
+    }
+}
+
+// --- fp-determinism: the bit-identity roster -------------------------
+
+const std::set<std::string> &
+transcendentals()
+{
+    static const std::set<std::string> k = {
+        "pow",   "powf",  "powl",   "exp",    "exp2",  "expm1",
+        "log",   "log2",  "log10",  "log1p",  "sin",   "cos",
+        "tan",   "sinh",  "cosh",   "tanh",   "asin",  "acos",
+        "atan",  "atan2", "erf",    "erfc",   "tgamma", "lgamma",
+        "cbrt",  "hypot",
+    };
+    return k;
+}
+
+bool
+sanctionedName(const std::string &name, const DeterminismRoster &roster)
+{
+    // mvaExp2 is the repository's deterministic 2^x kernel
+    // (src/mva/kernel.hh); it is sanctioned even in fixture runs
+    // where no roster file exists.
+    return name == "mvaExp2" || roster.sanctioned.count(name) > 0;
+}
+
+void
+checkFpDeterminism(const std::string &file, const LexedFile &lx,
+                   bool kernel, const DeterminismRoster &roster,
+                   std::vector<Finding> &findings)
+{
+    const std::vector<Token> &toks = lx.tokens;
+
+    // Token ranges of sanctioned function bodies: the deterministic
+    // kernel itself may use libm internally.
+    std::vector<std::pair<size_t, size_t>> sanctionedBodies;
+    for (const FunctionDef &fn : parseFile(lx).functions)
+        if (sanctionedName(fn.name, roster))
+            sanctionedBodies.push_back({fn.bodyBegin, fn.bodyEnd});
+    auto inSanctioned = [&](size_t tok) {
+        for (const auto &[b, e] : sanctionedBodies)
+            if (tok >= b && tok < e)
+                return true;
+        return false;
+    };
+
+    size_t unorderedLine = 0; // one finding per line
+    for (size_t i = 0; i < toks.size(); ++i) {
+        const Token &t = toks[i];
+        if (t.kind != TokenKind::Identifier)
+            continue;
+        bool call = i + 1 < toks.size() && isPunct(toks[i + 1], "(");
+        bool member = i > 0 &&
+            (isPunct(toks[i - 1], ".") || isPunct(toks[i - 1], ">"));
+        bool stdQualified = i >= 3 && isPunct(toks[i - 1], ":") &&
+            isPunct(toks[i - 2], ":") && isIdent(toks[i - 3], "std");
+        std::string msg;
+        if (call && !member && transcendentals().count(t.text) &&
+            !inSanctioned(i)) {
+            msg = "libm transcendental '" + t.text +
+                "' in a bit-identity-critical module "
+                "(tools/lint/determinism.txt); results differ across "
+                "libm versions -- use the deterministic kernel "
+                "(mvaExp2) or justify with '// snoop-lint: fp-ok'";
+        } else if (startsWith(t.text, "unordered_") &&
+                   t.line != unorderedLine) {
+            unorderedLine = t.line;
+            msg = "'" + t.text +
+                "' in a bit-identity-critical module "
+                "(tools/lint/determinism.txt): hash iteration order is "
+                "not deterministic across runs or platforms; use an "
+                "ordered container, or LookupMap (util/lookup_map.hh) "
+                "for an index that is only looked up";
+        } else if (kernel && stdQualified &&
+                   (t.text == "reduce" || t.text == "execution")) {
+            msg = "'std::" + t.text +
+                "' in a kernel file: accumulation order is "
+                "unspecified, which breaks bit-identity (snoop-lint: "
+                "fp-ok to waive)";
+        }
+        if (!msg.empty() && !markerNearby(lx, t.line, "fp-ok"))
+            findings.push_back({file, t.line, "fp-determinism", msg});
+    }
+}
+
 // --- applicability ---------------------------------------------------
 
 bool
@@ -217,9 +327,65 @@ isTestExempt(const std::string &path)
     return underTests(fs::path(path));
 }
 
+bool
+DeterminismRoster::memberFile(const std::string &file) const
+{
+    for (const std::string &m : modules)
+        if (startsWith(file, m))
+            return true;
+    return kernelFile(file);
+}
+
+bool
+DeterminismRoster::kernelFile(const std::string &file) const
+{
+    for (const std::string &k : kernels)
+        if (file == k)
+            return true;
+    return false;
+}
+
+DeterminismRoster
+DeterminismRoster::load(const std::string &path, std::string *error)
+{
+    DeterminismRoster r;
+    std::ifstream in(path);
+    if (!in)
+        return r; // no roster: fixture-scope only
+    std::string line;
+    size_t lineno = 0;
+    while (std::getline(in, line)) {
+        ++lineno;
+        size_t hash = line.find('#');
+        if (hash != std::string::npos)
+            line = line.substr(0, hash);
+        std::istringstream ss(line);
+        std::string directive, arg, extra;
+        if (!(ss >> directive))
+            continue;
+        if (!(ss >> arg) || (ss >> extra)) {
+            if (error)
+                *error = path + ":" + std::to_string(lineno) +
+                    ": expected '<directive> <argument>'";
+            continue;
+        }
+        if (directive == "module")
+            r.modules.push_back(arg);
+        else if (directive == "kernel")
+            r.kernels.push_back(arg);
+        else if (directive == "sanctioned")
+            r.sanctioned.insert(arg);
+        else if (error)
+            *error = path + ":" + std::to_string(lineno) +
+                ": unknown directive '" + directive + "'";
+    }
+    return r;
+}
+
 void
 runFileRules(const std::string &display, const std::string &original,
-             const LexedFile &lexed, std::vector<Finding> &findings)
+             const LexedFile &lexed, const DeterminismRoster &roster,
+             std::vector<Finding> &findings)
 {
     fs::path path(original);
     bool is_header = path.extension() == ".hh";
@@ -238,6 +404,18 @@ runFileRules(const std::string &display, const std::string &original,
             checkRawThread(display, lexed, findings);
         if (inDeterminismScope(path))
             checkDeterminism(display, lexed, findings);
+        if ((startsWith(display, "src/") &&
+             display != "src/util/expected.hh") ||
+            fixtureOptsIn(display, "expected-flow"))
+            checkExpectedFlow(display, lexed, findings);
+        bool fpFixture = fixtureOptsIn(display, "fp-determinism");
+        if (roster.memberFile(display) || fpFixture)
+            checkFpDeterminism(
+                display, lexed,
+                roster.kernelFile(display) ||
+                    (fpFixture &&
+                     baseName(display).find("kernel") != std::string::npos),
+                roster, findings);
     }
 }
 

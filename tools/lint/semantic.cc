@@ -30,27 +30,24 @@ sinkExemptFile(const std::string &file)
         file == "src/util/contracts.cc";
 }
 
-/** The library solver paths: the surface the ROADMAP promises never
- * terminates the process. CsvWriter is one: it emits sweep and bench
- * results, so a failed write must surface through close(). */
+/** The library paths the ROADMAP promises never terminate the
+ * process: the model (src/mva/), everything built on it in src/core/,
+ * and CsvWriter, which emits sweep and bench results, so a failed
+ * write must surface through close(). */
 bool
-solverFile(const std::string &file)
+libraryFile(const std::string &file)
 {
-    return startsWith(file, "src/mva/") || file == "src/core/analyzer.cc" ||
-        file == "src/core/sweep.cc" || file == "src/core/solve_for.cc" ||
+    return startsWith(file, "src/mva/") || startsWith(file, "src/core/") ||
         file == "src/util/csv.cc" ||
         fixtureOptsIn(file, "fatal-reachability");
 }
 
-/** Entry points: every external-linkage function of a solver file (a
- * file-local helper is reached through them), and every try* function
- * in src/core/, whose Expected return is the no-exit contract. */
+/** Entry points: every external-linkage function of a library file (a
+ * file-local helper is reached through them). */
 bool
 fatalEntry(const IndexedFunction &fn)
 {
-    if (startsWith(fn.def.name, "try") && startsWith(fn.file, "src/core/"))
-        return true;
-    return solverFile(fn.file) && !fn.def.fileLocal;
+    return libraryFile(fn.file) && !fn.def.fileLocal;
 }
 
 void
@@ -187,6 +184,67 @@ checkNumericGuardCoverage(const FileSet &files, const SymbolIndex &index,
     }
 }
 
+// ---------------------------------------------------------------------
+// lockset
+
+/**
+ * Worker-shared state: a mutable global named in the body of a
+ * function reachable from a parallelFor() launch must be const,
+ * thread_local, or of a type that synchronizes itself: std::atomic,
+ * std::mutex, ..., or Guarded<T> (src/util/guarded.hh), whose value
+ * the compiler lets no code reach without its lock. Worker lambdas
+ * parse as part of the launching function, so the launchers are the
+ * reachability roots. Waiver: `// snoop-lint: lockset-ok` at the
+ * declaration.
+ */
+void
+checkWorkerGlobals(const FileSet &files, const SymbolIndex &index,
+                   const CallGraph &graph, std::vector<Finding> &out)
+{
+    const auto &funcs = index.functions();
+    std::vector<size_t> roots;
+    for (size_t i = 0; i < funcs.size(); ++i)
+        for (const CallSite &site : graph.callsOf(i))
+            if (site.callee == "parallelFor") {
+                roots.push_back(i);
+                break;
+            }
+    if (roots.empty())
+        return;
+    const std::vector<size_t> worker = graph.reachableFrom(roots);
+
+    for (const IndexedGlobal &g : index.globals()) {
+        const GlobalVar &var = g.var;
+        if (!(startsWith(g.file, "src/") ||
+              fixtureOptsIn(g.file, "lockset")) ||
+            var.isConst || var.isThreadLocal || var.selfSynchronizing)
+            continue;
+        auto fit = files.find(g.file);
+        if (fit == files.end() ||
+            markerNearby(fit->second, var.line, "lockset-ok"))
+            continue;
+        // Accessor: a worker-reachable function in the same file
+        // (such globals have internal linkage) naming the variable
+        // other than as a member of some object.
+        for (size_t i : worker) {
+            const FunctionDef &def = funcs[i].def;
+            if (funcs[i].file != g.file ||
+                !namesBare(fit->second.tokens, def.bodyBegin, def.bodyEnd,
+                           var.name))
+                continue;
+            out.push_back(
+                {g.file, var.line, "lockset",
+                 "mutable shared state '" + var.name +
+                     "' is reachable from parallelFor workers (via " +
+                     def.qualified +
+                     ") but is not const, thread_local or "
+                     "self-synchronizing; wrap it in Guarded<T> "
+                     "(util/guarded.hh)"});
+            break;
+        }
+    }
+}
+
 } // namespace
 
 std::vector<Finding>
@@ -196,6 +254,7 @@ runSemanticPasses(const FileSet &files, const SymbolIndex &index,
     std::vector<Finding> out;
     checkFatalReachability(files, index, graph, out);
     checkNumericGuardCoverage(files, index, graph, out);
+    checkWorkerGlobals(files, index, graph, out);
     return out;
 }
 

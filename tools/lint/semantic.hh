@@ -10,10 +10,9 @@
  *
  *  - fatal-reachability: no `fatal()` / `abort()` / `exit()` may be
  *    transitively reachable from a library entry point: every
- *    external-linkage function of a solver file (src/mva,
- *    core/{analyzer,sweep,solve_for}, util/csv) and
- *    every `try*` function in src/core. The finding
- *    message carries the whole witness chain entry -> ... -> sink.
+ *    external-linkage function of src/mva/, src/core/ and
+ *    util/csv.cc. The finding message carries the whole witness
+ *    chain entry -> ... -> sink.
  *    This is the one check of the "library paths never exit"
  *    contract (util/expected.hh). Per-line opt-out:
  *    `// snoop-lint: fatal-ok` near the sink call.
@@ -24,9 +23,13 @@
  *    helper (a helper returning SolveError counts: that is the
  *    recoverable-validation idiom of mva/lane.cc).
  *
- * Unchecked Expected results and shared state reachable from
- * parallelFor workers are the flow-sensitive passes' properties
- * (expected-flow and lockset, lint/flow.hh).
+ *  - lockset: mutable globals that functions reachable from a
+ *    parallelFor() launch (call graph) touch must be const,
+ *    thread_local, or of a self-synchronizing type: std::atomic,
+ *    std::mutex, ..., or Guarded<T> (src/util/guarded.hh). Which
+ *    lock guards a Guarded value is the compiler's to check, not
+ *    this pass's: the value is private behind lock(). Per-line
+ *    opt-out: `// snoop-lint: lockset-ok`.
  *
  * fatal-reachability over-approximates call edges by name so a
  * missed path is impossible (a false path is refutable by reading
@@ -42,7 +45,7 @@
 
 namespace snoop::lint {
 
-/** Run both semantic passes over @p files (keys are repo-relative
+/** Run the three semantic passes over @p files (keys are repo-relative
  * paths, or basenames for fixture sets), using the @p index and
  * @p graph built from those same files. Findings come back
  * unsorted; the engine orders them. */

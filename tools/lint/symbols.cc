@@ -2,16 +2,6 @@
 
 namespace snoop::lint {
 
-namespace {
-
-bool
-textReturnsExpected(const std::string &returnText)
-{
-    return returnText.find("Expected") != std::string::npos;
-}
-
-} // namespace
-
 SymbolIndex
 SymbolIndex::build(const FileSet &files)
 {
@@ -21,14 +11,6 @@ SymbolIndex::build(const FileSet &files)
         for (const FunctionDef &def : parsed.functions) {
             idx.byName_[def.name].push_back(idx.functions_.size());
             idx.functions_.push_back({path, def});
-            auto &[sawExpected, sawOther] = idx.returns_[def.name];
-            (textReturnsExpected(def.returnText) ? sawExpected
-                                                 : sawOther) = true;
-        }
-        for (const FunctionDecl &decl : parsed.declarations) {
-            auto &[sawExpected, sawOther] = idx.returns_[decl.name];
-            (textReturnsExpected(decl.returnText) ? sawExpected
-                                                  : sawOther) = true;
         }
         for (const GlobalVar &var : parsed.globals)
             idx.globals_.push_back({path, var});
@@ -48,22 +30,6 @@ SymbolIndex::definitionsOf(const std::string &name) const
     for (size_t i : it->second)
         out.push_back(&functions_[i]);
     return out;
-}
-
-bool
-SymbolIndex::returnsExpected(const std::string &name) const
-{
-    auto it = returns_.find(name);
-    if (it == returns_.end())
-        return false;
-    const auto &[sawExpected, sawOther] = it->second;
-    return sawExpected && !sawOther;
-}
-
-bool
-SymbolIndex::isKnownFunction(const std::string &name) const
-{
-    return byName_.count(name) > 0 || returns_.count(name) > 0;
 }
 
 const ParsedFile &

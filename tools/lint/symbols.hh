@@ -8,20 +8,15 @@
  *
  *  - functions: every definition, tagged with its file, for the call
  *    graph (lint/callgraph.hh) and per-pass scoping;
- *  - returnsExpected(name): true only when *every* declaration and
- *    definition of that name spells an Expected<...> return type —
- *    overload ambiguity degrades to "don't know", and the
- *    expected-flow pass stays silent rather than guessing;
  *  - globals: every namespace-scope variable / function-local static,
  *    tagged with its file, for the lockset pass.
  *
  * The engine builds the index once per run from the same FileSet the
- * tree passes use and shares it between the semantic and flow passes,
- * which inherit the engine's caching and deterministic file ordering.
+ * tree passes use and hands it to the semantic passes, which inherit
+ * the engine's caching and deterministic file ordering.
  */
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -66,15 +61,6 @@ class SymbolIndex
     std::vector<const IndexedFunction *>
     definitionsOf(const std::string &name) const;
 
-    /** True when every known declaration/definition of @p name
-     * returns Expected<...>. False when none does or when the
-     * overload set disagrees (conservative). */
-    bool returnsExpected(const std::string &name) const;
-
-    /** True when @p name names at least one indexed function
-     * (definition or declaration). */
-    bool isKnownFunction(const std::string &name) const;
-
     /** Parsed form of one file (empty ParsedFile when absent). */
     const ParsedFile &parsed(const std::string &file) const;
 
@@ -82,8 +68,6 @@ class SymbolIndex
     std::vector<IndexedFunction> functions_;
     std::vector<IndexedGlobal> globals_;
     std::map<std::string, std::vector<size_t>> byName_; //!< -> functions_
-    /** name -> {saw Expected return, saw non-Expected return} */
-    std::map<std::string, std::pair<bool, bool>> returns_;
     std::map<std::string, ParsedFile> parsedByFile_;
 };
 

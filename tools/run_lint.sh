@@ -1,7 +1,7 @@
 #!/bin/sh
 # Drives snoop_lint as a ctest: lints the real tree (must be clean,
 # including the layering / determinism / unused-include passes, the
-# flow-sensitive passes (fp-determinism, lockset, expected-flow) and
+# semantic passes, the token rules (fp-determinism, expected-flow) and
 # marker-allowlist; there is no baseline to hide a finding behind),
 # verifies on the negative fixtures that every rule
 # still fires, verifies the good_* fixtures stay clean, and checks

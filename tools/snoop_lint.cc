@@ -37,17 +37,35 @@
  * -Werror=suggest-attribute=format and the default
  * NonConvergencePolicy::Fatal prove what they checked.
  *
- * On top of the per-file and include-graph rules, two semantic
+ * Two token rules guard properties whose path-sensitive halves the
+ * compiler holds (see docs/ANALYSIS.md):
+ *
+ *  T1  fp-determinism  in the bit-identity-critical modules named by
+ *                      tools/lint/determinism.txt: no libm
+ *                      transcendentals outside the sanctioned
+ *                      kernels (mvaExp2), no unordered_ container
+ *                      (a lookup-only index is a LookupMap, which
+ *                      cannot be iterated), and no std::reduce or
+ *                      execution policy in kernel files; waiver
+ *                      marker `snoop-lint: fp-ok`
+ *  T2  expected-flow   no .value() in src/ outside util/expected.hh:
+ *                      library code reaches an Expected through
+ *                      SNOOP_TRY / SNOOP_TRY_OR / match(), which
+ *                      check it first (a discarded or never-used
+ *                      result fails the build: -Werror=unused-result
+ *                      and -Werror=unused-variable)
+ *
+ * On top of the per-file and include-graph rules, three semantic
  * passes run over a parsed cross-TU view (declaration parser, symbol
- * index, call graph — see docs/ANALYSIS.md):
+ * index, call graph):
  *
  *  S1  fatal-reachability
  *                      no fatal()/abort()/exit() transitively
- *                      reachable from a solver entry point
- *                      (every public function of a solver file,
- *                      every try* in src/core/; report failures as
- *                      SolveError /
- *                      SolveException, util/expected.hh); the
+ *                      reachable from a library entry point
+ *                      (every public function of src/mva/,
+ *                      src/core/ and util/csv.cc; report failures
+ *                      as SolveError / SolveException,
+ *                      util/expected.hh); the
  *                      finding carries the full witness chain
  *                      (entry -> ... -> fatal()); a deliberate
  *                      boundary fatal carries a
@@ -56,31 +74,12 @@
  *                      solver boundary functions route results
  *                      through NumericGuard / SNOOP_NUMERIC_CHECK,
  *                      directly or via a same-file validator
- *
- * And three flow-sensitive passes over the statement-level CFG and
- * worklist dataflow solver (tools/lint/cfg.hh, dataflow.hh,
- * flow.hh):
- *
- *  F1  fp-determinism  in the bit-identity-critical modules named by
- *                      tools/lint/determinism.txt: no libm
- *                      transcendentals outside the sanctioned
- *                      kernels (mvaExp2), no unordered-container
- *                      iteration on a path reaching output, no
- *                      accumulation-order hazards in kernel files;
- *                      waiver marker `snoop-lint: fp-ok`
- *  F2  lockset         mutable state reachable from parallelFor
+ *  S3  lockset         mutable state reachable from parallelFor
  *                      workers is const, thread_local, or of a
  *                      self-synchronizing type (std::atomic, ...,
  *                      or Guarded<T>, src/util/guarded.hh, whose
  *                      locking the compiler checks); waiver marker
  *                      `snoop-lint: lockset-ok`
- *  F3  expected-flow   path-sensitive unchecked-Expected: a result
- *                      checked on one branch but read via .value()
- *                      on another is flagged with the offending
- *                      path, as are .value() on a call temporary and
- *                      a bound result never consulted (a discarded
- *                      one fails the build: -Werror=unused-result);
- *                      waiver marker `snoop-lint: expected-ok`
  *
  * Every inline `snoop-lint:` waiver in src/ must additionally be
  * registered with a justification in tools/lint/allowlist.txt
