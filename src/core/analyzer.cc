@@ -5,6 +5,7 @@
 
 #include "observe/metrics.hh"
 #include "observe/trace.hh"
+#include "util/contracts.hh"
 #include "util/logging.hh"
 
 namespace snoop {
@@ -12,7 +13,7 @@ namespace snoop {
 Analyzer::Analyzer(MvaOptions options, BusTiming timing)
     : solver_(options), timing_(timing)
 {
-    timing_.validate();
+    SNOOP_REQUIRE_OK(timing_.check());
 }
 
 MvaResult
@@ -54,8 +55,8 @@ Analyzer::tryAnalyze(const ProtocolConfig &protocol,
         analyze_span.setArgs(
             strprintf("\"protocol\":\"%s\"", protocol.name().c_str()));
     }
-    // Check the workload up front: DerivedInputs::compute re-validates
-    // with a fatal() that a library path must never reach.
+    // Check the workload up front: DerivedInputs::compute states it
+    // as a precondition (SNOOP_REQUIRE_OK), which exits the process.
     if (auto ok = workload.check(); !ok) {
         return SolveError(ok.error())
             .withContext(strprintf("Analyzer::tryAnalyze(%s, N=%u)",
@@ -91,9 +92,9 @@ Analyzer::tryAnalyzeBatch(
             analyze_span.setArgs(strprintf(
                 "\"protocol\":\"%s\"", req.protocol.name().c_str()));
         }
-        // Check the workload up front: DerivedInputs::compute
-        // re-validates with a fatal() that a library path must never
-        // reach.
+        // Check the workload up front: DerivedInputs::compute states
+        // it as a precondition (SNOOP_REQUIRE_OK), which exits the
+        // process.
         if (auto ok = req.workload.check(); !ok) {
             out.emplace_back(SolveError(ok.error()).withContext(
                 strprintf("Analyzer::tryAnalyze(%s, N=%u)",

@@ -514,7 +514,18 @@ readSweepCheckpoint(const std::string &path)
             !hdr->isString()) {
             return readError(path, 1, 0, "malformed protocol entry");
         }
-        data.protocolMods.push_back(mod->asString());
+        // A mod string is what ProtocolConfig::modString() writes: a
+        // strictly increasing run of the digits 1-4 ("" is Write-Once).
+        const std::string &mods = mod->asString();
+        for (size_t k = 0; k < mods.size(); ++k) {
+            if (mods[k] < '1' || mods[k] > '4' ||
+                (k > 0 && mods[k] <= mods[k - 1])) {
+                return readError(path, 1, 0,
+                                 strprintf("bad protocol mod \"%s\"",
+                                           mods.c_str()));
+            }
+        }
+        data.protocolMods.push_back(mods);
         data.protocolHeaders.push_back(hdr->asString());
     }
     if (data.gridCells !=

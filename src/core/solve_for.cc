@@ -35,7 +35,6 @@ solveForParameter(const SolveForQuery &q, const Analyzer &analyzer)
     auto speedup_at = [&](double v) {
         WorkloadParams wl = q.base;
         q.set(wl, v);
-        wl.validate();
         return analyzer.analyze(q.protocol, wl, q.n).speedup;
     };
 

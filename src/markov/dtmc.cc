@@ -34,7 +34,6 @@ Dtmc::validate() const
         row[t.from] += t.prob;
     for (size_t s = 0; s < numStates_; ++s) {
         if (std::fabs(row[s] - 1.0) > 1e-9)
-            // snoop-lint: fatal-ok (justification: tools/lint/allowlist.txt)
             fatal("Dtmc: row %zu sums to %g, not 1", s, row[s]);
     }
 }

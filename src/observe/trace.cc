@@ -161,14 +161,12 @@ loadEnvImpl()
                                           : TraceLevel::Iteration;
                 spec = trim(spec.substr(0, colon));
             } else if (suffix == "off" || suffix.empty()) {
-                // snoop-lint: fatal-ok (justification: tools/lint/allowlist.txt)
                 fatal("SNOOP_TRACE: bad level ':%s' in '%s' "
                       "(expected :phase or :iteration)",
                       suffix.c_str(), trace);
             }
         }
         if (spec.empty()) {
-            // snoop-lint: fatal-ok (justification: tools/lint/allowlist.txt)
             fatal("SNOOP_TRACE: empty path in '%s'", trace);
         }
         installTrace(level, spec);

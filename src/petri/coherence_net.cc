@@ -2,33 +2,38 @@
 
 #include <cmath>
 
+#include "util/contracts.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
 namespace snoop {
 
-void
-CoherenceNetParams::validate() const
+Expected<void>
+CoherenceNetParams::check() const
 {
-    // snoop-lint: fatal-ok (justification: tools/lint/allowlist.txt)
+    auto invalid = [](const char *what) {
+        return makeError(SolveErrorCode::InvalidArgument,
+                         "CoherenceNetParams", "%s", what);
+    };
     if (numProcessors == 0)
-        fatal("CoherenceNetParams: need at least one processor");
-    // snoop-lint: fatal-ok
+        return invalid("need at least one processor");
     if (execTime <= 0.0 || tWrite <= 0.0 || tRead <= 0.0)
-        fatal("CoherenceNetParams: times must be positive");
-    // snoop-lint: fatal-ok
+        return invalid("times must be positive");
     if (pLocal < 0.0 || pBc < 0.0 || pRr < 0.0)
-        fatal("CoherenceNetParams: probabilities must be non-negative");
-    // snoop-lint: fatal-ok
-    if (std::fabs(pLocal + pBc + pRr - 1.0) > 1e-9)
-        fatal("CoherenceNetParams: pLocal + pBc + pRr must sum to 1 "
-              "(got %g)", pLocal + pBc + pRr);
+        return invalid("probabilities must be non-negative");
+    if (std::fabs(pLocal + pBc + pRr - 1.0) > 1e-9) {
+        return makeError(SolveErrorCode::InvalidArgument,
+                         "CoherenceNetParams",
+                         "pLocal + pBc + pRr must sum to 1 (got %g)",
+                         pLocal + pBc + pRr);
+    }
+    return {};
 }
 
 CoherenceNet
 makeCoherenceNet(const CoherenceNetParams &p)
 {
-    p.validate();
+    SNOOP_REQUIRE_OK(p.check());
     CoherenceNet cn;
     cn.busFree = cn.net.addPlace("bus_free", 1);
 

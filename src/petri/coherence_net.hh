@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "petri/gtpn.hh"
+#include "util/expected.hh"
 
 namespace snoop {
 
@@ -30,8 +31,9 @@ struct CoherenceNetParams
     double tWrite = 1.0;  ///< bus occupancy of a broadcast
     double tRead = 9.0;   ///< bus occupancy of a remote read
 
-    /** fatal() if probabilities are malformed. */
-    void validate() const;
+    /** An InvalidArgument error on a non-positive processor count or
+     * time, or probabilities that are negative or do not sum to 1. */
+    [[nodiscard]] Expected<void> check() const;
 };
 
 /**

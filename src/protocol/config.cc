@@ -1,5 +1,6 @@
 #include "protocol/config.hh"
 
+#include "util/contracts.hh"
 #include "util/logging.hh"
 
 namespace snoop {
@@ -9,6 +10,9 @@ ProtocolConfig::fromModString(const std::string &mods)
 {
     ProtocolConfig c;
     for (char ch : mods) {
+        SNOOP_REQUIRE(ch >= '1' && ch <= '4',
+                      "ProtocolConfig: bad modification character '%c' "
+                      "(expected digits 1-4)", ch);
         switch (ch) {
           case '1':
             c.mod1 = true;
@@ -22,10 +26,6 @@ ProtocolConfig::fromModString(const std::string &mods)
           case '4':
             c.mod4 = true;
             break;
-          default:
-            // snoop-lint: fatal-ok (justification: tools/lint/allowlist.txt)
-            fatal("ProtocolConfig: bad modification character '%c' "
-                  "(expected digits 1-4)", ch);
         }
     }
     return c;

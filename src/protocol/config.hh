@@ -45,7 +45,8 @@ struct ProtocolConfig
     /**
      * Construct from a compact spec string: a subset of the characters
      * '1'..'4', e.g. "14" for mods 1 and 4, "" for plain Write-Once.
-     * fatal() on any other character.
+     * Any other character is a precondition violation
+     * (SNOOP_REQUIRE: exit 1).
      */
     static ProtocolConfig fromModString(const std::string &mods);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/contracts.hh"
 #include "util/logging.hh"
 
 namespace snoop {
@@ -9,10 +10,10 @@ namespace snoop {
 MemoryModules::MemoryModules(int num_modules, double latency)
     : latency_(latency)
 {
-    if (num_modules < 1)
-        fatal("MemoryModules: need at least one module");
-    if (latency <= 0.0)
-        fatal("MemoryModules: latency must be positive");
+    SNOOP_REQUIRE(num_modules >= 1,
+                  "MemoryModules: need at least one module");
+    SNOOP_REQUIRE(latency > 0.0,
+                  "MemoryModules: latency must be positive");
     freeAt_.assign(static_cast<size_t>(num_modules), 0.0);
 }
 

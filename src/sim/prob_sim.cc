@@ -33,6 +33,8 @@ SimConfig::check() const
         return invalid("need at least one processor");
     if (auto ok = workload.check(); !ok)
         return ok;
+    if (auto ok = timing.check(); !ok)
+        return ok;
     if (measuredRequests == 0)
         return invalid("measuredRequests must be positive");
     if (batchSize == 0)
@@ -49,15 +51,6 @@ SimConfig::check() const
         }
     }
     return {};
-}
-
-void
-SimConfig::validate() const
-{
-    timing.validate();
-    // snoop-lint: fatal-ok (justification: tools/lint/allowlist.txt)
-    if (auto ok = check(); !ok)
-        fatal("%s", ok.error().describe().c_str());
 }
 
 std::string
@@ -434,7 +427,7 @@ Simulator::run()
 SimResult
 simulate(const SimConfig &config)
 {
-    config.validate();
+    SNOOP_REQUIRE_OK(config.check());
     Simulator sim(config);
     SimResult r = sim.run();
 
@@ -501,7 +494,7 @@ simulateReplications(const SimConfig &base, unsigned replications)
 {
     SNOOP_REQUIRE(replications > 0,
                   "simulateReplications: need at least one replication");
-    base.validate();
+    SNOOP_REQUIRE_OK(base.check());
 
     // Derive every replication's seed up front from one SplitMix64
     // sequence: substreams are fixed by (base.seed, index) alone, so

@@ -77,13 +77,9 @@ struct SimConfig
     double histogramMax = 200.0;
     size_t histogramBins = 100;
 
-    /** A structured error for nonsensical settings (the bus timing
-     * aside: BusTiming::validate owns it). */
+    /** A structured error for nonsensical settings, the workload
+     * and bus timing included. */
     [[nodiscard]] Expected<void> check() const;
-
-    /** fatal() wrapper around BusTiming::validate and check(), for
-     * tool/CLI boundaries. */
-    void validate() const;
 };
 
 /** Measures produced by a simulation run. */

@@ -8,6 +8,7 @@
 #include "sim/cache.hh"
 #include "sim/event_queue.hh"
 #include "sim/memory.hh"
+#include "util/contracts.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -18,8 +19,8 @@ TraceSimConfig::validate() const
 {
     if (numProcessors == 0)
         fatal("TraceSimConfig: need at least one processor");
-    workload.validate();
-    timing.validate();
+    SNOOP_REQUIRE_OK(workload.check());
+    SNOOP_REQUIRE_OK(timing.check());
     if (cacheSets == 0 || cacheWays == 0)
         fatal("TraceSimConfig: cache geometry must be non-degenerate");
     if (measuredRequests == 0)

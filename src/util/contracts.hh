@@ -15,6 +15,9 @@
  *                               (abort, core dump) on violation.
  *  - SNOOP_REQUIRE(cond, ...):  caller/input precondition; routes to
  *                               fatal() (exit 1) on violation.
+ *  - SNOOP_REQUIRE_OK(expr):    the same for a structured check()
+ *                               (an Expected<void>): exit 1 with the
+ *                               error's describe() on failure.
  *  - SNOOP_NUMERIC_CHECK(cond, ...): numeric-validity invariant;
  *                               routes to panic() with a "numeric"
  *                               prefix so corrupted solver state is
@@ -24,7 +27,8 @@
  *                               utilization ranges, distributions and
  *                               stochastic-matrix rows, convergence).
  *
- * All three macros accept an optional printf-style message:
+ * SNOOP_ASSERT, SNOOP_REQUIRE and SNOOP_NUMERIC_CHECK accept an optional
+ * printf-style message:
  *
  * @code
  *   SNOOP_ASSERT(idx < size_);
@@ -84,6 +88,22 @@ namespace detail {
         if (!(cond)) [[unlikely]] {                                       \
             ::snoop::detail::requireFail(                                 \
                 __FILE__, __LINE__, #cond __VA_OPT__(, ) __VA_ARGS__);    \
+        }                                                                 \
+    } while (0)
+
+/**
+ * Precondition stated as a structured check: evaluate @p expr (an
+ * Expected<void>, e.g. `params.check()`) once and, on error, exit 1
+ * through requireFail with the error's describe() text. Library
+ * entries that can recover call check() themselves instead.
+ */
+#define SNOOP_REQUIRE_OK(expr)                                            \
+    do {                                                                  \
+        if (auto snoop_require_ok_ = (expr); !snoop_require_ok_)          \
+            [[unlikely]] {                                                \
+            ::snoop::detail::requireFail(                                 \
+                __FILE__, __LINE__, #expr, "%s",                          \
+                snoop_require_ok_.error().describe().c_str());            \
         }                                                                 \
     } while (0)
 

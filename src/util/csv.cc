@@ -9,7 +9,7 @@ CsvWriter::CsvWriter(const std::string &path) : out_(path)
 {
     // No fatal() here: CSV emission runs on library paths (sweep
     // results, bench emitters) under the library's never-exit
-    // contract (util/expected.hh, checked by fatal-reachability). The
+    // contract (util/expected.hh, checked by lint/fatal_link). The
     // error is sticky and surfaces through close().
     if (!out_.ok()) {
         error_ = makeError(SolveErrorCode::IoError, "CsvWriter",

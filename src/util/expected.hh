@@ -19,10 +19,12 @@
  *                    a value; each checks ok() first, so src/ never
  *                    calls value() (snoop_lint rule `expected-flow`).
  *
- * Library solver paths (util/csv, the mva layer, all of core/) report
- * failures through these types and never call fatal() - enforced by
- * the snoop_lint rule `fatal-reachability`, which proves no public
- * function of those files reaches a process-terminating call.
+ * Library solver paths (util/csv, the mva layer, all of core/ and
+ * serve/) report failures through these types and never call fatal()
+ * - enforced by the ctest lint/fatal_link, which links every public
+ * function of those files with --gc-sections and rejects any kept
+ * function other than the contract handlers that calls fatal() or
+ * exits the process.
  * Converting an error into process exit is the business of CLI/tool
  * boundaries (examples/, tools/), not of the library.
  */

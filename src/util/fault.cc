@@ -39,7 +39,6 @@ loadEnvImpl()
     const char *env = std::getenv("SNOOP_FAULT");
     auto ok = installSpecs(env ? env : "");
     if (!ok) {
-        // snoop-lint: fatal-ok (justification: tools/lint/allowlist.txt)
         fatal("SNOOP_FAULT: %s", ok.error().describe().c_str());
     }
 }

@@ -1,28 +1,30 @@
 #include "workload/derived.hh"
 
-#include "util/logging.hh"
+#include "util/contracts.hh"
 
 namespace snoop {
 
-void
-BusTiming::validate() const
+Expected<void>
+BusTiming::check() const
 {
-    // snoop-lint: fatal-ok (justification: tools/lint/allowlist.txt)
     if (tReadMem <= 0 || tReadCache <= 0 || tWriteBack <= 0 ||
         tWrite <= 0 || tSupply <= 0 || dMem <= 0) {
-        fatal("BusTiming: all times must be positive");
+        return makeError(SolveErrorCode::InvalidArgument, "BusTiming",
+                         "all times must be positive");
     }
-    // snoop-lint: fatal-ok
-    if (numModules < 1)
-        fatal("BusTiming: numModules must be >= 1");
+    if (numModules < 1) {
+        return makeError(SolveErrorCode::InvalidArgument, "BusTiming",
+                         "numModules = %d must be >= 1", numModules);
+    }
+    return {};
 }
 
 DerivedInputs
 DerivedInputs::compute(const WorkloadParams &base,
                        const ProtocolConfig &cfg, const BusTiming &timing)
 {
-    base.validate();
-    timing.validate();
+    SNOOP_REQUIRE_OK(base.check());
+    SNOOP_REQUIRE_OK(timing.check());
 
     DerivedInputs d;
     d.protocol = cfg;

@@ -40,8 +40,9 @@ struct BusTiming
     double dMem = 3.0;       ///< memory module latency (d_mem)
     int numModules = 4;      ///< interleaved main-memory modules (m)
 
-    /** fatal() on non-positive times or module count. */
-    void validate() const;
+    /** An InvalidArgument error on a non-positive time or module
+     * count. */
+    [[nodiscard]] Expected<void> check() const;
 };
 
 /**

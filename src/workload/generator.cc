@@ -1,5 +1,6 @@
 #include "workload/generator.hh"
 
+#include "util/contracts.hh"
 #include "util/logging.hh"
 
 namespace snoop {
@@ -21,7 +22,7 @@ to_string(StreamClass c)
 ReferenceSampler::ReferenceSampler(const WorkloadParams &params, Rng rng)
     : params_(params), rng_(rng)
 {
-    params_.validate();
+    SNOOP_REQUIRE_OK(params_.check());
 }
 
 SampledReference
@@ -72,7 +73,7 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(
     unsigned processor, unsigned num_processors, Rng rng)
     : params_(params), cfg_(cfg), rng_(rng)
 {
-    params_.validate();
+    SNOOP_REQUIRE_OK(params_.check());
     if (processor >= num_processors)
         panic("SyntheticTraceGenerator: processor %u out of range",
               processor);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "util/contracts.hh"
 #include "util/logging.hh"
 
 namespace snoop {
@@ -64,14 +65,6 @@ WorkloadParams::check() const
     return {};
 }
 
-void
-WorkloadParams::validate() const
-{
-    // snoop-lint: fatal-ok (justification: tools/lint/allowlist.txt)
-    if (auto ok = check(); !ok)
-        fatal("%s", ok.error().describe().c_str());
-}
-
 WorkloadParams
 WorkloadParams::adjustedFor(const ProtocolConfig &cfg) const
 {
@@ -121,7 +114,7 @@ appendixA(SharingLevel level)
         p.pSw = 0.05;
         break;
     }
-    p.validate();
+    SNOOP_REQUIRE_OK(p.check());
     return p;
 }
 
@@ -138,7 +131,7 @@ stressTest()
     p.amodSw = 0.0;
     p.csupplySro = 1.0;
     p.csupplySw = 1.0;
-    p.validate();
+    SNOOP_REQUIRE_OK(p.check());
     return p;
 }
 
@@ -151,7 +144,7 @@ highSharing()
     p.pSw = 0.99;
     p.csupplySw = 0.9;
     p.hSw = 0.8;
-    p.validate();
+    SNOOP_REQUIRE_OK(p.check());
     return p;
 }
 
@@ -160,7 +153,7 @@ archibaldBaer(SharingLevel level)
 {
     WorkloadParams p = appendixA(level);
     p.amodPrivate = 0.95;
-    p.validate();
+    SNOOP_REQUIRE_OK(p.check());
     return p;
 }
 

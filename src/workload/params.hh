@@ -77,12 +77,10 @@ struct WorkloadParams
      * offending field if any probability is out of range or the
      * streams don't sum to 1 (within 1e-9). Library paths (sweep
      * cells, tryAnalyze) use this so one bad point stays one bad
-     * point.
+     * point; a precondition states it as SNOOP_REQUIRE_OK(check())
+     * (util/contracts.hh).
      */
     [[nodiscard]] Expected<void> check() const;
-
-    /** fatal() wrapper around check(), for tool/CLI boundaries. */
-    void validate() const;
 
     /**
      * Apply the per-modification parameter adjustments the paper

@@ -439,6 +439,46 @@ TEST_F(Checkpoint, V1HeaderIsRejectedAsAnUnsupportedVersion)
         << data.error().message;
 }
 
+TEST_F(Checkpoint, BadProtocolModIsRejected)
+{
+    SweepSpec spec = smallSpec();
+    spec.checkpointPath = path_;
+    ASSERT_TRUE(tryRunSweep(spec).ok());
+
+    // snoop_merge hands every header mod to
+    // ProtocolConfig::fromModString, for which a character outside
+    // 1-4 is a precondition violation (exit 1). The reader must turn
+    // a forged mod, checksum recomputed, into a structured error.
+    std::string contents = slurp(path_);
+    size_t nl = contents.find('\n');
+    auto header = parseJson(contents.substr(0, nl));
+    ASSERT_TRUE(header.ok());
+    JsonValue h = std::move(header).value();
+    h.asObject().erase("check");
+    JsonValue protocols = *h.get("protocols");
+    protocols.asArray()[1].set("mod", JsonValue("19"));
+    h.set("protocols", protocols);
+    h.set("check", JsonValue(fnv1aHex(serializeJson(h))));
+    spit(path_, serializeJson(h) + contents.substr(nl));
+
+    auto data = readSweepCheckpoint(path_);
+    ASSERT_FALSE(data.ok());
+    EXPECT_EQ(data.error().code, SolveErrorCode::InvalidArgument);
+    EXPECT_NE(data.error().message.find("bad protocol mod \"19\""),
+              std::string::npos)
+        << data.error().message;
+
+    // A repeated or descending digit is no modString() either.
+    for (const char *mod : {"11", "31"}) {
+        h.asObject().erase("check");
+        protocols.asArray()[1].set("mod", JsonValue(mod));
+        h.set("protocols", protocols);
+        h.set("check", JsonValue(fnv1aHex(serializeJson(h))));
+        spit(path_, serializeJson(h) + contents.substr(nl));
+        EXPECT_FALSE(readSweepCheckpoint(path_).ok()) << mod;
+    }
+}
+
 TEST_F(Checkpoint, EachCellIsWrittenOnce)
 {
     SweepSpec spec = smallSpec();

@@ -128,5 +128,23 @@ TEST(SolveFor, MalformedQueriesThrow)
     EXPECT_THROW(solveForParameter(q), SolveException);
 }
 
+TEST(SolveFor, OutOfRangeParameterThrowsInsteadOfExiting)
+{
+    // The header promises SolveException on a malformed query; a
+    // bracket that leaves the probability range is one, and must not
+    // end the process.
+    auto q = hswQuery(5.0);
+    q.lo = -0.5;
+    try {
+        solveForParameter(q);
+        FAIL() << "expected SolveException";
+    } catch (const SolveException &e) {
+        EXPECT_EQ(e.error().code, SolveErrorCode::InvalidArgument);
+        EXPECT_NE(std::string(e.what()).find("hSw = -0.5"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 } // namespace
 } // namespace snoop

@@ -4,7 +4,7 @@
 
 namespace snoop {
 
-// snoop-lint: fatal-ok
+// snoop-lint: include-ok
 inline int
 answer()
 {

@@ -5,7 +5,7 @@
  * the expected-flow token rule (an unchecked value() in the library),
  * fp-determinism roster scoping, sanctioned kernels, unordered
  * containers and parallel reductions, DeterminismRoster parsing, and
- * the lockset pass's worker-reachable state. The fixture suite
+ * the lockset rule's declaration check. The fixture suite
  * (test_rules.cc) proves end-to-end line numbers; these tests pin
  * the pass logic itself so a regression names the analysis, not
  * just "the suite diff changed".
@@ -19,11 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "lint/callgraph.hh"
 #include "lint/lexer.hh"
 #include "lint/rules.hh"
-#include "lint/semantic.hh"
-#include "lint/symbols.hh"
 
 using namespace snoop::lint;
 
@@ -215,61 +212,75 @@ TEST(Roster, MissingFileIsAnEmptyRosterNotAnError)
     EXPECT_TRUE(r.kernels.empty());
 }
 
-/** Semantic-pass findings over synthetic files (path, source). */
-std::vector<Finding>
-runOn(std::vector<std::pair<std::string, std::string>> sources)
+TEST(Lockset, UnguardedGlobalFires)
 {
-    FileSet files;
-    for (auto &[path, src] : sources)
-        files.emplace(path, lex(src));
-    SymbolIndex index = SymbolIndex::build(files);
-    return runSemanticPasses(files, index, CallGraph::build(index, files));
-}
-
-TEST(Lockset, UnguardedWorkerGlobalFires)
-{
-    std::vector<Finding> fs = runOn({
-        {"src/a.cc",
-         "namespace {\n"
-         "unsigned g_n = 0;\n"
-         "void bump() { ++g_n; }\n"
-         "}\n"
-         "void run(unsigned n) { parallelFor(n, [] { bump(); }); }\n"},
-    });
-    ASSERT_EQ(fs.size(), 1u);
-    EXPECT_EQ(fs[0].rule, "lockset");
+    std::vector<Finding> fs = fileRules(
+        "src/a.cc",
+        "namespace {\n"
+        "unsigned g_n = 0;\n"
+        "void bump() { ++g_n; }\n"
+        "}\n"
+        "void run(unsigned n) { parallelFor(n, [] { bump(); }); }\n");
+    ASSERT_EQ(countRule(fs, "lockset"), 1u);
     EXPECT_EQ(fs[0].line, 2u);
-    EXPECT_NE(fs[0].message.find("via bump"), std::string::npos)
+    EXPECT_NE(fs[0].message.find("'g_n'"), std::string::npos)
         << fs[0].message;
 }
 
-TEST(Lockset, MarkerWaivesAnUnguardedWorkerGlobal)
+TEST(Lockset, MarkerWaivesAnUnguardedGlobal)
 {
-    EXPECT_TRUE(runOn({
-                    {"src/a.cc",
-                     "namespace {\n"
-                     "// snoop-lint: lockset-ok\n"
-                     "unsigned g_n = 0;\n"
-                     "void bump() { ++g_n; }\n"
-                     "}\n"
-                     "void run(unsigned n) "
-                     "{ parallelFor(n, [] { bump(); }); }\n"},
-                })
-                    .empty());
+    EXPECT_EQ(countRule(fileRules("src/a.cc",
+                                  "namespace {\n"
+                                  "// snoop-lint: lockset-ok\n"
+                                  "unsigned g_n = 0;\n"
+                                  "void bump() { ++g_n; }\n"
+                                  "}\n"
+                                  "void run(unsigned n) "
+                                  "{ parallelFor(n, [] { bump(); }); }\n"),
+                        "lockset"),
+              0u);
 }
 
-TEST(Lockset, UnreachableStateIsNotFlagged)
+TEST(Lockset, UnreachableStateIsFlaggedToo)
 {
-    // No parallelFor anywhere: nothing is worker-reachable.
-    EXPECT_TRUE(runOn({
-                    {"src/a.cc",
-                     "namespace {\n"
-                     "unsigned g_n = 0;\n"
-                     "void bump() { ++g_n; }\n"
-                     "}\n"
-                     "void run() { bump(); }\n"},
-                })
-                    .empty());
+    // A declaration rule: no parallelFor anywhere, and the mutable
+    // global and the function-local static still fire, since a later
+    // worker could reach them without touching this file.
+    std::vector<Finding> fs = fileRules("src/a.cc",
+                                        "namespace {\n"
+                                        "unsigned g_n = 0;\n"
+                                        "void bump() { ++g_n; }\n"
+                                        "}\n"
+                                        "unsigned next()\n"
+                                        "{\n"
+                                        "    static unsigned counter = 0;\n"
+                                        "    return ++counter;\n"
+                                        "}\n"
+                                        "void run() { bump(); }\n");
+    ASSERT_EQ(countRule(fs, "lockset"), 2u);
+    EXPECT_EQ(fs[0].line, 2u);
+    EXPECT_EQ(fs[1].line, 7u);
+    EXPECT_NE(fs[1].message.find("static local 'counter'"),
+              std::string::npos)
+        << fs[1].message;
+}
+
+TEST(Lockset, SafeDeclarationsAndNonLibraryFilesAreClean)
+{
+    const std::string safe = "#include <atomic>\n"
+                             "namespace {\n"
+                             "const double kPi = 3.14;\n"
+                             "constexpr int kN = 4;\n"
+                             "thread_local int t_scratch = 0;\n"
+                             "std::atomic<bool> g_armed{false};\n"
+                             "Guarded<std::vector<int>> g_slots;\n"
+                             "}\n";
+    EXPECT_EQ(countRule(fileRules("src/a.cc", safe), "lockset"), 0u);
+    // Tools own their process: the rule is src/-only.
+    EXPECT_EQ(countRule(fileRules("tools/a.cc",
+                                  "unsigned g_n = 0;\n"),
+                        "lockset"),
+              0u);
 }
 
 } // namespace

@@ -43,9 +43,6 @@ const std::vector<Expected> kExpected = {
     {"bad_expected_flow.cc", "expected-flow", 25},
     {"bad_expected_flow.cc", "expected-flow", 36},
     {"bad_expected_flow__discard.cc", "expected-flow", 31},
-    {"bad_fatal_reachability.cc", "fatal-reachability", 24},
-    {"bad_fatal_reachability__entry.cc", "fatal-reachability", 10},
-    {"bad_fatal_reachability__marker.cc", "fatal-reachability", 11},
     {"bad_fp_determinism.cc", "fp-determinism", 13},
     {"bad_fp_determinism.cc", "fp-determinism", 20},
     {"bad_fp_determinism.cc", "fp-determinism", 25},

@@ -123,6 +123,32 @@ TEST(CoherenceNet, SpeedupBoundedByN)
     }
 }
 
+TEST(CoherenceNet, CheckNamesTheBadParameter)
+{
+    EXPECT_TRUE(CoherenceNetParams{}.check().ok());
+    auto describe = [](const CoherenceNetParams &p) {
+        auto ok = p.check();
+        EXPECT_FALSE(ok.ok());
+        EXPECT_EQ(ok.error().code, SolveErrorCode::InvalidArgument);
+        return ok ? std::string() : ok.error().describe();
+    };
+    CoherenceNetParams sum;
+    sum.pLocal = 0.5;
+    EXPECT_NE(describe(sum).find("sum to 1 (got 0.64)"), std::string::npos);
+    CoherenceNetParams none;
+    none.numProcessors = 0;
+    EXPECT_NE(describe(none).find("at least one processor"),
+              std::string::npos);
+    CoherenceNetParams time;
+    time.tRead = 0.0;
+    EXPECT_NE(describe(time).find("times must be positive"),
+              std::string::npos);
+    CoherenceNetParams neg;
+    neg.pBc = -0.1;
+    neg.pLocal = 1.04;
+    EXPECT_NE(describe(neg).find("non-negative"), std::string::npos);
+}
+
 TEST(CoherenceNetDeath, BadParams)
 {
     CoherenceNetParams p;

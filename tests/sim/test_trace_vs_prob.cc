@@ -38,7 +38,7 @@ TEST(TraceVsProb, MeasuredParametersReproduceTraceSpeedup)
     measured.csupplySw = trace.measured.csupplyShared;
     measured.repP = trace.measured.repAll;
     measured.repSw = trace.measured.repAll;
-    measured.validate();
+    ASSERT_TRUE(measured.check().ok());
 
     // 3. probabilistic run with the measured parameters
     SimConfig prob_cfg;
@@ -80,7 +80,7 @@ TEST(TraceVsProb, AgreementHoldsForMod1Too)
     // protocol-adjusted value equals the measured one.
     measured.repP = trace.measured.repAll / 1.5;
     measured.repSw = trace.measured.repAll;
-    measured.validate();
+    ASSERT_TRUE(measured.check().ok());
 
     SimConfig prob_cfg;
     prob_cfg.numProcessors = 6;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "util/contracts.hh"
+#include "util/expected.hh"
 
 namespace snoop {
 namespace {
@@ -44,6 +45,19 @@ TEST(ContractsDeath, RequireExitsWithCode1)
                 testing::ExitedWithCode(1), "requirement.*processors");
 }
 
+TEST(ContractsDeath, RequireOkExitsWithTheErrorText)
+{
+    // A failed structured check exits 1 (fatal idiom) and carries the
+    // error's describe() text.
+    auto failing = [] {
+        return Expected<void>(makeError(SolveErrorCode::InvalidArgument,
+                                        "Widget", "size = %d", -3));
+    };
+    EXPECT_EXIT(SNOOP_REQUIRE_OK(failing()), testing::ExitedWithCode(1),
+                "requirement .*failing\\(\\).*"
+                "\\[invalid-argument\\] Widget: size = -3");
+}
+
 TEST(ContractsDeath, NumericCheckAbortsWithPrefix)
 {
     EXPECT_DEATH(SNOOP_NUMERIC_CHECK(std::isfinite(kNaN),
@@ -61,6 +75,12 @@ TEST(ContractsDeath, ConditionSideEffectsHappenExactlyOnce)
     };
     SNOOP_ASSERT(once());
     EXPECT_EQ(calls, 1);
+    int checks = 0;
+    SNOOP_REQUIRE_OK(([&checks] {
+        ++checks;
+        return Expected<void>();
+    }()));
+    EXPECT_EQ(checks, 1);
 }
 
 // --- NumericGuard: passing values ------------------------------------

@@ -61,8 +61,8 @@ TEST(CsvEscape, OnlyQuotesWhenNeeded)
 }
 
 // The library's never-exit contract (util/expected.hh): an
-// unwritable path must not exit the process (snoop_lint's
-// fatal-reachability pass proves it statically). The error is sticky,
+// unwritable path must not exit the process (the link check
+// lint/fatal_link proves it statically). The error is sticky,
 // rows are dropped, and close() surfaces the IoError.
 TEST(CsvError, UnwritablePathSurfacesThroughClose)
 {

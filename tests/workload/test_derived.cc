@@ -171,12 +171,33 @@ TEST(Derived, AllHitsWorkloadIsFullyLocal)
 
 TEST(Derived, TimingValidation)
 {
+    EXPECT_TRUE(BusTiming{}.check().ok());
     BusTiming t;
     t.tReadMem = -1.0;
-    EXPECT_EXIT(t.validate(), testing::ExitedWithCode(1), "positive");
+    auto times = t.check();
+    ASSERT_FALSE(times.ok());
+    EXPECT_EQ(times.error().code, SolveErrorCode::InvalidArgument);
+    EXPECT_NE(times.error().describe().find("positive"), std::string::npos);
     BusTiming t2;
     t2.numModules = 0;
-    EXPECT_EXIT(t2.validate(), testing::ExitedWithCode(1), "numModules");
+    auto modules = t2.check();
+    ASSERT_FALSE(modules.ok());
+    EXPECT_NE(modules.error().describe().find("numModules"),
+              std::string::npos);
+}
+
+TEST(Derived, ComputeRequiresValidTiming)
+{
+    // compute() states the timing check as a precondition: exit 1
+    // with the check's describe() text.
+    BusTiming t;
+    t.numModules = 0;
+    EXPECT_EXIT(DerivedInputs::compute(presets::appendixA(
+                                           SharingLevel::FivePercent),
+                                       ProtocolConfig::writeOnce(), t),
+                testing::ExitedWithCode(1),
+                "requirement .*timing.check\\(\\).*\\[invalid-argument\\] "
+                "BusTiming: numModules = 0");
 }
 
 TEST(Derived, StressPresetHasMaximalSnoopExposure)

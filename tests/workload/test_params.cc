@@ -117,25 +117,33 @@ TEST(Adjusted, CapsAtOne)
     EXPECT_DOUBLE_EQ(adj.repSw, 1.0);
 }
 
-TEST(ValidateDeath, RejectsBadStreamSum)
+/** The check() error text of @p p; empty when it passes. */
+std::string
+checkMessage(const WorkloadParams &p)
+{
+    auto ok = p.check();
+    return ok ? std::string() : ok.error().describe();
+}
+
+TEST(Check, RejectsBadStreamSum)
 {
     WorkloadParams p = presets::appendixA(SharingLevel::FivePercent);
     p.pSw = 0.5;
-    EXPECT_EXIT(p.validate(), testing::ExitedWithCode(1), "sum to");
+    EXPECT_NE(checkMessage(p).find("sum to"), std::string::npos);
 }
 
-TEST(ValidateDeath, RejectsOutOfRangeProbability)
+TEST(Check, RejectsOutOfRangeProbability)
 {
     WorkloadParams p = presets::appendixA(SharingLevel::FivePercent);
     p.hSw = 1.5;
-    EXPECT_EXIT(p.validate(), testing::ExitedWithCode(1), "hSw");
+    EXPECT_NE(checkMessage(p).find("hSw"), std::string::npos);
 }
 
-TEST(ValidateDeath, RejectsNegativeTau)
+TEST(Check, RejectsNegativeTau)
 {
     WorkloadParams p = presets::appendixA(SharingLevel::FivePercent);
     p.tau = -1.0;
-    EXPECT_EXIT(p.validate(), testing::ExitedWithCode(1), "tau");
+    EXPECT_NE(checkMessage(p).find("tau"), std::string::npos);
 }
 
 } // namespace

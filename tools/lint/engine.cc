@@ -9,7 +9,6 @@
 #include "lint/include_graph.hh"
 #include "lint/lexer.hh"
 #include "lint/rules.hh"
-#include "lint/semantic.hh"
 
 namespace snoop::lint {
 
@@ -260,7 +259,7 @@ runLint(const LintOptions &opt)
     }
 
     // 2. Per-file rules + IWYU-lite (+ marker collection for the
-    // allowlist check in step 4b).
+    // allowlist check in step 4).
     std::string roster_path = opt.rosterPath.empty()
         ? (root / "tools" / "lint" / "determinism.txt").string()
         : opt.rosterPath;
@@ -331,54 +330,7 @@ runLint(const LintOptions &opt)
         }
     }
 
-    // 4. Semantic passes over one parse (symbol index + call graph).
-    // Their file set is src/ when tree passes run (cross-TU
-    // edges need the whole library) plus any explicitly targeted src/
-    // files or fixtures (bad_/good_ basenames opt in);
-    // tools/bench/examples are CLI boundary code where fatal() and
-    // friends are the contract.
-    {
-        FileSet sem;
-        for (const fs::path &p : targets) {
-            std::string base = p.filename().string();
-            std::string display = relativize(root, p);
-            bool fixture =
-                startsWith(base, "bad_") || startsWith(base, "good_");
-            if (!startsWith(display, "src/") && !fixture)
-                continue;
-            const LexedFile *lexed = cache.get(p);
-            if (lexed)
-                sem.emplace(display, *lexed);
-        }
-        if (opt.treePasses) {
-            fs::path src = root / "src";
-            std::error_code ec;
-            if (fs::is_directory(src, ec)) {
-                for (const auto &entry :
-                     fs::recursive_directory_iterator(src, ec)) {
-                    if (!entry.is_regular_file() ||
-                        !isSourceExt(entry.path()))
-                        continue;
-                    const LexedFile *lexed = cache.get(entry.path());
-                    if (lexed)
-                        sem.emplace(relativize(root, entry.path()),
-                                    *lexed);
-                }
-            }
-        }
-        if (!sem.empty()) {
-            SymbolIndex index = SymbolIndex::build(sem);
-            CallGraph graph = CallGraph::build(index, sem);
-            // Same ownership rule as the tree passes: a finding
-            // belongs to the run only when its file was asked about.
-            for (Finding &f : runSemanticPasses(sem, index, graph)) {
-                if (is_target.count(f.file))
-                    findings.push_back(std::move(f));
-            }
-        }
-    }
-
-    // 4b. Marker allowlist: every inline snoop-lint: waiver in src/
+    // 4. Marker allowlist: every inline snoop-lint: waiver in src/
     // must be registered with a justification; registrations whose
     // marker is gone are stale.
     {

@@ -5,8 +5,7 @@
  * Orchestration layer of snoop_analyze: expands the lint targets
  * (explicit files/dirs, or `git diff --name-only` in changed-only
  * mode), lexes each file once, runs the per-file rules
- * (lint/rules.hh) and the IWYU-lite pass, runs the call-graph passes
- * (lint/semantic.hh), runs the tree passes
+ * (lint/rules.hh) and the IWYU-lite pass, runs the tree passes
  * (layering + include cycles over root/src against
  * tools/lint/layers.txt), relativizes paths against the repo root,
  * checks inline waivers against tools/lint/allowlist.txt, and sorts.

@@ -432,18 +432,6 @@ isIdent(const Token &t, const char *name)
 }
 
 bool
-namesBare(const std::vector<Token> &toks, size_t begin, size_t end,
-          const std::string &name)
-{
-    for (size_t k = begin; k < end && k < toks.size(); ++k)
-        if (isIdent(toks[k], name.c_str()) &&
-            !(k > 0 && (isPunct(toks[k - 1], ".") ||
-                        isPunct(toks[k - 1], ">"))))
-            return true;
-    return false;
-}
-
-bool
 containsWord(const std::string &line, const std::string &word)
 {
     for (size_t pos = line.find(word); pos != std::string::npos;

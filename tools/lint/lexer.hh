@@ -76,12 +76,6 @@ bool isPunct(const Token &t, const char *p);
 /** True when @p t is the identifier @p name. */
 bool isIdent(const Token &t, const char *name);
 
-/** True when some token in [@p begin, @p end) is the identifier
- * @p name other than as a member of some object (not after `.` or
- * `->`). */
-bool namesBare(const std::vector<Token> &toks, size_t begin, size_t end,
-               const std::string &name);
-
 /** Word-boundary search: @p word not preceded/followed by identifier
  * chars. Non-identifier chars inside the word (e.g. "std::rand") do
  * not affect the boundary check. */

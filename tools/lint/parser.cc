@@ -30,8 +30,8 @@ isReserved(const std::string &id)
 }
 
 /** Types that synchronize themselves, Guarded<T> (util/guarded.hh)
- * included: worker-shared state of one of these types is safe to
- * reach from parallelFor workers. */
+ * included: a global of one of these types is safe to share between
+ * threads. */
 bool
 isSelfSyncType(const std::string &typeText)
 {
@@ -61,13 +61,6 @@ lineEndsWithBackslash(const std::string &line)
     return end != std::string::npos && line[end] == '\\';
 }
 
-/** One brace scope plus whether it (or an enclosing namespace) was
- * anonymous, which makes its definitions file-local. */
-struct Scope {
-    ScopeKind kind;
-    bool anonymous = false;
-};
-
 class Parser
 {
   public:
@@ -79,7 +72,7 @@ class Parser
     run()
     {
         // The file scope behaves like a namespace body.
-        scopes_.push_back({ScopeKind::Namespace});
+        scopes_.push_back(ScopeKind::Namespace);
         size_t i = 0;
         while (i < toks_.size())
             i = step(i);
@@ -90,25 +83,15 @@ class Parser
     ScopeKind
     current() const
     {
-        return scopes_.back().kind;
-    }
-
-    /** True inside an anonymous namespace (internal linkage). */
-    bool
-    inAnonymousNamespace() const
-    {
-        for (const Scope &s : scopes_)
-            if (s.anonymous)
-                return true;
-        return false;
+        return scopes_.back();
     }
 
     /** True somewhere inside a function body. */
     bool
     inFunction() const
     {
-        for (const Scope &s : scopes_)
-            if (s.kind == ScopeKind::Function)
+        for (ScopeKind s : scopes_)
+            if (s == ScopeKind::Function)
                 return true;
         return false;
     }
@@ -131,8 +114,8 @@ class Parser
         if (isPunct(t, "{")) {
             // A brace we did not classify from a statement head:
             // initializer list, compound statement inside a function...
-            scopes_.push_back({inFunction() ? ScopeKind::Function
-                                            : ScopeKind::Other});
+            scopes_.push_back(inFunction() ? ScopeKind::Function
+                                           : ScopeKind::Other);
             return i + 1;
         }
         if (isPunct(t, ";"))
@@ -183,15 +166,11 @@ class Parser
     {
         size_t j = i + 1; // past 'namespace'
         // namespace a::b::inline c { ... } | namespace { ... }
-        bool named = false;
         while (j < toks_.size() && !isPunct(toks_[j], "{") &&
-               !isPunct(toks_[j], ";")) {
-            if (toks_[j].kind == TokenKind::Identifier)
-                named = true;
+               !isPunct(toks_[j], ";"))
             ++j;
-        }
         if (j < toks_.size() && isPunct(toks_[j], "{")) {
-            scopes_.push_back({ScopeKind::Namespace, !named});
+            scopes_.push_back(ScopeKind::Namespace);
             return j + 1;
         }
         return j + 1; // namespace alias / ;
@@ -206,7 +185,7 @@ class Parser
                !isPunct(toks_[j], ";") && !isPunct(toks_[j], "("))
             ++j;
         if (j < toks_.size() && isPunct(toks_[j], "{")) {
-            scopes_.push_back({ScopeKind::Type});
+            scopes_.push_back(ScopeKind::Type);
             return j + 1;
         }
         if (j < toks_.size() && isPunct(toks_[j], "(")) {
@@ -382,13 +361,10 @@ class Parser
             ++j;
         if (j < toks_.size() && isPunct(toks_[j], "{")) {
             size_t bodyEnd = matchBracket(toks_, j);
-            bool fileLocal = inAnonymousNamespace() ||
-                (current() == ScopeKind::Namespace &&
-                 ret.rfind("static", 0) == 0);
             out_.functions.push_back({nameTok.text, qualified,
                                       nameTok.line, j, bodyEnd + 1,
-                                      ret, fileLocal});
-            scopes_.push_back({ScopeKind::Function});
+                                      ret});
+            scopes_.push_back(ScopeKind::Function);
             return j + 1;
         }
         if (j < toks_.size() && isPunct(toks_[j], "="))
@@ -461,7 +437,7 @@ class Parser
     const std::vector<Token> &toks_;
     const std::vector<std::string> &lines_;
     ParsedFile out_;
-    std::vector<Scope> scopes_;
+    std::vector<ScopeKind> scopes_;
 };
 
 } // namespace

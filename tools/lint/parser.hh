@@ -3,23 +3,22 @@
 /**
  * @file
  * Declaration/definition parser of snoop_analyze: the layer between
- * the lexer (lint/lexer.hh) and the semantic passes (lint/semantic.hh).
- * It walks one file's token stream and recovers the structure the
- * cross-TU passes need — no types, no templates, no overload
- * resolution, just the shapes this tree actually uses:
+ * the lexer (lint/lexer.hh) and the per-file rules that need one
+ * file's structure (lint/rules.hh: lockset, numeric-guard-coverage,
+ * fp-determinism). It walks one file's token stream — no types, no
+ * templates, no overload resolution, just the shapes this tree
+ * actually uses:
  *
  *  - function definitions: qualified name, signature line,
  *    return-type text, and the token range of the body (lambda bodies
- *    stay part of the enclosing function, which is exactly what the
- *    lockset pass wants: a parallelFor worker lambda is analyzed as
- *    part of the function that launches it);
- *  - mutable global state: namespace-scope variables and
- *    function-local statics, with constness and self-synchronizing
- *    types (std::atomic, std::mutex, std::once_flag, ...,
- *    Guarded<T>) recovered from the declaration.
+ *    stay part of the enclosing function);
+ *  - global state: namespace-scope variables and function-local
+ *    statics, with constness and self-synchronizing types
+ *    (std::atomic, std::mutex, std::once_flag, ..., Guarded<T>)
+ *    recovered from the declaration.
  *
  * The parser is deliberately heuristic and total: it never fails, it
- * skips what it does not understand, and every downstream pass is
+ * skips what it does not understand, and every rule that uses it is
  * written to be conservative about what the parser may have missed.
  */
 
@@ -39,9 +38,6 @@ struct FunctionDef {
     size_t bodyBegin = 0;  //!< token index of the opening '{'
     size_t bodyEnd = 0;    //!< token index one past the closing '}'
     std::string returnText; //!< leading declaration tokens (heuristic)
-    /** Defined inside an anonymous namespace: internal linkage, so
-     * only same-file call edges can reach it. */
-    bool fileLocal = false;
 };
 
 /** One mutable-or-not global: namespace-scope variable or

@@ -31,11 +31,6 @@ ruleTable()
         {"unused-include",
          "project #include whose header contributes no referenced "
          "name (IWYU-lite heuristic)"},
-        {"fatal-reachability",
-         "no fatal()/abort()/exit() transitively reachable from a "
-         "library entry point (every public function of src/mva/, "
-         "src/core/ and util/csv.cc; call-graph proof; the finding "
-         "carries the witness chain)"},
         {"numeric-guard-coverage",
          "solver boundary functions route results through "
          "NumericGuard / SNOOP_NUMERIC_CHECK (directly or via a "
@@ -46,10 +41,10 @@ ruleTable()
          "and name no unordered_ container; kernel files use no "
          "std::reduce or execution policy"},
         {"lockset",
-         "mutable state reachable from parallelFor workers is const, "
-         "thread_local, or of a self-synchronizing type (std::atomic, "
-         "std::mutex, ..., or Guarded<T>, whose value the compiler "
-         "lets no code reach without its lock)"},
+         "every namespace-scope variable and function-local static in "
+         "src/ is const, thread_local, or of a self-synchronizing type "
+         "(std::atomic, std::mutex, ..., or Guarded<T>, whose value "
+         "the compiler lets no code reach without its lock)"},
         {"expected-flow",
          "no .value() in src/ outside util/expected.hh: library code "
          "reaches an Expected<T> only through SNOOP_TRY, SNOOP_TRY_OR "

@@ -245,7 +245,8 @@ sanctionedName(const std::string &name, const DeterminismRoster &roster)
 
 void
 checkFpDeterminism(const std::string &file, const LexedFile &lx,
-                   bool kernel, const DeterminismRoster &roster,
+                   const ParsedFile &parsed, bool kernel,
+                   const DeterminismRoster &roster,
                    std::vector<Finding> &findings)
 {
     const std::vector<Token> &toks = lx.tokens;
@@ -253,7 +254,7 @@ checkFpDeterminism(const std::string &file, const LexedFile &lx,
     // Token ranges of sanctioned function bodies: the deterministic
     // kernel itself may use libm internally.
     std::vector<std::pair<size_t, size_t>> sanctionedBodies;
-    for (const FunctionDef &fn : parseFile(lx).functions)
+    for (const FunctionDef &fn : parsed.functions)
         if (sanctionedName(fn.name, roster))
             sanctionedBodies.push_back({fn.bodyBegin, fn.bodyEnd});
     auto inSanctioned = [&](size_t tok) {
@@ -299,6 +300,111 @@ checkFpDeterminism(const std::string &file, const LexedFile &lx,
         }
         if (!msg.empty() && !markerNearby(lx, t.line, "fp-ok"))
             findings.push_back({file, t.line, "fp-determinism", msg});
+    }
+}
+
+// --- lockset: shared mutable state synchronizes itself --------------
+
+/**
+ * Every namespace-scope variable and function-local static in src/
+ * must be const, thread_local, or of a type that synchronizes itself:
+ * std::atomic, std::mutex, ..., or Guarded<T> (util/guarded.hh),
+ * whose value the compiler lets no code reach without its lock. The
+ * rule reads declarations only, so it needs no knowledge of which
+ * functions parallelFor workers reach. Waiver:
+ * `// snoop-lint: lockset-ok` at the declaration.
+ */
+void
+checkLockset(const std::string &file, const LexedFile &lx,
+             const ParsedFile &parsed, std::vector<Finding> &findings)
+{
+    for (const GlobalVar &var : parsed.globals) {
+        if (var.isConst || var.isThreadLocal || var.selfSynchronizing ||
+            markerNearby(lx, var.line, "lockset-ok"))
+            continue;
+        findings.push_back(
+            {file, var.line, "lockset",
+             std::string("mutable ") +
+                 (var.isFunctionLocal ? "static local" : "global") +
+                 " '" + var.name +
+                 "' is not const, thread_local or self-synchronizing; "
+                 "wrap it in Guarded<T> (util/guarded.hh)"});
+    }
+}
+
+// --- numeric-guard-coverage: solver boundaries route through guards --
+
+struct Boundary {
+    const char *file;
+    const char *name;
+};
+
+/** The solver boundary roster: results that cross these functions are
+ * the numbers the paper publishes. MvaLane::finish ends every MVA
+ * solve, scalar and batch alike. */
+const Boundary kBoundaries[] = {
+    {"src/mva/lane.cc", "finish"},
+    {"src/mva/multiclass.cc", "solveMulticlass"},
+    {"src/mva/hierarchical.cc", "solveHierarchical"},
+};
+
+bool
+isNumericBoundary(const std::string &file, const FunctionDef &fn)
+{
+    for (const Boundary &b : kBoundaries)
+        if (file == b.file && fn.name == b.name)
+            return true;
+    // Fixture opt-in: any try*/solve* definition in the fixture.
+    return fixtureOptsIn(file, "numeric-guard-coverage") &&
+        (startsWith(fn.name, "try") || startsWith(fn.name, "solve"));
+}
+
+bool
+bodyHasGuard(const std::vector<Token> &toks, const FunctionDef &fn)
+{
+    for (size_t j = fn.bodyBegin; j < fn.bodyEnd && j < toks.size(); ++j)
+        if (isIdent(toks[j], "NumericGuard") ||
+            isIdent(toks[j], "SNOOP_NUMERIC_CHECK"))
+            return true;
+    return false;
+}
+
+/**
+ * A boundary guards its result itself, or calls (`name(` in its body)
+ * a same-file definition that either guards itself or returns
+ * SolveError: the recoverable-validation idiom of mva/lane.cc.
+ */
+void
+checkNumericGuardCoverage(const std::string &file, const LexedFile &lx,
+                          const ParsedFile &parsed,
+                          std::vector<Finding> &findings)
+{
+    const std::vector<Token> &toks = lx.tokens;
+    auto validates = [&](const FunctionDef &fn) {
+        return bodyHasGuard(toks, fn) ||
+            fn.returnText.find("SolveError") != std::string::npos;
+    };
+    for (const FunctionDef &fn : parsed.functions) {
+        if (!isNumericBoundary(file, fn) || bodyHasGuard(toks, fn))
+            continue;
+        bool covered = false;
+        for (size_t j = fn.bodyBegin;
+             !covered && j + 1 < fn.bodyEnd && j + 1 < toks.size(); ++j) {
+            if (toks[j].kind != TokenKind::Identifier ||
+                !isPunct(toks[j + 1], "("))
+                continue;
+            for (const FunctionDef &callee : parsed.functions)
+                if (callee.name == toks[j].text && validates(callee))
+                    covered = true;
+        }
+        if (covered)
+            continue;
+        findings.push_back(
+            {file, fn.line, "numeric-guard-coverage",
+             "solver boundary " + fn.qualified +
+                 " does not route its result through NumericGuard/"
+                 "SNOOP_NUMERIC_CHECK (directly or via a same-file "
+                 "validator)"});
     }
 }
 
@@ -399,23 +505,36 @@ runFileRules(const std::string &display, const std::string &original,
     if (is_header)
         checkHeader(display, lexed, findings);
     if (!in_tests) {
+        bool inSrc = startsWith(display, "src/");
         checkRawAssert(display, lexed, findings);
         if (!is_parallel_impl)
             checkRawThread(display, lexed, findings);
         if (inDeterminismScope(path))
             checkDeterminism(display, lexed, findings);
-        if ((startsWith(display, "src/") &&
-             display != "src/util/expected.hh") ||
+        if ((inSrc && display != "src/util/expected.hh") ||
             fixtureOptsIn(display, "expected-flow"))
             checkExpectedFlow(display, lexed, findings);
+
+        // The rules below read one parse of the file.
         bool fpFixture = fixtureOptsIn(display, "fp-determinism");
-        if (roster.memberFile(display) || fpFixture)
+        bool fp = roster.memberFile(display) || fpFixture;
+        bool lockset = inSrc || fixtureOptsIn(display, "lockset");
+        bool guards = startsWith(display, "src/mva/") ||
+            fixtureOptsIn(display, "numeric-guard-coverage");
+        if (!fp && !lockset && !guards)
+            return;
+        ParsedFile parsed = parseFile(lexed);
+        if (fp)
             checkFpDeterminism(
-                display, lexed,
+                display, lexed, parsed,
                 roster.kernelFile(display) ||
                     (fpFixture &&
                      baseName(display).find("kernel") != std::string::npos),
                 roster, findings);
+        if (lockset)
+            checkLockset(display, lexed, parsed, findings);
+        if (guards)
+            checkNumericGuardCoverage(display, lexed, parsed, findings);
     }
 }
 

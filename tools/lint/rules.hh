@@ -9,8 +9,9 @@
  * false positives nor mask the rest of a line — plus the determinism
  * pass (R10) that protects the bit-identity contract: no wall-clock
  * or ambient-randomness calls outside src/random/ and the sanctioned
- * src/observe/ allowlist — and two token rules whose path-sensitive
- * halves the compiler holds:
+ * src/observe/ allowlist — two token rules whose path-sensitive
+ * halves the compiler holds, and two rules over one file's parse
+ * (lint/parser.hh):
  *
  *  - expected-flow: no `.value(` token in src/ outside
  *    util/expected.hh. Library code reaches an Expected's value only
@@ -28,13 +29,23 @@
  *    kernel files no std::reduce / execution policy (unspecified
  *    accumulation order). Per-line opt-out: `// snoop-lint: fp-ok`.
  *
+ *  - lockset: every namespace-scope variable and function-local
+ *    static in src/ is const, thread_local, or of a type that
+ *    synchronizes itself (std::atomic, std::mutex, ..., Guarded<T>).
+ *    Per-line opt-out: `// snoop-lint: lockset-ok`.
+ *
+ *  - numeric-guard-coverage: the solver boundary functions (the
+ *    kBoundaries roster in rules.cc) route results through
+ *    NumericGuard / SNOOP_NUMERIC_CHECK, directly or by calling a
+ *    same-file definition that guards itself or returns SolveError.
+ *
  * Which rules apply to a file is decided from its path (headers get
  * the header rules, tests/ is exempt from the code rules, fixtures
- * opt back in). R8 is unassigned: fatal() on solver paths is the
- * call-graph pass fatal-reachability's (lint/semantic.hh). So are R4
- * and R5: format attributes are the compiler's
- * (-Werror=suggest-attribute=format), and an unconverged solve is an
- * error under the default NonConvergencePolicy::Fatal.
+ * opt back in). R4, R5 and R8 are unassigned: format attributes are
+ * the compiler's (-Werror=suggest-attribute=format), an unconverged
+ * solve is an error under the default NonConvergencePolicy::Fatal,
+ * and no library entry reaching fatal() is the linker's to prove
+ * (ctest lint/fatal_link, tools/lint/fatal_link.sh).
  */
 
 #include <set>

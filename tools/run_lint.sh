@@ -1,8 +1,9 @@
 #!/bin/sh
 # Drives snoop_lint as a ctest: lints the real tree (must be clean,
 # including the layering / determinism / unused-include passes, the
-# semantic passes, the token rules (fp-determinism, expected-flow) and
-# marker-allowlist; there is no baseline to hide a finding behind),
+# parse rules (lockset, numeric-guard-coverage), the token rules
+# (fp-determinism, expected-flow) and marker-allowlist; there is no
+# baseline to hide a finding behind),
 # verifies on the negative fixtures that every rule
 # still fires, verifies the good_* fixtures stay clean, and checks
 # the --list-rules snapshot — a linter that silently stopped

@@ -32,10 +32,14 @@
  *                      side-effect includes carry
  *                      `snoop-lint: include-ok`
  *
- * R8 is unassigned: fatal() on solver paths is S1's, proven over the
- * call graph. R4 and R5 are unassigned too: the build's
- * -Werror=suggest-attribute=format and the default
- * NonConvergencePolicy::Fatal prove what they checked.
+ * R4, R5 and R8 are unassigned: the build's
+ * -Werror=suggest-attribute=format, the default
+ * NonConvergencePolicy::Fatal and the linker prove what they checked.
+ * That no library entry can reach fatal() or exit is ctest
+ * lint/fatal_link: tools/lint/fatal_link.sh links every public
+ * function of src/mva/, src/core/, src/serve/ and util/csv.cc under
+ * --gc-sections and rejects any kept caller but the contract
+ * handlers.
  *
  * Two token rules guard properties whose path-sensitive halves the
  * compiler holds (see docs/ANALYSIS.md):
@@ -55,30 +59,18 @@
  *                      result fails the build: -Werror=unused-result
  *                      and -Werror=unused-variable)
  *
- * On top of the per-file and include-graph rules, three semantic
- * passes run over a parsed cross-TU view (declaration parser, symbol
- * index, call graph):
+ * Two rules read one file's declarations (lint/parser.hh):
  *
- *  S1  fatal-reachability
- *                      no fatal()/abort()/exit() transitively
- *                      reachable from a library entry point
- *                      (every public function of src/mva/,
- *                      src/core/ and util/csv.cc; report failures
- *                      as SolveError / SolveException,
- *                      util/expected.hh); the
- *                      finding carries the full witness chain
- *                      (entry -> ... -> fatal()); a deliberate
- *                      boundary fatal carries a
- *                      `snoop-lint: fatal-ok` marker
- *  S2  numeric-guard-coverage
+ *  P1  numeric-guard-coverage
  *                      solver boundary functions route results
  *                      through NumericGuard / SNOOP_NUMERIC_CHECK,
- *                      directly or via a same-file validator
- *  S3  lockset         mutable state reachable from parallelFor
- *                      workers is const, thread_local, or of a
- *                      self-synchronizing type (std::atomic, ...,
- *                      or Guarded<T>, src/util/guarded.hh, whose
- *                      locking the compiler checks); waiver marker
+ *                      directly or by calling a same-file validator
+ *  P2  lockset         every namespace-scope variable and
+ *                      function-local static in src/ is const,
+ *                      thread_local, or of a self-synchronizing type
+ *                      (std::atomic, ..., or Guarded<T>,
+ *                      src/util/guarded.hh, whose locking the
+ *                      compiler checks); waiver marker
  *                      `snoop-lint: lockset-ok`
  *
  * Every inline `snoop-lint:` waiver in src/ must additionally be
