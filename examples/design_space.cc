@@ -137,11 +137,12 @@ sweepMode(const CliParser &cli)
         auto winners = res.value().tryWinners();
         if (!winners)
             fatal("%s", winners.error().describe().c_str());
+        const std::vector<std::string> labels = res.value().rowLabels();
         std::printf("\nwinners by %s value:\n", spec.paramName.c_str());
         for (size_t v = 0; v < winners.value().size(); ++v) {
             size_t w = winners.value()[v];
             std::printf("  %s=%s: %s\n", spec.paramName.c_str(),
-                        formatCompact(spec.values[v], 4).c_str(),
+                        labels[v].c_str(),
                         w == SweepResult::kNoWinner
                             ? "(all cells failed)"
                             : spec.protocols[w].name().c_str());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "observe/metrics.hh"
 #include "observe/trace.hh"
@@ -70,12 +71,11 @@ std::vector<Expected<MvaResult>>
 Analyzer::tryAnalyzeBatch(
     const std::vector<AnalysisRequest> &requests) const
 {
-    std::vector<Expected<MvaResult>> out;
-    out.reserve(requests.size());
     std::vector<MvaJob> jobs;
     jobs.reserve(requests.size());
-    std::vector<size_t> slot;
-    slot.reserve(requests.size());
+    // (request index, admission error), in request order; every other
+    // request becomes a job, in request order.
+    std::vector<std::pair<size_t, SolveError>> rejected;
 
     // Admission runs serially in request order: the analyze span,
     // analyze.calls, and workload validation happen exactly once per
@@ -96,9 +96,10 @@ Analyzer::tryAnalyzeBatch(
         // it as a precondition (SNOOP_REQUIRE_OK), which exits the
         // process.
         if (auto ok = req.workload.check(); !ok) {
-            out.emplace_back(SolveError(ok.error()).withContext(
-                strprintf("Analyzer::tryAnalyze(%s, N=%u)",
-                          req.protocol.name().c_str(), req.n)));
+            rejected.emplace_back(
+                i, SolveError(ok.error()).withContext(strprintf(
+                       "Analyzer::tryAnalyze(%s, N=%u)",
+                       req.protocol.name().c_str(), req.n)));
             continue;
         }
         MvaJob job;
@@ -109,15 +110,20 @@ Analyzer::tryAnalyzeBatch(
         job.opts = solver_.options();
         job.traceKey = req.traceKey;
         jobs.push_back(std::move(job));
-        slot.push_back(i);
-        out.emplace_back(makeError(SolveErrorCode::Internal,
-                                   "Analyzer::tryAnalyzeBatch",
-                                   "cell %zu pending", i));
     }
 
     std::vector<Expected<MvaResult>> solved = batch_.solveBatch(jobs);
-    for (size_t k = 0; k < solved.size(); ++k)
-        out[slot[k]] = std::move(solved[k]);
+    if (rejected.empty())
+        return solved;
+    std::vector<Expected<MvaResult>> out;
+    out.reserve(requests.size());
+    auto next = rejected.begin();
+    for (size_t i = 0, k = 0; i < requests.size(); ++i) {
+        if (next != rejected.end() && next->first == i)
+            out.emplace_back(std::move((next++)->second));
+        else
+            out.push_back(std::move(solved[k++]));
+    }
     return out;
 }
 

@@ -30,6 +30,9 @@ generateReport(const ReportSpec &spec)
 {
     if (auto ok = spec.workload.check(); !ok)
         return std::move(ok).error().withContext("generateReport");
+    // The Analyzer constructor requires a valid timing.
+    if (auto ok = spec.timing.check(); !ok)
+        return std::move(ok).error().withContext("generateReport");
     if (spec.ns.empty()) {
         return makeError(SolveErrorCode::InvalidArgument, "generateReport",
                          "need at least one system size");

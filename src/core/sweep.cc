@@ -1,6 +1,7 @@
 #include "core/sweep.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <span>
 #include <utility>
@@ -118,6 +119,26 @@ protocolHeader(const ProtocolConfig &cfg)
     return names.empty() ? cfg.name() : names.front();
 }
 
+/** The protocol column headers of table(), csv() and cellCsv(). */
+std::vector<std::string>
+columnLabels(const SweepSpec &spec)
+{
+    std::vector<std::string> labels;
+    labels.reserve(spec.protocols.size());
+    for (const ProtocolConfig &cfg : spec.protocols)
+        labels.push_back(protocolHeader(cfg));
+    return labels;
+}
+
+/** @p labels with each one CSV-escaped. */
+std::vector<std::string>
+csvEscaped(std::vector<std::string> labels)
+{
+    for (std::string &label : labels)
+        label = CsvWriter::escape(label);
+    return labels;
+}
+
 } // namespace
 
 bool
@@ -164,6 +185,16 @@ SweepResult::failureCount() const
     return count;
 }
 
+std::vector<std::string>
+SweepResult::rowLabels() const
+{
+    std::vector<std::string> labels;
+    labels.reserve(spec.values.size());
+    for (double value : spec.values)
+        labels.push_back(formatCompact(value, 4));
+    return labels;
+}
+
 std::string
 SweepResult::failureSummary() const
 {
@@ -185,15 +216,16 @@ SweepResult::failureSummary() const
 Table
 SweepResult::table() const
 {
-    std::vector<std::string> headers = {spec.paramName};
-    for (const auto &cfg : spec.protocols)
-        headers.push_back(protocolHeader(cfg));
-    Table t(headers);
+    const std::vector<std::string> rows = rowLabels();
+    std::vector<std::string> headers = columnLabels(spec);
+    headers.insert(headers.begin(), spec.paramName);
+    Table t(std::move(headers));
     t.setTitle(strprintf("speedup at N=%u while sweeping %s", spec.n,
                          spec.paramName.c_str()));
     for (size_t v = 0; v < spec.values.size(); ++v) {
-        std::vector<std::string> row = {
-            formatCompact(spec.values[v], 4)};
+        std::vector<std::string> row;
+        row.reserve(spec.protocols.size() + 1);
+        row.push_back(rows[v]);
         for (size_t p = 0; p < spec.protocols.size(); ++p) {
             if (!cellEvaluated(v, p))
                 row.push_back("·"); // another shard owns this cell
@@ -202,7 +234,7 @@ SweepResult::table() const
             else
                 row.push_back(formatDouble(results[v][p].speedup, 3));
         }
-        t.addRow(row);
+        t.addRow(std::move(row));
     }
     return t;
 }
@@ -213,35 +245,38 @@ SweepResult::csv() const
     // Built by hand rather than via table(): machine consumers need
     // "nan" (not an em dash) in failed cells, plus a trailing errors
     // column carrying the structured failure of each error cell.
-    std::vector<std::string> headers = {spec.paramName};
-    for (const auto &cfg : spec.protocols)
-        headers.push_back(protocolHeader(cfg));
-    headers.push_back("errors");
+    const std::vector<std::string> rows = csvEscaped(rowLabels());
+    const std::vector<std::string> columns = columnLabels(spec);
 
-    std::string out;
-    std::vector<std::string> fields;
-    for (const auto &h : headers)
-        fields.push_back(CsvWriter::escape(h));
-    out += join(fields, ",") + "\n";
+    std::string out = CsvWriter::escape(spec.paramName);
+    for (const std::string &column : columns) {
+        out += ',';
+        out += CsvWriter::escape(column);
+    }
+    out += ",errors\n";
 
+    std::string row_errors;
     for (size_t v = 0; v < spec.values.size(); ++v) {
-        fields = {CsvWriter::escape(formatCompact(spec.values[v], 4))};
-        std::vector<std::string> cell_errors;
+        out += rows[v];
+        row_errors.clear();
         for (size_t p = 0; p < spec.protocols.size(); ++p) {
-            if (!cellEvaluated(v, p)) {
-                fields.push_back(""); // another shard owns this cell
-            } else if (cellFailed(v, p)) {
-                fields.push_back("nan");
-                cell_errors.push_back(
-                    protocolHeader(spec.protocols[p]) + ": " +
-                    errors[v][p]->describe());
-            } else {
-                fields.push_back(
-                    formatDouble(results[v][p].speedup, 3));
+            out += ',';
+            if (!cellEvaluated(v, p))
+                continue; // another shard owns this cell
+            if (!cellFailed(v, p)) {
+                appendDouble(out, results[v][p].speedup, 3);
+                continue;
             }
+            out += "nan";
+            if (!row_errors.empty())
+                row_errors += "; ";
+            row_errors += columns[p];
+            row_errors += ": ";
+            row_errors += errors[v][p]->describe();
         }
-        fields.push_back(CsvWriter::escape(join(cell_errors, "; ")));
-        out += join(fields, ",") + "\n";
+        out += ',';
+        out += CsvWriter::escape(row_errors);
+        out += '\n';
     }
     return out;
 }
@@ -252,26 +287,32 @@ SweepResult::cellCsv() const
     // One line per evaluated cell, walked in global cell order - the
     // concatenation guarantee rides on this loop being a function of
     // the grid alone, never of scheduling or shard boundaries.
+    const std::vector<std::string> rows = csvEscaped(rowLabels());
+    const std::vector<std::string> columns = csvEscaped(columnLabels(spec));
     const size_t protocols = spec.protocols.size();
+    const size_t cells = spec.values.size() * protocols;
     std::string out;
-    for (size_t cell = 0; cell < spec.values.size() * protocols;
-         ++cell) {
+    out.reserve(cells * 40); // "4095,0.1234,WriteOnce+1+2,12.345,\n"
+    char index[24];
+    for (size_t cell = 0; cell < cells; ++cell) {
         size_t v = cell / protocols, p = cell % protocols;
         if (!cellEvaluated(v, p))
             continue;
-        std::vector<std::string> fields = {
-            strprintf("%zu", cell),
-            CsvWriter::escape(formatCompact(spec.values[v], 4)),
-            CsvWriter::escape(protocolHeader(spec.protocols[p]))};
+        out.append(index,
+                   std::to_chars(index, index + sizeof(index), cell).ptr);
+        out += ',';
+        out += rows[v];
+        out += ',';
+        out += columns[p];
+        out += ',';
         if (cellFailed(v, p)) {
-            fields.push_back("nan");
-            fields.push_back(
-                CsvWriter::escape(errors[v][p]->describe()));
+            out += "nan,";
+            out += CsvWriter::escape(errors[v][p]->describe());
         } else {
-            fields.push_back(formatDouble(results[v][p].speedup, 3));
-            fields.push_back("");
+            appendDouble(out, results[v][p].speedup, 3);
+            out += ',';
         }
-        out += join(fields, ",") + "\n";
+        out += '\n';
     }
     return out;
 }

@@ -135,6 +135,12 @@ struct SweepResult
     size_t failureCount() const;
 
     /**
+     * Row label of each swept value, formatCompact(values[v], 4): the
+     * first column of table(), csv() and cellCsv().
+     */
+    std::vector<std::string> rowLabels() const;
+
+    /**
      * One line per failed cell: "h_sw=0.3 Illinois: [code] ...".
      * Empty string when every cell succeeded.
      */

@@ -16,13 +16,29 @@ namespace snoop {
 std::vector<ComparisonPoint>
 validate(const ValidationConfig &config)
 {
+    std::vector<ComparisonPoint> points(config.ns.size());
+    // Check the inputs up front: DerivedInputs::compute states them
+    // as preconditions (SNOOP_REQUIRE_OK), which exit the process. A
+    // bad workload or timing fails every point alike.
+    Expected<void> valid = config.workload.check();
+    if (valid)
+        valid = config.timing.check();
+    if (!valid) {
+        for (size_t i = 0; i < points.size(); ++i) {
+            points[i].numProcessors = config.ns[i];
+            points[i].error = SolveError(valid.error()).withContext(
+                "validate");
+        }
+        warn("validate: all %zu comparison points failed: %s",
+             points.size(), valid.error().describe().c_str());
+        return points;
+    }
     MvaSolver solver;
     auto inputs = DerivedInputs::compute(config.workload, config.protocol,
                                          config.timing);
     // One MVA-vs-simulation comparison per N, evaluated in parallel
     // into pre-sized slots (each point's seed depends only on N, so
     // the output is identical to the serial loop at any thread count).
-    std::vector<ComparisonPoint> points(config.ns.size());
     ScopedMetricTimer validate_timer("validate.run_us");
     TraceSpan validate_span(TraceLevel::Phase, "validate.run",
                             config.ns.size());

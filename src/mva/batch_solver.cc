@@ -4,10 +4,12 @@
 #include <cfloat>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "mva/kernel.hh"
 #include "mva/lane.hh"
 #include "observe/metrics.hh"
+#include "util/contracts.hh"
 #include "util/parallel.hh"
 
 namespace snoop {
@@ -367,7 +369,7 @@ BatchMvaSolver::BatchMvaSolver(BatchOptions opts) : opts_(opts)
 
 void
 BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
-                           Expected<MvaResult> *out,
+                           std::optional<Expected<MvaResult>> *out,
                            size_t count) const
 {
     ScopedMetricTimer block_timer("mva.batch.block_us");
@@ -382,10 +384,12 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
         MvaLane &lane = lanes.emplace_back(job.inputs, job.n, job.seed,
                                            job.opts, job.traceKey);
         if (auto err = lane.admit(faults))
-            out[idx[i]] = std::move(*err);
+            out[idx[i]].emplace(std::move(*err));
         any_timed = any_timed || (lane.active && lane.timed);
     }
-    auto finishLane = [&](size_t i) { out[idx[i]] = lanes[i].finish(); };
+    auto finishLane = [&](size_t i) {
+        out[idx[i]].emplace(lanes[i].finish());
+    };
 
     // --- The two tick drivers ---------------------------------------
     // Blocks with armed solver faults or wall-clock budgets run the
@@ -531,14 +535,11 @@ BatchMvaSolver::solveBatch(const std::vector<MvaJob> &jobs) const
     ScopedMetricTimer batch_timer("mva.batch.solve_us");
 
     std::vector<Expected<MvaResult>> out;
-    out.reserve(jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        out.emplace_back(makeError(SolveErrorCode::Internal,
-                                   "BatchMvaSolver::solveBatch",
-                                   "lane %zu was never solved", i));
-    }
     if (jobs.empty())
         return out;
+    // Each slot is filled exactly once - by admission, by the lane's
+    // finish, or by the catch below - and unwrapped after the barrier.
+    std::vector<std::optional<Expected<MvaResult>>> slots(jobs.size());
 
     // Cost-sorted lane schedule: iteration count grows with the
     // processor count n, so blocks formed from batch order mix lanes
@@ -567,10 +568,11 @@ BatchMvaSolver::solveBatch(const std::vector<MvaJob> &jobs) const
         const size_t begin = b * bs;
         const size_t lanes = std::min(bs, jobs.size() - begin);
         try {
-            solveBlock(jobs.data(), order.data() + begin, out.data(), lanes);
+            solveBlock(jobs.data(), order.data() + begin, slots.data(),
+                       lanes);
         } catch (const std::exception &e) {
             for (size_t k = begin; k < begin + lanes; ++k) {
-                out[order[k]] = makeError(
+                slots[order[k]] = makeError(
                     SolveErrorCode::Internal,
                     "BatchMvaSolver::solveBatch",
                     "unexpected exception in lane block %zu: %s", b,
@@ -578,6 +580,12 @@ BatchMvaSolver::solveBatch(const std::vector<MvaJob> &jobs) const
             }
         }
     });
+    out.reserve(jobs.size());
+    for (size_t i = 0; i < slots.size(); ++i) {
+        SNOOP_ASSERT(slots[i].has_value(),
+                     "solveBatch: lane %zu was never solved", i);
+        out.push_back(std::move(*slots[i]));
+    }
     return out;
 }
 

@@ -27,6 +27,7 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mva/result.hh"
@@ -108,7 +109,8 @@ class BatchMvaSolver
      * are formed from the cost-sorted lane order, not batch order.
      */
     void solveBlock(const MvaJob *jobs, const size_t *idx,
-                    Expected<MvaResult> *out, size_t count) const;
+                    std::optional<Expected<MvaResult>> *out,
+                    size_t count) const;
 
     BatchOptions opts_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "observe/metrics.hh"
@@ -29,9 +30,8 @@ struct SolveService::Cell
     bool hasKey = false;     ///< false = noCache or admission failed
     bool cached = false;     ///< exact hit: result copied, no solve
     MvaSeed seed;            ///< all-zero = cold start
-    bool failed = false;     ///< error is valid, result is not
-    SolveError error = makeError(SolveErrorCode::Internal,
-                                 "serve", "unset cell error");
+    /** Set iff the cell failed (result is then not valid). */
+    std::optional<SolveError> error;
 
     // filled by the parallel solve phase (or the hit copy)
     MvaResult result;
@@ -42,9 +42,7 @@ namespace {
 /** Per-request bookkeeping: which cells belong to which response. */
 struct RequestPlan
 {
-    bool failed = false; ///< request-level admission failure
-    SolveError error = makeError(SolveErrorCode::Internal,
-                                 "serve", "unset request error");
+    std::optional<SolveError> error; ///< request-level admission failure
     size_t firstCell = 0; ///< contiguous cell range [first, first+count)
     size_t cellCount = 0;
 };
@@ -72,12 +70,12 @@ resultJson(const MvaResult &r, bool cached)
 JsonValue
 cellJson(const SolveService::Cell &cell)
 {
-    if (cell.failed) {
+    if (cell.error) {
         JsonValue::Object obj;
         obj["n"] = JsonValue(cell.n);
         obj["protocol"] = JsonValue(cell.protocol.name());
         obj["ok"] = JsonValue(false);
-        obj["error"] = errorJson(cell.error);
+        obj["error"] = errorJson(*cell.error);
         return JsonValue(std::move(obj));
     }
     JsonValue v = resultJson(cell.result, cell.cached);
@@ -155,7 +153,6 @@ SolveService::handleBatch(const std::vector<Request> &requests)
             continue;
 
         if (auto ok = req.workload.check(); !ok) {
-            plan.failed = true;
             plan.error = SolveError(ok.error())
                              .withContext(strprintf(
                                  "serve::%s(id=%lld)", to_string(req.op),
@@ -188,10 +185,7 @@ SolveService::handleBatch(const std::vector<Request> &requests)
                                 }
                             }
                         },
-                        [&](SolveError &&e) {
-                            cell.failed = true;
-                            cell.error = std::move(e);
-                        });
+                        [&](SolveError &&e) { cell.error = std::move(e); });
             }
             cells.push_back(std::move(cell));
         };
@@ -228,12 +222,11 @@ SolveService::handleBatch(const std::vector<Request> &requests)
     job_cell.reserve(cells.size());
     for (size_t ci = 0; ci < cells.size(); ++ci) {
         Cell &cell = cells[ci];
-        if (cell.cached || cell.failed)
+        if (cell.cached || cell.error)
             continue;
         const Request &req = requests[cell.request];
         if (faultFires("serve.request",
                        static_cast<uint64_t>(req.id))) {
-            cell.failed = true;
             cell.error = injectedFault(
                 "serve.request", static_cast<uint64_t>(req.id));
             continue;
@@ -264,7 +257,6 @@ SolveService::handleBatch(const std::vector<Request> &requests)
                               cell.result.iterations);
                 },
                 [&](SolveError &&e) {
-                    cell.failed = true;
                     cell.error = std::move(e).withContext(
                         strprintf("serve::%s(id=%lld, %s, N=%u)",
                                   to_string(req.op),
@@ -277,7 +269,7 @@ SolveService::handleBatch(const std::vector<Request> &requests)
     // --- Phase 3 (serial): inserts in cell (= request) order, then
     // response assembly in request order.
     for (const Cell &cell : cells) {
-        if (cell.failed || cell.cached || !cell.hasKey)
+        if (cell.error || cell.cached || !cell.hasKey)
             continue;
         if (requests[cell.request].noCache)
             continue;
@@ -291,16 +283,16 @@ SolveService::handleBatch(const std::vector<Request> &requests)
         const RequestPlan &plan = plans[ri];
         ScopedMetricTimer request_timer("serve.request_us");
 
-        if (plan.failed) {
-            responses.push_back(errorResponse(req.id, plan.error));
+        if (plan.error) {
+            responses.push_back(errorResponse(req.id, *plan.error));
             continue;
         }
 
         switch (req.op) {
           case RequestOp::Analyze: {
             const Cell &cell = cells[plan.firstCell];
-            if (cell.failed)
-                responses.push_back(errorResponse(req.id, cell.error));
+            if (cell.error)
+                responses.push_back(errorResponse(req.id, *cell.error));
             else
                 responses.push_back(okResponse(
                     req.id, req.op,
@@ -329,9 +321,9 @@ SolveService::handleBatch(const std::vector<Request> &requests)
             std::stable_sort(
                 order.begin(), order.end(), [&](size_t a, size_t b) {
                     const Cell &ca = cells[a], &cb = cells[b];
-                    if (ca.failed != cb.failed)
-                        return !ca.failed;
-                    if (ca.failed)
+                    if (ca.error.has_value() != cb.error.has_value())
+                        return !ca.error;
+                    if (ca.error)
                         return false;
                     return ca.result.speedup > cb.result.speedup;
                 });

@@ -2,23 +2,52 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cfloat>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 
+#include "util/contracts.hh"
 #include "util/logging.hh"
 
 namespace snoop {
 
+namespace {
+
+/** Widest precision appendDouble formats in place: DBL_MAX has
+ *  DBL_MAX_10_EXP + 1 integer digits, plus sign and point. */
+constexpr int kInlineDigits = 64;
+
+} // namespace
+
+void
+appendDouble(std::string &out, double value, int digits)
+{
+    if (digits < 0 || digits > kInlineDigits) {
+        // printf's reading of a negative precision (6), and the rare
+        // caller wider than the inline buffer.
+        out += strprintf("%.*f", digits, value);
+        return;
+    }
+    char buf[DBL_MAX_10_EXP + 3 + kInlineDigits];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value,
+                                   std::chars_format::fixed, digits);
+    SNOOP_ASSERT(ec == std::errc(), "appendDouble: buffer too small");
+    out.append(buf, end);
+}
+
 std::string
 formatDouble(double value, int digits)
 {
-    return strprintf("%.*f", digits, value);
+    std::string s;
+    appendDouble(s, value, digits);
+    return s;
 }
 
 std::string
 formatCompact(double value, int max_digits, int min_digits)
 {
-    std::string s = strprintf("%.*f", max_digits, value);
+    std::string s = formatDouble(value, max_digits);
     auto dot = s.find('.');
     if (dot == std::string::npos)
         return s;

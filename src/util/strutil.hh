@@ -11,8 +11,18 @@
 
 namespace snoop {
 
-/** Format a double with @p digits digits after the decimal point. */
+/**
+ * Format a double with @p digits digits after the decimal point.
+ *
+ * The bytes are exactly printf's "%.*f" in the C locale - "nan",
+ * "-nan", "inf", "-0.000" and exact-decimal ties included - but go
+ * through std::to_chars(fixed, digits), with no format-string parse
+ * or locale lookup (tests/util/test_strutil.cc pins the identity).
+ */
 std::string formatDouble(double value, int digits);
+
+/** Append formatDouble(value, digits) to @p out without a temporary. */
+void appendDouble(std::string &out, double value, int digits);
 
 /**
  * Format a double like the paper's tables: trailing zeros after the

@@ -1,5 +1,7 @@
 #include "util/table.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -46,54 +48,74 @@ Table::addSeparator()
 std::string
 Table::render() const
 {
+    // One displayWidth per cell, kept for the padding pass.
     std::vector<size_t> widths(headers_.size());
+    std::vector<size_t> header_widths(headers_.size());
     for (size_t c = 0; c < headers_.size(); ++c)
-        widths[c] = displayWidth(headers_[c]);
+        widths[c] = header_widths[c] = displayWidth(headers_[c]);
+    std::vector<size_t> cell_widths;
     for (const auto &row : rows_) {
-        for (size_t c = 0; c < row.size(); ++c)
-            widths[c] = std::max(widths[c], displayWidth(row[c]));
+        for (size_t c = 0; c < row.size(); ++c) {
+            size_t w = displayWidth(row[c]);
+            cell_widths.push_back(w);
+            widths[c] = std::max(widths[c], w);
+        }
     }
 
-    auto pad = [&](const std::string &s, size_t c) {
-        switch (aligns_[c]) {
-          case Align::Left:
-            return padRight(s, widths[c]);
-          case Align::Center:
-            return padCenter(s, widths[c]);
-          case Align::Right:
-          default:
-            return padLeft(s, widths[c]);
-        }
-    };
-
-    auto rule = [&]() {
-        std::string s = "+";
-        for (size_t c = 0; c < widths.size(); ++c)
-            s += std::string(widths[c] + 2, '-') + "+";
-        s += "\n";
-        return s;
-    };
+    std::string rule = "+";
+    for (size_t width : widths) {
+        rule.append(width + 2, '-');
+        rule += '+';
+    }
+    rule += '\n';
 
     std::string out;
-    if (!title_.empty())
-        out += title_ + "\n";
-    out += rule();
-    out += "|";
+    // Every line is about as long as a rule (more for multi-byte glyphs).
+    out.reserve(title_.size() + (rows_.size() + 5) * rule.size());
+    // " " + cell padded to its column's width + " |".
+    auto append_cell = [&](const std::string &s, size_t w, size_t c) {
+        const size_t total = widths[c] - w;
+        size_t left = 0;
+        switch (aligns_[c]) {
+          case Align::Left:
+            break;
+          case Align::Center:
+            left = total / 2;
+            break;
+          case Align::Right:
+          default:
+            left = total;
+            break;
+        }
+        out += ' ';
+        out.append(left, ' ');
+        out += s;
+        out.append(total - left, ' ');
+        out += " |";
+    };
+
+    if (!title_.empty()) {
+        out += title_;
+        out += '\n';
+    }
+    out += rule;
+    out += '|';
     for (size_t c = 0; c < headers_.size(); ++c)
-        out += " " + pad(headers_[c], c) + " |";
-    out += "\n";
-    out += rule();
+        append_cell(headers_[c], header_widths[c], c);
+    out += '\n';
+    out += rule;
+    size_t k = 0;
     for (const auto &row : rows_) {
         if (row.empty()) {
-            out += rule();
+            out += rule;
             continue;
         }
-        out += "|";
+        out += '|';
         for (size_t c = 0; c < row.size(); ++c)
-            out += " " + pad(row[c], c) + " |";
-        out += "\n";
+            append_cell(row[c], cell_widths[k++], c);
+        out += '\n';
     }
-    out += rule();
+    out += rule;
     return out;
 }
 

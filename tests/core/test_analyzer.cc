@@ -156,6 +156,37 @@ TEST(Analyzer, BadWorkloadIsAnError)
               std::string::npos);
 }
 
+TEST(Analyzer, BatchKeepsRequestOrderAroundAdmissionErrors)
+{
+    // Rejected requests sit between, before and after solved ones; each
+    // answer lands in its request's slot, bit-identical to tryAnalyze.
+    Analyzer a;
+    auto good = presets::appendixA(SharingLevel::FivePercent);
+    auto bad = good;
+    bad.hSw = 1.5;
+    const std::vector<AnalysisRequest> requests = {
+        {ProtocolConfig::writeOnce(), bad, 4},
+        {ProtocolConfig::writeOnce(), good, 4},
+        {ProtocolConfig::fromIndex(13), bad, 8},
+        {ProtocolConfig::fromIndex(13), good, 8},
+        {ProtocolConfig::fromIndex(5), bad, 2},
+    };
+    auto out = a.tryAnalyzeBatch(requests);
+    ASSERT_EQ(out.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+        const AnalysisRequest &req = requests[i];
+        auto want = a.tryAnalyze(req.protocol, req.workload, req.n);
+        ASSERT_EQ(out[i].ok(), want.ok()) << "request " << i;
+        if (want.ok()) {
+            EXPECT_EQ(out[i].value().speedup, want.value().speedup);
+            EXPECT_EQ(out[i].value().numProcessors, req.n);
+        } else {
+            EXPECT_EQ(out[i].error().describe(), want.error().describe());
+        }
+    }
+    EXPECT_EQ(a.tryAnalyzeBatch({}).size(), 0u);
+}
+
 TEST(Analyzer, BadSaturationTargetThrows)
 {
     Analyzer a;

@@ -98,6 +98,17 @@ TEST(Report, BadSpecsAreErrors)
     spec.workload.hPrivate = 2.0;
     ASSERT_FALSE(generateReport(spec));
 
+    // A bad timing is an error too, not an exit from the Analyzer
+    // constructor's precondition.
+    spec = basicSpec();
+    spec.timing.numModules = 0;
+    md = generateReport(spec);
+    ASSERT_FALSE(md);
+    EXPECT_EQ(md.error().code, SolveErrorCode::InvalidArgument);
+    EXPECT_NE(md.error().message.find("numModules"), std::string::npos);
+    ASSERT_FALSE(md.error().context.empty());
+    EXPECT_EQ(md.error().context.back(), "generateReport");
+
     auto written = writeReport(basicSpec(), "/nonexistent-dir-xyz/r.md");
     ASSERT_FALSE(written);
     EXPECT_EQ(written.error().code, SolveErrorCode::IoError);

@@ -23,6 +23,37 @@ TEST(Validation, ReproducesPaperAgreementBand)
     EXPECT_LE(maxAbsError(pts), 0.06);
 }
 
+TEST(Validation, BadWorkloadFailsEveryPointInsteadOfExiting)
+{
+    ValidationConfig cfg;
+    cfg.workload = presets::appendixA(SharingLevel::FivePercent);
+    cfg.workload.hSw = 1.5;
+    cfg.protocol = ProtocolConfig::writeOnce();
+    cfg.ns = {1, 4};
+    auto pts = validate(cfg);
+    ASSERT_EQ(pts.size(), 2u);
+    for (size_t i = 0; i < pts.size(); ++i) {
+        EXPECT_EQ(pts[i].numProcessors, cfg.ns[i]);
+        ASSERT_FALSE(pts[i].ok());
+        EXPECT_EQ(pts[i].error->code, SolveErrorCode::InvalidArgument);
+        EXPECT_NE(pts[i].error->message.find("hSw"), std::string::npos);
+        ASSERT_EQ(pts[i].error->context.size(), 1u);
+        EXPECT_EQ(pts[i].error->context.front(), "validate");
+    }
+}
+
+TEST(Validation, BadTimingFailsEveryPointInsteadOfExiting)
+{
+    ValidationConfig cfg;
+    cfg.workload = presets::appendixA(SharingLevel::FivePercent);
+    cfg.timing.numModules = 0;
+    cfg.ns = {2};
+    auto pts = validate(cfg);
+    ASSERT_EQ(pts.size(), 1u);
+    ASSERT_FALSE(pts[0].ok());
+    EXPECT_NE(pts[0].error->message.find("numModules"), std::string::npos);
+}
+
 TEST(Validation, PointsCarryBothModels)
 {
     ValidationConfig cfg;

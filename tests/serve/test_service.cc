@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "serve/service.hh"
@@ -255,6 +256,56 @@ TEST(ServeService, SaturationRankSweepAndStats)
     // 16 rank cells + 3 sweep cells are cached by now.
     EXPECT_EQ(r.get("result")->get("cache")->get("size")->asNumber(),
               19.0);
+}
+
+TEST(ServeService, RankPutsFailedCellsLastInIndexOrder)
+{
+    SolveService service;
+    // Exact hits skip the fault check: cache three configurations at
+    // the rank's design point first.
+    const std::vector<unsigned> cached = {2, 9, 13};
+    for (unsigned idx : cached) {
+        Request req;
+        req.id = 1;
+        req.op = RequestOp::Analyze;
+        req.protocol = ProtocolConfig::fromIndex(idx);
+        req.workload = presets::appendixA(SharingLevel::FivePercent);
+        req.n = 16;
+        ASSERT_TRUE(service.handle(req).get("ok")->asBool());
+    }
+    ASSERT_TRUE(bool(setFaultSpecs("serve.request:every=2")));
+    Request rank;
+    rank.id = 2;
+    rank.op = RequestOp::Rank;
+    rank.workload = presets::appendixA(SharingLevel::FivePercent);
+    rank.n = 16;
+    auto r = service.handle(rank);
+    clearFaultSpecs();
+    ASSERT_TRUE(r.get("ok")->asBool());
+    const auto &ranking = r.get("result")->get("ranking")->asArray();
+    ASSERT_EQ(ranking.size(), 16u);
+    // The hits rank first by speedup; every faulted cell follows, in
+    // protocol index order.
+    for (size_t i = 0; i < cached.size(); ++i) {
+        EXPECT_TRUE(ranking[i].get("ok")->asBool());
+        EXPECT_TRUE(ranking[i].get("cached")->asBool());
+        if (i > 0) {
+            EXPECT_GE(ranking[i - 1].get("speedup")->asNumber(),
+                      ranking[i].get("speedup")->asNumber());
+        }
+    }
+    size_t next = cached.size();
+    for (unsigned idx = 0; idx < 16; ++idx) {
+        if (std::find(cached.begin(), cached.end(), idx) != cached.end())
+            continue;
+        const JsonValue &cell = ranking[next++];
+        EXPECT_FALSE(cell.get("ok")->asBool());
+        EXPECT_EQ(cell.get("protocol")->asString(),
+                  ProtocolConfig::fromIndex(idx).name());
+        EXPECT_EQ(cell.get("error")->get("code")->asString(),
+                  "injected-fault");
+    }
+    EXPECT_EQ(service.cache().size(), cached.size());
 }
 
 TEST(ServeService, InvalidWorkloadFailsAdmission)

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+
+#include "random/rng.hh"
 #include "util/strutil.hh"
 
 namespace snoop {
@@ -25,6 +32,127 @@ TEST(FormatCompact, HonorsMinDigits)
 {
     EXPECT_EQ(formatCompact(5.30, 3, 2), "5.30");
     EXPECT_EQ(formatCompact(5.0, 3, 1), "5.0");
+}
+
+/** The formatters' previous implementation, kept as the oracle:
+ *  printf's "%.*f" in the C locale. */
+std::string
+printfFixed(double v, int digits)
+{
+    char buf[512];
+    std::snprintf(buf, sizeof buf, "%.*f", digits, v);
+    return buf;
+}
+
+/** The previous formatCompact: trim printf's trailing zeros. */
+std::string
+printfCompact(double v, int max_digits, int min_digits)
+{
+    std::string s = printfFixed(v, max_digits);
+    auto dot = s.find('.');
+    if (dot == std::string::npos)
+        return s;
+    size_t last = s.size();
+    size_t min_len = (min_digits == 0)
+        ? dot : dot + 1 + static_cast<size_t>(min_digits);
+    while (last > min_len && last > dot + 1 && s[last - 1] == '0')
+        --last;
+    if (last == dot + 1)
+        --last;
+    return s.substr(0, last);
+}
+
+/**
+ * Count of @p values whose formatDouble bytes differ from the printf
+ * oracle's at some precision in 0..6, or whose formatCompact bytes
+ * differ at the precision the value's index picks; the first few are
+ * reported.
+ */
+size_t
+formatterMismatches(const std::vector<double> &values)
+{
+    size_t bad = 0;
+    for (size_t i = 0; i < values.size(); ++i) {
+        const double v = values[i];
+        const int compact_digits = static_cast<int>(i % 7);
+        for (int digits = 0; digits <= 6; ++digits) {
+            const int min_digits = digits / 2;
+            std::string got = formatDouble(v, digits);
+            std::string want = printfFixed(v, digits);
+            std::string got_compact, want_compact;
+            if (digits == compact_digits) {
+                got_compact = formatCompact(v, digits, min_digits);
+                want_compact = printfCompact(v, digits, min_digits);
+            }
+            if (got == want && got_compact == want_compact)
+                continue;
+            if (++bad <= 5) {
+                ADD_FAILURE() << "bits 0x" << std::hex
+                              << std::bit_cast<uint64_t>(v) << std::dec
+                              << " at " << digits << " digits: \""
+                              << got << "\" / \"" << got_compact
+                              << "\", printf \"" << want << "\" / \""
+                              << want_compact << "\"";
+            }
+        }
+    }
+    return bad;
+}
+
+TEST(FormatDouble, MatchesPrintfOnSeededDoubles)
+{
+    // 2^20 SplitMix64 draws in three families: raw bit patterns
+    // (every exponent, subnormals, infinities and NaN payloads of both
+    // signs), speedups and utilizations as the tables print them,
+    // and values on a 1/1000 lattice - the ties and near-ties where
+    // the third decimal rounds.
+    constexpr size_t kPerFamily = (size_t{1} << 20) / 3 + 1;
+    uint64_t state = 0xf0a7ed5eedULL;
+    std::vector<double> values;
+    values.reserve(3 * kPerFamily);
+    for (size_t i = 0; i < kPerFamily; ++i)
+        values.push_back(std::bit_cast<double>(splitMix64(state)));
+    for (size_t i = 0; i < kPerFamily; ++i) {
+        double unit = static_cast<double>(splitMix64(state) >> 11) *
+            0x1p-53;
+        values.push_back((i & 1) ? 40.0 * unit : unit);
+    }
+    for (size_t i = 0; i < kPerFamily; ++i) {
+        double v = static_cast<double>(splitMix64(state) % 100000) /
+            1000.0;
+        values.push_back((splitMix64(state) & 1) ? -v : v);
+    }
+    ASSERT_GE(values.size(), size_t{1} << 20);
+    EXPECT_EQ(formatterMismatches(values), 0u);
+}
+
+TEST(FormatDouble, MatchesPrintfOnSpecialValues)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> values = {
+        0.0, -0.0, inf, -inf, nan, -nan, DBL_MAX, -DBL_MAX, DBL_MIN,
+        DBL_TRUE_MIN, -DBL_TRUE_MIN,
+        // Exact decimal ties: printf rounds them half to even.
+        0.125, 0.375, 2.5, 3.5, -2.5, 0.5, 1.5, 1.0625, 1e22, 1e23,
+        // Values that print as negative zero.
+        -0.0001, -1e-300};
+    EXPECT_EQ(formatterMismatches(values), 0u);
+    EXPECT_EQ(formatDouble(-nan, 3), "-nan");
+    EXPECT_EQ(formatDouble(-0.0001, 3), "-0.000");
+    EXPECT_EQ(formatDouble(2.5, 0), "2");
+    EXPECT_EQ(formatDouble(0.125, 2), "0.12");
+    EXPECT_EQ(formatDouble(DBL_MAX, 6).size(), 309u + 7u);
+}
+
+TEST(FormatDouble, WidePrecisionFallsBackToPrintf)
+{
+    EXPECT_EQ(formatDouble(1.0 / 3.0, 80), printfFixed(1.0 / 3.0, 80));
+    EXPECT_EQ(formatDouble(DBL_MAX, 70), printfFixed(DBL_MAX, 70));
+    EXPECT_EQ(formatDouble(0.5, -1), printfFixed(0.5, -1));
+    std::string out = "x=";
+    appendDouble(out, 0.5, 2);
+    EXPECT_EQ(out, "x=0.50");
 }
 
 TEST(FormatPercent, ScalesFraction)

@@ -36,6 +36,19 @@ TEST(Table, LeftAlignWorks)
     EXPECT_NE(t.render().find("| 1   |"), std::string::npos);
 }
 
+TEST(Table, CenterAlignPutsTheOddSpaceOnTheRight)
+{
+    Table t({"column"});
+    t.setAlign(0, Align::Center);
+    t.addRow({"ab"});
+    t.addRow({"abc"});
+    t.addRow({"—"}); // 3 bytes, 1 column
+    std::string out = t.render();
+    EXPECT_NE(out.find("|   ab   |"), std::string::npos);
+    EXPECT_NE(out.find("|  abc   |"), std::string::npos);
+    EXPECT_NE(out.find("|   —    |"), std::string::npos);
+}
+
 TEST(Table, TitleAppearsFirst)
 {
     Table t({"a"});
