@@ -18,9 +18,11 @@
 # from stdout.
 #
 # Every golden file starts with one '#' header line naming the command
-# and the toolchain that produced it; the comparison skips that line.
-# --generate rewrites the goldens from the given binary (SNOOP_JOBS=1).
+# and the toolchain that produced it; the comparison skips that line
+# (golden_lib.sh, shared with run_transcripts.sh). --generate rewrites
+# the goldens from the given binary (SNOOP_JOBS=1).
 set -u
+. "$(dirname "$0")/golden_lib.sh"
 
 GENERATE=0
 if [ "${1:-}" = "--generate" ]; then
@@ -59,15 +61,13 @@ run() {
 
 if [ "$GENERATE" -eq 1 ]; then
     mkdir -p "$GOLDEN"
-    compiler=$(c++ --version 2>/dev/null | head -n 1)
     for name in $CASES; do
         run "$name" 1
         fault=$(case_fault "$name")
         for ext in out csv cells.csv; do
-            {
-                echo "# design_space $(case_args "$name")${fault:+ with SNOOP_FAULT=$fault}; built with ${compiler:-unknown compiler}"
-                cat "$WORKDIR/$name.j1.$ext"
-            } > "$GOLDEN/$name.$ext"
+            golden_write "$GOLDEN/$name.$ext" \
+                "design_space $(case_args "$name")${fault:+ with SNOOP_FAULT=$fault}" \
+                "$WORKDIR/$name.j1.$ext"
         done
     done
     echo "golden/design_space_sweep: goldens written to $GOLDEN"
@@ -78,8 +78,7 @@ for name in $CASES; do
     for jobs in 1 4; do
         run "$name" "$jobs"
         for ext in out csv cells.csv; do
-            tail -n +2 "$GOLDEN/$name.$ext" > "$WORKDIR/golden.$name.$ext"
-            cmp "$WORKDIR/golden.$name.$ext" "$WORKDIR/$name.j$jobs.$ext" ||
+            golden_cmp "$GOLDEN/$name.$ext" "$WORKDIR/$name.j$jobs.$ext" ||
                 fail "$name $ext at SNOOP_JOBS=$jobs differs from $GOLDEN/$name.$ext"
         done
     done
