@@ -58,11 +58,15 @@ struct HotSoA
     // Iterate, its two-tick history ring, and per-slot control. The
     // iteration counter and cap live as doubles so the fused tick can
     // count and compare them in SIMD lanes (both are integer-valued
-    // and far below 2^53, so the comparisons are exact).
+    // and far below 2^53, so the comparisons are exact). sPrev is
+    // MvaLane::stepPrev: the last tick's step size, 0 before the
+    // first tick of an attempt. done is the tick's verdict: 0 the
+    // attempt goes on, 1 it ended unconverged (cap or non-finite
+    // iterate), 2 it converged.
     std::vector<double> wb, wm, rt;
     std::vector<double> prevWb, prevWm, prevRt;
     std::vector<double> pprevWb, pprevWm, pprevRt;
-    std::vector<double> damp, tol, delta, iterD, capD, done;
+    std::vector<double> damp, tol, delta, sPrev, iterD, capD, done;
     std::vector<size_t> lane; ///< slot -> lane id in the block
     size_t n = 0;             ///< live slot count (dense prefix)
 
@@ -98,6 +102,7 @@ struct HotSoA
         damp.push_back(ln.ladder[ln.rung]);
         tol.push_back(ln.opts.tolerance);
         delta.push_back(0.0);
+        sPrev.push_back(ln.stepPrev);
         iterD.push_back(0.0);
         capD.push_back(static_cast<double>(ln.cap));
         done.push_back(0.0);
@@ -124,6 +129,7 @@ struct HotSoA
         rt[s] = ln.rTotal;
         damp[s] = ln.ladder[ln.rung];
         capD[s] = static_cast<double>(ln.cap);
+        sPrev[s] = ln.stepPrev;
         iterD[s] = 0.0;
         done[s] = 0.0;
     }
@@ -163,6 +169,7 @@ struct HotSoA
         damp[s] = damp[b];
         tol[s] = tol[b];
         delta[s] = delta[b];
+        sPrev[s] = sPrev[b];
         iterD[s] = iterD[b];
         capD[s] = capD[b];
         done[s] = done[b];
@@ -199,6 +206,7 @@ struct HotSoA
         damp.pop_back();
         tol.pop_back();
         delta.pop_back();
+        sPrev.pop_back();
         iterD.pop_back();
         capD.pop_back();
         done.pop_back();
@@ -234,14 +242,16 @@ struct HotSoA
  * the same mvaExp2 for the eq. (13) power - that is what makes batch
  * results bit-identical to per-cell trySolve (MvaLane::step).
  *
- * Writes back wb/wm/rt, the convergence delta, the pre-tick iterate
- * (into prev*, completing the caller's history-ring rotation), the
- * advanced iteration count, and a per-slot `done` flag that goes
- * nonzero when the lane hit convergence, its iteration cap, or a
- * non-finite iterate. The flag is what lets the caller skip its
+ * Writes back wb/wm/rt, the R delta, the step size (into sPrev, for
+ * the next tick's stop test), the pre-tick iterate (into prev*,
+ * completing the caller's history-ring rotation), the advanced
+ * iteration count, and a per-slot `done` verdict that goes nonzero
+ * when the lane converged (2, by the shared mvaConverged on the same
+ * values MvaLane::step passes it), hit its iteration cap or produced
+ * a non-finite iterate (1). The verdict lets the caller skip its
  * scalar post-pass on the (vast majority of) ticks where no lane
- * retires; the post-pass re-derives the exact disposition from the
- * same stored values, so the flag only gates work, never decides it.
+ * retires; the post-pass reads convergence from it and re-derives
+ * everything else from the stored values.
  *
  * The arrays arrive as restrict-qualified raw pointer parameters
  * (not a HotSoA reference) deliberately: GCC tracks restrict
@@ -263,7 +273,8 @@ fusedTick(size_t cnt, const double *__restrict numProc,
           const double *__restrict lgPP, const double *__restrict tInt,
           const double *__restrict nM1, const double *__restrict gt1,
           const double *__restrict damp, const double *__restrict tol,
-          const double *__restrict capD, double *__restrict iterD,
+          const double *__restrict capD, double *__restrict sPrev,
+          double *__restrict iterD,
           double *__restrict prevWb, double *__restrict prevWm,
           double *__restrict prevRt, double *__restrict wb,
           double *__restrict wm, double *__restrict rt,
@@ -332,29 +343,33 @@ fusedTick(size_t cnt, const double *__restrict numProc,
         pBM = (gt1[s] != 0.0) ? pBM : 0.0;
         const double wmN = pBM * dMem[s] / 2.0;
 
-        // damped update + convergence delta (same expressions as the
-        // scalar driver)
+        // damped update, R delta and step size (same expressions as
+        // the scalar driver)
         const double d = damp[s];
         const double wbNext = d * wbN + (1.0 - d) * wbv;
         const double wmNext = d * wmN + (1.0 - d) * wmv;
         const double dl = std::fabs(rN - rtv);
+        const double st = mvaStepSize(wbNext, wbv, wmNext, wmv, rN, rtv);
+        const bool conv = mvaConverged(st, sPrev[s], tol[s]);
         wb[s] = wbNext;
         wm[s] = wmNext;
         delta[s] = dl;
+        sPrev[s] = st;
         rt[s] = rN;
 
-        // Retirement detection (the post-pass re-checks the same
-        // expressions on the same stored values). |x| <= DBL_MAX is
-        // isfinite in select form - false for both infinities and
-        // NaN - and the flag is chained selects rather than
-        // short-circuit bools so the whole body stays branch-free.
+        // The verdict, in MvaLane::step's order: a non-finite iterate
+        // ends the attempt unconverged, else convergence, else the
+        // cap. |x| <= DBL_MAX is isfinite in select form - false for
+        // both infinities and NaN - and the verdict is chained selects
+        // rather than short-circuit bools so the whole body stays
+        // branch-free.
         const double itv = iterD[s] + 1.0;
         iterD[s] = itv;
-        double dn = (std::fabs(rN) <= DBL_MAX) ? 0.0 : 1.0;
+        double dn = (itv >= capD[s]) ? 1.0 : 0.0;
+        dn = conv ? 2.0 : dn;
+        dn = (std::fabs(rN) <= DBL_MAX) ? dn : 1.0;
         dn = (std::fabs(wbNext) <= DBL_MAX) ? dn : 1.0;
         dn = (std::fabs(wmNext) <= DBL_MAX) ? dn : 1.0;
-        dn = (dl < tol[s] * std::max(1.0, std::fabs(rN))) ? 1.0 : dn;
-        dn = (itv >= capD[s]) ? 1.0 : dn;
         done[s] = dn;
     }
 }
@@ -437,7 +452,7 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
                   hot.pPrime.data(), hot.log2PPrime.data(),
                   hot.tInt.data(), hot.nMinus1.data(), hot.gt1.data(),
                   hot.damp.data(), hot.tol.data(), hot.capD.data(),
-                  hot.iterD.data(), hot.prevWb.data(),
+                  hot.sPrev.data(), hot.iterD.data(), hot.prevWb.data(),
                   hot.prevWm.data(), hot.prevRt.data(), hot.wb.data(),
                   hot.wm.data(), hot.rt.data(), hot.delta.data(),
                   hot.done.data());
@@ -489,15 +504,13 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
                 if (lane.recordIters)
                     lane.replay.back().push_back(delta);
 
-                const bool conv = delta < lane.opts.tolerance *
-                    std::max(1.0, std::fabs(hot.rt[s]));
-                if (!conv && static_cast<double>(it) < hot.capD[s]) {
+                if (hot.done[s] == 0.0) {
                     ++s;
                     continue;
                 }
                 lane.iterations = it;
                 lane.residual = delta;
-                lane.converged = conv;
+                lane.converged = hot.done[s] == 2.0;
                 lane.wBus = hot.wb[s];
                 lane.wMem = hot.wm[s];
                 lane.rTotal = hot.rt[s];
@@ -518,9 +531,9 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
         }
 
         // Top up freed slots from the pending queue. Deferred to after
-        // the post-pass so a fresh lane (zero iterations, zero delta)
-        // is never mistaken for a converged one; it takes its first
-        // step on the next tick.
+        // the post-pass so a fresh lane, which has not ticked yet, is
+        // never post-processed (no zero delta recorded, no verdict
+        // read); it takes its first step on the next tick.
         while (hot.n < opts_.blockSize && next < pending.size()) {
             const size_t i = pending[next++];
             hot.push(lanes[i], i);

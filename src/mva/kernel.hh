@@ -288,6 +288,44 @@ mvaStep(const MvaStepConstants &c, double w_bus, double w_mem,
 }
 
 /**
+ * The size of one damped step, relative to the new iterate: the
+ * largest of |x_k - x_{k-1}| / max(1, |x_k|) over the whole state
+ * (wBus, wMem, R). A NaN component is ignored by the max; both
+ * drivers reject a non-finite iterate before they read this.
+ */
+inline double
+mvaStepSize(double w_bus_next, double w_bus, double w_mem_next,
+            double w_mem, double r_next, double r)
+{
+    const double sb = std::fabs(w_bus_next - w_bus) /
+        std::max(1.0, std::fabs(w_bus_next));
+    const double sm = std::fabs(w_mem_next - w_mem) /
+        std::max(1.0, std::fabs(w_mem_next));
+    const double sr =
+        std::fabs(r_next - r) / std::max(1.0, std::fabs(r_next));
+    return std::max(sr, std::max(sb, sm));
+}
+
+/**
+ * The stop test of the damped fixed point: true when the iterate is
+ * within @p tol of the fixed point by the error bound of a contraction,
+ * s * rho / (1 - rho) < tol with rho = s / s_prev the observed ratio
+ * of successive step sizes (mvaStepSize), written without a division
+ * so it stays a branch-free select in the SIMD tick. @p s_prev is 0 on
+ * the first step of an attempt, so no attempt stops on one step unless
+ * that step is exactly zero; a step that did not shrink never stops.
+ * The scalar lane and the fused tick both call this on the same
+ * values, which keeps batch and scalar solves bit-identical. The `|`
+ * is deliberate: a short-circuit `||` is control flow, which stops
+ * GCC from vectorizing the fused tick's loop.
+ */
+inline bool
+mvaConverged(double s, double s_prev, double tol)
+{
+    return (s == 0.0) | (s * s < tol * (s_prev - s));
+}
+
+/**
  * Admission check on MvaOptions; the message the MvaSolver
  * constructor throws and a batch lane reports as its result.
  */

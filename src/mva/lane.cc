@@ -181,11 +181,12 @@ MvaLane::admit(const MvaFaults &armed)
     recordIters = traceEnabled(TraceLevel::Iteration);
     consts = mvaStepConstants(inputs, n);
 
-    // The paper's plain successive substitution (Section 3.2)
-    // converges quickly below saturation. Deep in saturation it can
-    // cycle or blow up, so a failed attempt re-runs the whole solve
-    // from the seed with a heavier fixed damping factor: the
-    // configured damping first, then every shared rung below it.
+    // The damped substitution (0.5 by default; the paper's plain
+    // substitution of Section 3.2 is damping 1) converges in tens of
+    // iterations across the design space. Should an attempt still
+    // cycle or blow up, it re-runs the whole solve from the seed with
+    // a heavier fixed damping factor: the configured damping first,
+    // then every shared rung below it.
     ladder = recoveryLadder(opts.damping);
 
     // Budgets span the whole ladder: the deadline is checked before
@@ -216,6 +217,7 @@ MvaLane::restartAttempt()
     rTotal = seed.rTotal > 0.0 ? seed.rTotal : inputs.tau + consts.tSupply;
     last = MvaStepValues{};
     residual = 0.0;
+    stepPrev = 0.0;
     iterations = 0;
     converged = nonFinite = budgetOut = false;
     convTrace.clear();
@@ -246,6 +248,9 @@ MvaLane::step()
     const double w_bus_next = damping * w_bus_new + (1.0 - damping) * wBus;
     const double w_mem_next = damping * o.wMemNew + (1.0 - damping) * wMem;
     const double delta = std::fabs(o.rNew - rTotal);
+    const double step_size = mvaStepSize(w_bus_next, wBus, w_mem_next,
+                                         wMem, o.rNew, rTotal);
+    const double step_prev = stepPrev;
     if (opts.recordTrace)
         convTrace.push_back(delta);
     if (recordIters)
@@ -256,11 +261,11 @@ MvaLane::step()
     rTotal = o.rNew;
     iterations = it;
     residual = delta;
+    stepPrev = step_size;
     last = o;
 
     const bool force = faults.nonconverge || (faults.first && rung == 0);
-    if (!force &&
-        delta < opts.tolerance * std::max(1.0, std::fabs(rTotal))) {
+    if (!force && mvaConverged(step_size, step_prev, opts.tolerance)) {
         converged = true;
         return true;
     }

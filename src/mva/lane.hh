@@ -78,7 +78,9 @@ struct MvaLane
     MvaStepConstants consts;
     double wBus = 0.0, wMem = 0.0, rTotal = 0.0; ///< the damped iterate
     MvaStepValues last;   ///< measures of the last committed iteration
-    double residual = 0.0;
+    double residual = 0.0; ///< |R_k - R_{k-1}| of the last iteration
+    /** mvaStepSize of the last iteration; 0 before the first. */
+    double stepPrev = 0.0;
     int iterations = 0;   ///< iterations of the current attempt
     int cap = 0;          ///< iteration cap of the current attempt
     long itersUsed = 0;   ///< iterations across the whole ladder

@@ -24,9 +24,25 @@ namespace snoop {
 struct MvaOptions
 {
     int maxIterations = 500;   ///< iteration budget
-    double tolerance = 1e-10;  ///< |R_k - R_{k-1}| convergence threshold
-    /** Damping in (0,1]; 1 = plain successive substitution. */
-    double damping = 1.0;
+    /**
+     * Bound on the error left at the stop, relative to max(1, |x|)
+     * for each of wBus, wMem and R: an attempt stops once its last
+     * relative step s, extrapolated over the remaining geometric tail
+     * of a contraction at the observed rate rho = s / s_prev, is
+     * below it (s * rho / (1 - rho) < tolerance; mvaConverged in
+     * mva/kernel.hh). solveMulticlass and solveHierarchical keep
+     * their own step tests against it.
+     */
+    double tolerance = 1e-10;
+    /**
+     * Damping in (0,1]: each step moves the waiting times this far
+     * toward the undamped update. 1 is the paper's plain successive
+     * substitution (Section 3.2), whose slowly decaying oscillation
+     * near saturation needs hundreds of iterations; the default 0.5
+     * converges in tens across the design space (docs/MODEL.md,
+     * "Solution technique").
+     */
+    double damping = 0.5;
     /** Record the per-iteration residual trace in the result. */
     bool recordTrace = false;
     /**

@@ -273,7 +273,7 @@ TEST_F(FaultInjection, MvaLadderRecoversFromFirstAttemptFault)
     clearFaultSpecs();
     auto clean = solver.solve(inputs, 8);
     ASSERT_EQ(clean.attempts.size(), 1u);
-    EXPECT_DOUBLE_EQ(clean.attempts.front().damping, 1.0);
+    EXPECT_DOUBLE_EQ(clean.attempts.front().damping, 0.5);
 }
 
 TEST_F(FaultInjection, LadderFiresForConfiguredDampingBelowHalf)

@@ -283,7 +283,7 @@ TEST_F(HierarchicalLadder, FatalPolicyThrowsAfterEveryRungFails)
                       std::string::npos);
         }
         auto attempts = tracedAttempts();
-        ASSERT_EQ(attempts.size(), 5u);
+        ASSERT_EQ(attempts.size(), 4u);
         EXPECT_DOUBLE_EQ(attempts.back().first, 0.05);
     }
 }

@@ -286,7 +286,7 @@ TEST_F(MulticlassLadder, FatalPolicyThrowsAfterEveryRungFails)
             EXPECT_EQ(e.error().site, "solveMulticlass");
         }
         auto attempts = tracedAttempts();
-        ASSERT_EQ(attempts.size(), 5u);
+        ASSERT_EQ(attempts.size(), 4u);
         EXPECT_DOUBLE_EQ(attempts.back().first, 0.05);
     }
 }
