@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "observe/metrics.hh"
@@ -189,6 +190,8 @@ run(const char *out_path)
     std::string json = strprintf(
         "{\n"
         "  \"bench\": \"serve\",\n"
+        "  \"hardware_concurrency\": %u,\n"
+        "  \"jobs\": 1,\n"
         "  \"queries\": %u,\n"
         "  \"n\": %u,\n"
         "  \"workload\": \"appendixA20, hSw in [%.4f, %.4f] step %g\",\n"
@@ -207,7 +210,7 @@ run(const char *out_path)
         "    \"fewer_iterations_than_cold\": %s\n"
         "  }\n"
         "}\n",
-        kQueries, kN, kBaseHsw, kBaseHsw + (kQueries - 1) * kStep,
+        std::thread::hardware_concurrency(), kQueries, kN, kBaseHsw, kBaseHsw + (kQueries - 1) * kStep,
         kStep, cold_reps, cold_per_query, cold_iter_mean, cached_reps,
         cached_per_query,
         hits_complete ? "true" : "false", hit_speedup,

@@ -25,24 +25,40 @@ report()
 {
     banner("Section 3.2: solver efficiency");
 
-    // Iteration counts at the paper's engineering tolerance.
-    MvaOptions opts;
-    opts.tolerance = 1e-3;
-    MvaSolver solver(opts);
-    Table t({"N", "iterations", "converged"});
+    // Iteration counts at the paper's engineering tolerance: plain
+    // substitution (the paper's method, damping 1) next to the
+    // library's default damping. Counts are summed over recovery
+    // attempts; "*" marks a solve the ladder had to rescue.
+    MvaOptions plain_opts;
+    plain_opts.tolerance = 1e-3;
+    plain_opts.damping = 1.0;
+    MvaOptions default_opts;
+    default_opts.tolerance = 1e-3;
+    const MvaSolver plain(plain_opts), damped(default_opts);
+    auto iterations = [](const MvaResult &r) {
+        int total = 0;
+        for (const SolveAttempt &a : r.attempts)
+            total += a.iterations;
+        return strprintf("%d%s", total, r.attempts.size() > 1 ? "*" : "");
+    };
+    Table t({"N", "plain (damping 1)", "default (damping 0.5)",
+             "converged"});
     auto inputs = DerivedInputs::compute(
         presets::appendixA(SharingLevel::FivePercent),
         ProtocolConfig::writeOnce());
     for (unsigned n : {1u, 2u, 4u, 6u, 8u, 10u, 100u, 1000u}) {
-        auto r = solver.solve(inputs, n);
-        t.addRow({strprintf("%u", n), strprintf("%d", r.iterations),
-                  r.converged ? "yes" : "no"});
+        auto a = plain.solve(inputs, n);
+        auto b = damped.solve(inputs, n);
+        t.addRow({strprintf("%u", n), iterations(a), iterations(b),
+                  a.converged && b.converged ? "yes" : "no"});
     }
     std::fputs(t.render().c_str(), stdout);
     std::printf("paper: \"Solution of the equations converged within "
                 "15 iterations in all experiments reported in this "
-                "paper\" (the paper's detailed-model comparisons stop "
-                "at N=10; saturated sizes need the damped fallback).\n");
+                "paper\" (plain substitution; the paper's detailed-model "
+                "comparisons stop at N=10). The default damping trades "
+                "a few iterations at small N for convergence without "
+                "the ladder at every size (docs/MODEL.md).\n");
 
     // Detailed-model state-space explosion.
     banner("detailed-model cost: reachable markings of the bus net");

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "util/atomic_file.hh"
+#include "util/line_reader.hh"
 #include "util/logging.hh"
 
 namespace snoop {
@@ -313,6 +314,20 @@ Expected<uint64_t>
 createCheckpoint(const std::string &path, const SweepSpec &spec,
                  const SweepResult &partial)
 {
+    JsonValue header = headerWithoutChecksum(spec);
+    header.set("check", JsonValue(fnv1aHex(serializeJson(header))));
+    std::string text = serializeJson(header);
+    // readSweepCheckpoint reads lines of at most kMaxLineBytes; a grid
+    // of tens of thousands of values would write a header it refuses.
+    if (text.size() > kMaxLineBytes) {
+        return makeError(SolveErrorCode::InvalidArgument,
+                         "writeSweepCheckpoint",
+                         "checkpoint header for '%s' is %zu bytes, over "
+                         "the %zu-byte line cap (%zu sweep values)",
+                         path.c_str(), text.size(), kMaxLineBytes,
+                         spec.values.size());
+    }
+    text += '\n';
     AtomicFile file(path);
     if (!file.ok()) {
         return makeError(SolveErrorCode::IoError,
@@ -320,9 +335,6 @@ createCheckpoint(const std::string &path, const SweepSpec &spec,
                          "cannot open a temporary for '%s'",
                          path.c_str());
     }
-    JsonValue header = headerWithoutChecksum(spec);
-    header.set("check", JsonValue(fnv1aHex(serializeJson(header))));
-    std::string text = serializeJson(header) + "\n";
     const size_t protocols = spec.protocols.size();
     auto [begin, end] =
         spec.shard.cellRange(spec.values.size() * protocols);
@@ -409,17 +421,30 @@ readSweepCheckpoint(const std::string &path)
                          "readSweepCheckpoint",
                          "cannot open checkpoint '%s'", path.c_str());
     }
+    // Lines are read through one bounded buffer: a line over the cap
+    // (which the writer never produces) is an error, not an
+    // allocation.
+    LineReader reader(in);
+    auto tooLong = [&](size_t line_no, size_t offset) {
+        return readError(path, line_no, offset,
+                         strprintf("line exceeds %zu bytes",
+                                   reader.maxBytes()));
+    };
     std::string line;
     size_t line_no = 0, offset = 0;
-    if (!std::getline(in, line)) {
+    const LineStatus header_status = reader.next();
+    if (header_status == LineStatus::End) {
         return readError(path, 1, 0,
                          "empty file (no header line)");
     }
+    if (header_status == LineStatus::TooLong)
+        return tooLong(1, 0);
     ++line_no;
     // The header is written atomically with its newline (only appends
     // can tear), so an unterminated header is corruption.
-    if (in.eof())
+    if (!reader.terminated())
         return readError(path, 1, 0, "header line is not terminated");
+    line.assign(reader.line());
     // A header field's own error, rejected at line 1.
     auto atHeader = [&](SolveError &&e) {
         return readError(path, 1, 0, e.message);
@@ -545,11 +570,17 @@ readSweepCheckpoint(const std::string &path)
     auto atLine = [&](SolveError &&e) {
         return readError(path, line_no, offset, e.message);
     };
-    while (std::getline(in, line)) {
+    for (;;) {
+        const LineStatus status = reader.next();
+        if (status == LineStatus::End)
+            break;
         ++line_no;
-        // getline hit EOF before a newline: the final line is a torn
+        if (status == LineStatus::TooLong)
+            return tooLong(line_no, offset);
+        line.assign(reader.line());
+        // The stream ended before a newline: the final line is a torn
         // append (the torn-tail rule), dropped rather than parsed.
-        if (in.eof()) {
+        if (!reader.terminated()) {
             data.tornBytes = line.size();
             break;
         }

@@ -23,6 +23,7 @@
 #include "observe/metrics.hh"
 #include "protocol/catalog.hh"
 #include "util/fault.hh"
+#include "util/line_reader.hh"
 #include "util/logging.hh"
 
 namespace snoop {
@@ -300,6 +301,62 @@ TEST_F(Checkpoint, TruncatedCellLineIsRejectedNamingTheOffset)
     EXPECT_NE(data.error().message.find("line 7"), std::string::npos);
     EXPECT_NE(data.error().message.find("byte offset"),
               std::string::npos);
+}
+
+TEST_F(Checkpoint, OverLongLinesAreStructuredErrorsNotAllocations)
+{
+    // The reader holds one line of at most kMaxLineBytes: a longer
+    // line anywhere in the file is rejected naming the file and line,
+    // whether or not it is terminated.
+    SweepSpec spec = smallSpec();
+    spec.checkpointPath = path_;
+    ASSERT_TRUE(tryRunSweep(spec).ok());
+    const std::string contents = slurp(path_);
+    const std::string huge(kMaxLineBytes + 1, 'x');
+
+    for (const char *tail : {"\n", ""}) {
+        spit(path_, contents + huge + tail);
+        auto data = readSweepCheckpoint(path_);
+        ASSERT_FALSE(data.ok());
+        EXPECT_EQ(data.error().code, SolveErrorCode::InvalidArgument);
+        EXPECT_NE(data.error().message.find(path_), std::string::npos);
+        EXPECT_NE(data.error().message.find("line 8"), std::string::npos)
+            << data.error().message;
+        EXPECT_NE(data.error().message.find("exceeds 1048576 bytes"),
+                  std::string::npos)
+            << data.error().message;
+    }
+
+    spit(path_, huge + "\n" + contents);
+    auto header = readSweepCheckpoint(path_);
+    ASSERT_FALSE(header.ok());
+    EXPECT_NE(header.error().message.find("line 1"), std::string::npos)
+        << header.error().message;
+    EXPECT_NE(header.error().message.find("exceeds"), std::string::npos);
+
+    // A line exactly at the cap is read (and then fails as JSON).
+    spit(path_, contents + std::string(kMaxLineBytes, 'x') + "\n");
+    auto at_cap = readSweepCheckpoint(path_);
+    ASSERT_FALSE(at_cap.ok());
+    EXPECT_NE(at_cap.error().message.find("malformed cell"),
+              std::string::npos)
+        << at_cap.error().message;
+}
+
+TEST_F(Checkpoint, HeaderOverTheLineCapIsRefusedAtWrite)
+{
+    // The writer never makes a file its reader refuses: a grid whose
+    // header line would pass the cap is an error before any file.
+    SweepSpec spec = smallSpec();
+    spec.values.clear();
+    for (int i = 0; i < 100000; ++i)
+        spec.values.push_back(0.1 + 1e-7 * i);
+    auto written = writeSweepCheckpoint(path_, spec, SweepResult{});
+    ASSERT_FALSE(written.ok());
+    EXPECT_EQ(written.error().code, SolveErrorCode::InvalidArgument);
+    EXPECT_NE(written.error().message.find("line cap"), std::string::npos)
+        << written.error().message;
+    EXPECT_FALSE(checkpointExists(path_));
 }
 
 TEST_F(Checkpoint, VersionBumpIsRejectedEvenWithAValidChecksum)

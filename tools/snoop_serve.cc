@@ -12,26 +12,16 @@
 
 #include <cstdio>
 #include <iostream>
-#include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "serve/service.hh"
 #include "util/cli.hh"
 #include "util/expected.hh"
+#include "util/line_reader.hh"
 #include "util/parallel.hh"
 
 using namespace snoop;
-
-/**
- * The longest request line the daemon buffers (1 MiB: a batch of
- * several thousand requests). The rest of a longer line is skipped
- * without being stored and the line is answered with an
- * InvalidArgument error, so a runaway client cannot make the daemon
- * allocate without bound.
- */
-constexpr std::streamsize kMaxRequestLineBytes = std::streamsize{1} << 20;
 
 int
 main(int argc, char **argv)
@@ -93,34 +83,28 @@ main(int argc, char **argv)
 
     SolveService service(opts);
 
-    // One buffer for the session, never zero-filled: only the bytes a
-    // line actually occupies are ever touched.
-    std::unique_ptr<char[]> buf(new char[kMaxRequestLineBytes + 1]);
+    // One line buffer for the session: a request line over the 1 MiB
+    // cap is skipped without being stored and answered with an
+    // InvalidArgument error, so a runaway client cannot make the
+    // daemon allocate without bound.
+    LineReader reader(std::cin);
     std::string line;
     for (;;) {
-        std::cin.getline(buf.get(), kMaxRequestLineBytes + 1);
-        if (std::cin.fail()) {
-            if (std::cin.eof() || std::cin.bad())
-                return 0;
-            // The line filled the buffer before its newline.
-            std::cin.clear();
-            std::cin.ignore(std::numeric_limits<std::streamsize>::max(),
-                            '\n');
+        const LineStatus status = reader.next();
+        if (status == LineStatus::End)
+            return 0;
+        if (status == LineStatus::TooLong) {
             std::cout << serializeJson(errorResponse(
                              0, makeError(SolveErrorCode::InvalidArgument,
                                           "snoop_serve",
-                                          "request line exceeds %lld "
+                                          "request line exceeds %zu "
                                           "bytes; discarded",
-                                          static_cast<long long>(
-                                              kMaxRequestLineBytes))))
+                                          reader.maxBytes())))
                       << '\n'
                       << std::flush;
             continue;
         }
-        // gcount() includes the newline unless the line ended at EOF.
-        line.assign(buf.get(),
-                    static_cast<size_t>(std::cin.gcount()) -
-                        (std::cin.eof() ? 0 : 1));
+        line.assign(reader.line());
         if (line.empty())
             continue;
 
