@@ -210,9 +210,9 @@ run(const char *out_path)
         "    \"fewer_iterations_than_cold\": %s\n"
         "  }\n"
         "}\n",
-        std::thread::hardware_concurrency(), kQueries, kN, kBaseHsw, kBaseHsw + (kQueries - 1) * kStep,
-        kStep, cold_reps, cold_per_query, cold_iter_mean, cached_reps,
-        cached_per_query,
+        std::thread::hardware_concurrency(), kQueries, kN, kBaseHsw,
+        kBaseHsw + (kQueries - 1) * kStep, kStep, cold_reps,
+        cold_per_query, cold_iter_mean, cached_reps, cached_per_query,
         hits_complete ? "true" : "false", hit_speedup,
         hit_ok ? "true" : "false", warm_per_query,
         static_cast<unsigned long long>(warm_solves), warm_iter_mean,

@@ -290,8 +290,8 @@ mvaStep(const MvaStepConstants &c, double w_bus, double w_mem,
 /**
  * The size of one damped step, relative to the new iterate: the
  * largest of |x_k - x_{k-1}| / max(1, |x_k|) over the whole state
- * (wBus, wMem, R). A NaN component is ignored by the max; both
- * drivers reject a non-finite iterate before they read this.
+ * (wBus, wMem, R). Only meaningful on a finite iterate, which both
+ * drivers check before they act on it.
  */
 inline double
 mvaStepSize(double w_bus_next, double w_bus, double w_mem_next,
@@ -307,10 +307,11 @@ mvaStepSize(double w_bus_next, double w_bus, double w_mem_next,
 }
 
 /**
- * The stop test of the damped fixed point: true when the iterate is
- * within @p tol of the fixed point by the error bound of a contraction,
- * s * rho / (1 - rho) < tol with rho = s / s_prev the observed ratio
- * of successive step sizes (mvaStepSize), written without a division
+ * The stop test of the damped fixed point: true when the distance
+ * left to the fixed point, estimated by the geometric tail of a
+ * contraction, s * rho / (1 - rho) with rho = s / s_prev the observed
+ * ratio of successive step sizes (mvaStepSize), is below @p tol;
+ * written without a division
  * so it stays a branch-free select in the SIMD tick. @p s_prev is 0 on
  * the first step of an attempt, so no attempt stops on one step unless
  * that step is exactly zero; a step that did not shrink never stops.

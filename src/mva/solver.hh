@@ -25,13 +25,16 @@ struct MvaOptions
 {
     int maxIterations = 500;   ///< iteration budget
     /**
-     * Bound on the error left at the stop, relative to max(1, |x|)
-     * for each of wBus, wMem and R: an attempt stops once its last
-     * relative step s, extrapolated over the remaining geometric tail
-     * of a contraction at the observed rate rho = s / s_prev, is
-     * below it (s * rho / (1 - rho) < tolerance; mvaConverged in
-     * mva/kernel.hh). solveMulticlass and solveHierarchical keep
-     * their own step tests against it.
+     * Stop threshold on the distance left to the fixed point,
+     * relative to max(1, |x|) for each of wBus, wMem and R: an attempt
+     * stops once its last relative step s, extrapolated over the
+     * geometric tail of a contraction at the observed rate
+     * rho = s / s_prev, is below it (s * rho / (1 - rho) < tolerance;
+     * mvaConverged in mva/kernel.hh). The extrapolation is an
+     * estimate: at the default damping R lands within about 10x the
+     * tolerance of the fixed point (docs/MODEL.md).
+     * solveMulticlass and solveHierarchical keep their own step tests
+     * against it.
      */
     double tolerance = 1e-10;
     /**
