@@ -42,8 +42,8 @@
  * and the offset, and resume refuses to run rather than silently
  * recompute or reuse.
  *
- * What is *not* persisted: solver diagnostics (per-attempt ladder
- * records, the convergence trace) and the derived inputs, which no
+ * What is *not* persisted: solver diagnostics (the attempt record,
+ * the convergence trace) and the derived inputs, which no
  * sweep output consumes. A restored SweepResult therefore renders
  * table()/csv()/cellCsv()/winners() byte-identically to the
  * uninterrupted run, but its cells carry empty diagnostics.

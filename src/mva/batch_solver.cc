@@ -1,6 +1,7 @@
 #include "mva/batch_solver.hh"
 
 #include <algorithm>
+#include <array>
 #include <cfloat>
 #include <cmath>
 #include <numeric>
@@ -29,83 +30,76 @@ constexpr size_t kBlocksPerItem = 8;
 
 /**
  * The hot structure-of-arrays the vectorized tick runs over: one
- * contiguous array per step constant and per iterate variable,
+ * contiguous column per step constant and per iterate variable,
  * indexed by *slot*. Slots are kept dense by swap-compaction as lanes
  * retire, so fusedTick below is a branch-free loop over [0, n) the
  * compiler can turn into SIMD lanes - no masked-off dead work, no
  * gather through an index array.
  *
  * Only the per-tick arithmetic lives here. Everything the epilogue
- * needs (attempt records, measures, traces) stays in the MvaLane
+ * needs (the attempt record, measures, traces) stays in the MvaLane
  * record of the original lane id (`lane[slot]`), and is synced once
- * at attempt boundaries rather than every tick. To rebuild the
+ * when the lane ends rather than every tick. To rebuild the
  * last-committed measures at retirement without storing them per
- * tick, the tick keeps a two-deep history ring of the iterate
- * (prev* = one tick back, pprev* = two ticks back): the retirement
- * path replays the shared scalar mvaStep on the saved state, which by
- * the bit-identity contract reproduces exactly what the fused loop
+ * tick, the tick keeps a two-deep history ring of the iterate (prev*
+ * = one tick back, pprev* = two ticks back): the retirement path
+ * replays the shared scalar mvaStep on the saved state, which by the
+ * bit-identity contract reproduces exactly what the fused loop
  * computed.
  */
 struct HotSoA
 {
-    // Step constants (mvaStepConstants fields, plus the precomputed
-    // forms the branchless tick consumes; invModules mirrors the
-    // scalar step's per-iteration `1.0 / c.modules` subexpression,
-    // same operands so the same bits).
-    std::vector<double> numProc, tau, pLocal, pBc, pRr, tRead,
-        memFactor, tWrite, tSupply, dMem, invModules, p, pPrime,
-        log2PPrime, tInt, nMinus1, gt1;
-    // Iterate, its two-tick history ring, and per-slot control. The
-    // iteration counter and cap live as doubles so the fused tick can
-    // count and compare them in SIMD lanes (both are integer-valued
-    // and far below 2^53, so the comparisons are exact). sPrev is
-    // MvaLane::stepPrev: the last tick's step size, 0 before the
-    // first tick of an attempt. done is the tick's verdict: 0 the
-    // attempt goes on, 1 it ended unconverged (cap or non-finite
-    // iterate), 2 it converged.
-    std::vector<double> wb, wm, rt;
-    std::vector<double> prevWb, prevWm, prevRt;
-    std::vector<double> pprevWb, pprevWm, pprevRt;
-    std::vector<double> damp, tol, delta, sPrev, iterD, capD, done;
+    enum Column : size_t {
+        // the step constants (MvaStepConstants)
+        kNumProc, kTau, kPLocal, kPBc, kPRr, kTRead, kMemFactor,
+        kTWrite, kTSupply, kDMem, kInvModules, kP, kPPrime,
+        kLog2PPrime, kTInt,
+        // the iterate and its two-tick history ring
+        kWb, kWm, kRt, kPrevWb, kPrevWm, kPrevRt, kPprevWb, kPprevWm,
+        kPprevRt,
+        // per-slot control. The iteration counter and cap live as
+        // doubles so the fused tick can count and compare them in SIMD
+        // lanes (both are integer-valued and far below 2^53, so the
+        // comparisons are exact). kDone is the tick's verdict: 0 the
+        // lane goes on, 1 it ended unconverged (cap or non-finite
+        // iterate), 2 it converged.
+        kDamp, kTol, kDelta, kIter, kCap, kDone,
+        kColumns
+    };
+    std::array<std::vector<double>, kColumns> col;
     std::vector<size_t> lane; ///< slot -> lane id in the block
     size_t n = 0;             ///< live slot count (dense prefix)
+
+    double *operator[](Column c) { return col[c].data(); }
 
     void push(const MvaLane &ln, size_t i)
     {
         const MvaStepConstants &c = ln.consts;
-        numProc.push_back(c.numProc);
-        tau.push_back(c.tau);
-        pLocal.push_back(c.pLocal);
-        pBc.push_back(c.pBc);
-        pRr.push_back(c.pRr);
-        tRead.push_back(c.tRead);
-        memFactor.push_back(c.memFactor);
-        tWrite.push_back(c.tWrite);
-        tSupply.push_back(c.tSupply);
-        dMem.push_back(c.dMem);
-        invModules.push_back(1.0 / c.modules);
-        p.push_back(c.p);
-        pPrime.push_back(c.pPrime);
-        log2PPrime.push_back(c.log2PPrime);
-        tInt.push_back(c.tInt);
-        nMinus1.push_back(c.numProc - 1.0);
-        gt1.push_back(c.n > 1 ? 1.0 : 0.0);
-        wb.push_back(ln.wBus);
-        wm.push_back(ln.wMem);
-        rt.push_back(ln.rTotal);
-        prevWb.push_back(0.0);
-        prevWm.push_back(0.0);
-        prevRt.push_back(0.0);
-        pprevWb.push_back(0.0);
-        pprevWm.push_back(0.0);
-        pprevRt.push_back(0.0);
-        damp.push_back(ln.ladder[ln.rung]);
-        tol.push_back(ln.opts.tolerance);
-        delta.push_back(0.0);
-        sPrev.push_back(ln.stepPrev);
-        iterD.push_back(0.0);
-        capD.push_back(static_cast<double>(ln.cap));
-        done.push_back(0.0);
+        // The history ring, delta, count and verdict start at 0.
+        std::array<double, kColumns> v{};
+        v[kNumProc] = c.numProc;
+        v[kTau] = c.tau;
+        v[kPLocal] = c.pLocal;
+        v[kPBc] = c.pBc;
+        v[kPRr] = c.pRr;
+        v[kTRead] = c.tRead;
+        v[kMemFactor] = c.memFactor;
+        v[kTWrite] = c.tWrite;
+        v[kTSupply] = c.tSupply;
+        v[kDMem] = c.dMem;
+        v[kInvModules] = c.invModules;
+        v[kP] = c.appendixB.p;
+        v[kPPrime] = c.appendixB.pPrime;
+        v[kLog2PPrime] = c.appendixB.log2PPrime;
+        v[kTInt] = c.appendixB.tInt;
+        v[kWb] = ln.wBus;
+        v[kWm] = ln.wMem;
+        v[kRt] = ln.rTotal;
+        v[kDamp] = ln.opts.damping;
+        v[kTol] = ln.opts.tolerance;
+        v[kCap] = static_cast<double>(ln.cap);
+        for (size_t k = 0; k < kColumns; ++k)
+            col[k].push_back(v[k]);
         lane.push_back(i);
         ++n;
     }
@@ -115,101 +109,24 @@ struct HotSoA
      * each slot's pre-tick iterate into prev* as it reads it. */
     void rotateHistory()
     {
-        std::swap(pprevWb, prevWb);
-        std::swap(pprevWm, prevWm);
-        std::swap(pprevRt, prevRt);
-    }
-
-    /** Re-seed slot @p s after MvaLane::endAttempt restarted its
-     * lane @p ln on the next ladder rung. */
-    void restartSlot(size_t s, const MvaLane &ln)
-    {
-        wb[s] = ln.wBus;
-        wm[s] = ln.wMem;
-        rt[s] = ln.rTotal;
-        damp[s] = ln.ladder[ln.rung];
-        capD[s] = static_cast<double>(ln.cap);
-        sPrev[s] = ln.stepPrev;
-        iterD[s] = 0.0;
-        done[s] = 0.0;
+        std::swap(col[kPprevWb], col[kPrevWb]);
+        std::swap(col[kPprevWm], col[kPrevWm]);
+        std::swap(col[kPprevRt], col[kPrevRt]);
     }
 
     /** Retire slot @p s: move the last live slot into it (every
-     * per-slot array, history ring included - the moved lane's saved
-     * states travel with it) and shrink the dense prefix. */
+     * column, history ring included - the moved lane's saved states
+     * travel with it) and shrink the dense prefix, so push() appends
+     * at slot n again - a refilled lane must land inside the dense
+     * prefix the tick iterates, not past it. */
     void removeSlot(size_t s)
     {
         const size_t b = n - 1;
-        numProc[s] = numProc[b];
-        tau[s] = tau[b];
-        pLocal[s] = pLocal[b];
-        pBc[s] = pBc[b];
-        pRr[s] = pRr[b];
-        tRead[s] = tRead[b];
-        memFactor[s] = memFactor[b];
-        tWrite[s] = tWrite[b];
-        tSupply[s] = tSupply[b];
-        dMem[s] = dMem[b];
-        invModules[s] = invModules[b];
-        p[s] = p[b];
-        pPrime[s] = pPrime[b];
-        log2PPrime[s] = log2PPrime[b];
-        tInt[s] = tInt[b];
-        nMinus1[s] = nMinus1[b];
-        gt1[s] = gt1[b];
-        wb[s] = wb[b];
-        wm[s] = wm[b];
-        rt[s] = rt[b];
-        prevWb[s] = prevWb[b];
-        prevWm[s] = prevWm[b];
-        prevRt[s] = prevRt[b];
-        pprevWb[s] = pprevWb[b];
-        pprevWm[s] = pprevWm[b];
-        pprevRt[s] = pprevRt[b];
-        damp[s] = damp[b];
-        tol[s] = tol[b];
-        delta[s] = delta[b];
-        sPrev[s] = sPrev[b];
-        iterD[s] = iterD[b];
-        capD[s] = capD[b];
-        done[s] = done[b];
+        for (std::vector<double> &c : col) {
+            c[s] = c[b];
+            c.pop_back();
+        }
         lane[s] = lane[b];
-        // Shrink every array with the live count so push() appends at
-        // slot n again - a refilled lane must land inside the dense
-        // prefix the tick iterates, not past it.
-        numProc.pop_back();
-        tau.pop_back();
-        pLocal.pop_back();
-        pBc.pop_back();
-        pRr.pop_back();
-        tRead.pop_back();
-        memFactor.pop_back();
-        tWrite.pop_back();
-        tSupply.pop_back();
-        dMem.pop_back();
-        invModules.pop_back();
-        p.pop_back();
-        pPrime.pop_back();
-        log2PPrime.pop_back();
-        tInt.pop_back();
-        nMinus1.pop_back();
-        gt1.pop_back();
-        wb.pop_back();
-        wm.pop_back();
-        rt.pop_back();
-        prevWb.pop_back();
-        prevWm.pop_back();
-        prevRt.pop_back();
-        pprevWb.pop_back();
-        pprevWm.pop_back();
-        pprevRt.pop_back();
-        damp.pop_back();
-        tol.pop_back();
-        delta.pop_back();
-        sPrev.pop_back();
-        iterD.pop_back();
-        capD.pop_back();
-        done.pop_back();
         lane.pop_back();
         n = b;
     }
@@ -232,26 +149,20 @@ struct HotSoA
 
 /**
  * One lockstep iteration of eqs. (1)-(13) for every live slot: the
- * mvaStep arithmetic plus the damped update, rewritten branch-free
- * (every conditional becomes compute-then-select, which commits the
- * same value the scalar branch commits - discarded paths may form
- * NaNs, selects drop them) so the whole body if-converts and
- * vectorizes. The value sequence per slot is exactly the shared
- * scalar kernel's: same association, true divisions kept as
- * divisions, std::min/max/clamp with the scalar NaN semantics, and
- * the same mvaExp2 for the eq. (13) power - that is what makes batch
- * results bit-identical to per-cell trySolve (MvaLane::step).
+ * shared mvaStep plus the damped update and the stop test. mvaStep
+ * and its helpers are branch-free (mva/kernel.hh), so the whole body
+ * if-converts and vectorizes, and because the loop runs the scalar
+ * lane's own functions on the same values in the same order, batch
+ * results are bit-identical to per-cell trySolve (MvaLane::step).
  *
- * Writes back wb/wm/rt, the R delta, the step size (into sPrev, for
- * the next tick's stop test), the pre-tick iterate (into prev*,
- * completing the caller's history-ring rotation), the advanced
+ * Writes back wb/wm/rt, the R delta, the pre-tick iterate (into
+ * prev*, completing the caller's history-ring rotation), the advanced
  * iteration count, and a per-slot `done` verdict that goes nonzero
- * when the lane converged (2, by the shared mvaConverged on the same
- * values MvaLane::step passes it), hit its iteration cap or produced
- * a non-finite iterate (1). The verdict lets the caller skip its
- * scalar post-pass on the (vast majority of) ticks where no lane
- * retires; the post-pass reads convergence from it and re-derives
- * everything else from the stored values.
+ * when the lane converged (2, by the shared mvaConverged), hit its
+ * iteration cap or produced a non-finite iterate (1). The verdict
+ * lets the caller skip its scalar post-pass on the (vast majority of)
+ * ticks where no lane retires; the post-pass reads convergence from
+ * it and re-derives everything else from the stored values.
  *
  * The arrays arrive as restrict-qualified raw pointer parameters
  * (not a HotSoA reference) deliberately: GCC tracks restrict
@@ -271,10 +182,8 @@ fusedTick(size_t cnt, const double *__restrict numProc,
           const double *__restrict invModules,
           const double *__restrict p, const double *__restrict pPrime,
           const double *__restrict lgPP, const double *__restrict tInt,
-          const double *__restrict nM1, const double *__restrict gt1,
           const double *__restrict damp, const double *__restrict tol,
-          const double *__restrict capD, double *__restrict sPrev,
-          double *__restrict iterD,
+          const double *__restrict capD, double *__restrict iterD,
           double *__restrict prevWb, double *__restrict prevWm,
           double *__restrict prevRt, double *__restrict wb,
           double *__restrict wm, double *__restrict rt,
@@ -288,86 +197,44 @@ fusedTick(size_t cnt, const double *__restrict numProc,
         prevWm[s] = wmv;
         prevRt[s] = rtv;
 
-        // eq. (6)
-        const double rBc = pBc[s] * (wbv + wmv + tWrite[s]);
-        const double rRr = pRr[s] * (wbv + tRead[s]);
-        double q = nM1[s] * (rBc + rRr) / rtv;
-        q = (gt1[s] != 0.0) ? q : 0.0;
-        const double qB = std::min(q, nM1[s]);
-
-        // eq. (13): interior branch via the hoisted log2; boundary
-        // branches override it, the outer guard zeroes it.
-        const double e = mvaExp2(qB * lgPP[s]);
-        double nI = p[s] * (1.0 - e) / (1.0 - pPrime[s]);
-        nI = (pPrime[s] >= 1.0) ? p[s] * qB : nI;
-        nI = (pPrime[s] <= 0.0) ? p[s] : nI;
-        nI = (gt1[s] != 0.0 && qB > 0.0 && p[s] > 0.0) ? nI : 0.0;
-
-        // eqs. (1)-(4)
-        const double rLocal = pLocal[s] * nI * tInt[s];
-        const double rN = tau[s] + rLocal + rBc + rRr + tSupply[s];
-
-        // eqs. (7)-(8): bus utilization and p-busy correction
-        const double busDemand =
-            pBc[s] * (wmv + tWrite[s]) + pRr[s] * tRead[s];
-        const double uBus = numProc[s] * busDemand / rN;
-        double ub = std::clamp(uBus, 0.0, 1.0);
-        const double denB = 1.0 - ub / numProc[s];
-        double pBB = std::clamp((ub - ub / numProc[s]) / denB, 0.0, 1.0);
-        pBB = (denB <= 0.0) ? 1.0 : pBB;
-        pBB = (gt1[s] != 0.0) ? pBB : 0.0;
-
-        // eqs. (9)-(10)
-        const double pt = pBc[s] + pRr[s];
-        double tB =
-            (pBc[s] * (tWrite[s] + wmv) + pRr[s] * tRead[s]) / pt;
-        tB = (pt > 0.0) ? tB : 0.0;
-        const double wBcW = pBc[s] * (tWrite[s] + wmv);
-        const double wRrW = pRr[s] * tRead[s];
-        const double wT = wBcW + wRrW;
-        double tRB = wBcW / wT * (tWrite[s] + wmv) / 2.0 +
-            wRrW / wT * tRead[s] / 2.0;
-        tRB = (pt > 0.0 && wT > 0.0) ? tRB : 0.0;
-
-        // eq. (5)
-        double wbN = std::max(0.0, qB - pBB) * tB + pBB * tRB;
-        wbN = (gt1[s] != 0.0) ? wbN : 0.0;
-
-        // eqs. (11)-(12)
-        const double uMem =
-            numProc[s] * invModules[s] * memFactor[s] * dMem[s] / rN;
-        double um = std::clamp(uMem, 0.0, 1.0);
-        const double denM = 1.0 - um / numProc[s];
-        double pBM = std::clamp((um - um / numProc[s]) / denM, 0.0, 1.0);
-        pBM = (denM <= 0.0) ? 1.0 : pBM;
-        pBM = (gt1[s] != 0.0) ? pBM : 0.0;
-        const double wmN = pBM * dMem[s] / 2.0;
+        MvaStepConstants c;
+        c.numProc = numProc[s];
+        c.tau = tau[s];
+        c.pLocal = pLocal[s];
+        c.pBc = pBc[s];
+        c.pRr = pRr[s];
+        c.tRead = tRead[s];
+        c.memFactor = memFactor[s];
+        c.tWrite = tWrite[s];
+        c.tSupply = tSupply[s];
+        c.dMem = dMem[s];
+        c.invModules = invModules[s];
+        c.appendixB = {p[s], pPrime[s], lgPP[s], tInt[s]};
+        const MvaStepValues o = mvaStep(c, wbv, wmv, rtv);
 
         // damped update, R delta and step size (same expressions as
-        // the scalar driver)
+        // MvaLane::step)
         const double d = damp[s];
-        const double wbNext = d * wbN + (1.0 - d) * wbv;
-        const double wmNext = d * wmN + (1.0 - d) * wmv;
-        const double dl = std::fabs(rN - rtv);
-        const double st = mvaStepSize(wbNext, wbv, wmNext, wmv, rN, rtv);
-        const bool conv = mvaConverged(st, sPrev[s], tol[s]);
+        const double wbNext = d * o.wBusNew + (1.0 - d) * wbv;
+        const double wmNext = d * o.wMemNew + (1.0 - d) * wmv;
+        const double st =
+            mvaStepSize(wbNext, wbv, wmNext, wmv, o.rNew, rtv);
         wb[s] = wbNext;
         wm[s] = wmNext;
-        delta[s] = dl;
-        sPrev[s] = st;
-        rt[s] = rN;
+        rt[s] = o.rNew;
+        delta[s] = std::fabs(o.rNew - rtv);
 
         // The verdict, in MvaLane::step's order: a non-finite iterate
-        // ends the attempt unconverged, else convergence, else the
-        // cap. |x| <= DBL_MAX is isfinite in select form - false for
-        // both infinities and NaN - and the verdict is chained selects
+        // ends the lane unconverged, else convergence, else the cap.
+        // |x| <= DBL_MAX is isfinite in select form - false for both
+        // infinities and NaN - and the verdict is chained selects
         // rather than short-circuit bools so the whole body stays
         // branch-free.
         const double itv = iterD[s] + 1.0;
         iterD[s] = itv;
         double dn = (itv >= capD[s]) ? 1.0 : 0.0;
-        dn = conv ? 2.0 : dn;
-        dn = (std::fabs(rN) <= DBL_MAX) ? dn : 1.0;
+        dn = mvaConverged(st, tol[s]) ? 2.0 : dn;
+        dn = (std::fabs(o.rNew) <= DBL_MAX) ? dn : 1.0;
         dn = (std::fabs(wbNext) <= DBL_MAX) ? dn : 1.0;
         dn = (std::fabs(wmNext) <= DBL_MAX) ? dn : 1.0;
         done[s] = dn;
@@ -412,7 +279,7 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
     // checks with each shared-kernel step. Every other block takes the
     // fast path below: the fused SoA tick advances every live slot one
     // iteration of eqs. (1)-(13) in SIMD lanes, and a scalar post-pass
-    // hands ended attempts back to the same lane records. Both execute
+    // hands ended lanes back to the same lane records. Both execute
     // the same value sequence per lane, so either way the batch is
     // bit-identical to per-cell trySolve.
     if (faults.any() || any_timed) {
@@ -442,20 +309,19 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
     }
     size_t next = 0;
 
+    using H = HotSoA;
     while (hot.n > 0) {
         hot.rotateHistory();
-        fusedTick(hot.n, hot.numProc.data(), hot.tau.data(),
-                  hot.pLocal.data(), hot.pBc.data(), hot.pRr.data(),
-                  hot.tRead.data(), hot.memFactor.data(),
-                  hot.tWrite.data(), hot.tSupply.data(),
-                  hot.dMem.data(), hot.invModules.data(), hot.p.data(),
-                  hot.pPrime.data(), hot.log2PPrime.data(),
-                  hot.tInt.data(), hot.nMinus1.data(), hot.gt1.data(),
-                  hot.damp.data(), hot.tol.data(), hot.capD.data(),
-                  hot.sPrev.data(), hot.iterD.data(), hot.prevWb.data(),
-                  hot.prevWm.data(), hot.prevRt.data(), hot.wb.data(),
-                  hot.wm.data(), hot.rt.data(), hot.delta.data(),
-                  hot.done.data());
+        fusedTick(hot.n, hot[H::kNumProc], hot[H::kTau], hot[H::kPLocal],
+                  hot[H::kPBc], hot[H::kPRr], hot[H::kTRead],
+                  hot[H::kMemFactor], hot[H::kTWrite], hot[H::kTSupply],
+                  hot[H::kDMem], hot[H::kInvModules], hot[H::kP],
+                  hot[H::kPPrime], hot[H::kLog2PPrime], hot[H::kTInt],
+                  hot[H::kDamp], hot[H::kTol], hot[H::kCap],
+                  hot[H::kIter], hot[H::kPrevWb], hot[H::kPrevWm],
+                  hot[H::kPrevRt], hot[H::kWb], hot[H::kWm], hot[H::kRt],
+                  hot[H::kDelta], hot[H::kDone]);
+        const double *done = hot[H::kDone];
 
         // Most ticks retire nothing: one cheap scan of the done flags
         // and the next tick starts. (When a lane records
@@ -464,7 +330,7 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
         if (!tracing) {
             bool any = false;
             for (size_t s = 0; s < hot.n; ++s)
-                any = any || hot.done[s] != 0.0;
+                any = any || done[s] != 0.0;
             if (!any)
                 continue;
         }
@@ -477,57 +343,57 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
         size_t s = 0;
         while (s < hot.n) {
             MvaLane &lane = lanes[hot.lane[s]];
-            const int it = static_cast<int>(hot.iterD[s]);
+            const int it = static_cast<int>(hot[H::kIter][s]);
+            const double *prev_wb = hot[H::kPrevWb];
+            const double *prev_wm = hot[H::kPrevWm];
+            const double *prev_rt = hot[H::kPrevRt];
 
-            if (!std::isfinite(hot.rt[s]) || !std::isfinite(hot.wb[s]) ||
-                !std::isfinite(hot.wm[s])) {
-                // MvaLane::step aborts the attempt before committing:
-                // the iterate keeps the last finite state, the
-                // measures and residual stay those of iteration it-1
-                // (zeros when the first iteration aborts -
-                // restartAttempt left them there).
+            if (!std::isfinite(hot[H::kRt][s]) ||
+                !std::isfinite(hot[H::kWb][s]) ||
+                !std::isfinite(hot[H::kWm][s])) {
+                // MvaLane::step ends the solve before committing: the
+                // iterate keeps the last finite state, the measures
+                // and residual stay those of iteration it-1 (zeros
+                // when the first iteration aborts - admit left them
+                // there).
                 lane.iterations = it;
                 lane.nonFinite = true;
-                lane.wBus = hot.prevWb[s];
-                lane.wMem = hot.prevWm[s];
-                lane.rTotal = hot.prevRt[s];
+                lane.wBus = prev_wb[s];
+                lane.wMem = prev_wm[s];
+                lane.rTotal = prev_rt[s];
                 if (it >= 2) {
-                    lane.last = mvaStep(lane.consts, hot.pprevWb[s],
-                                        hot.pprevWm[s], hot.pprevRt[s]);
+                    lane.last = mvaStep(lane.consts, hot[H::kPprevWb][s],
+                                        hot[H::kPprevWm][s],
+                                        hot[H::kPprevRt][s]);
                     lane.residual =
-                        std::fabs(hot.prevRt[s] - hot.pprevRt[s]);
+                        std::fabs(prev_rt[s] - hot[H::kPprevRt][s]);
                 }
             } else {
-                const double delta = hot.delta[s];
+                const double delta = hot[H::kDelta][s];
                 if (lane.opts.recordTrace)
                     lane.convTrace.push_back(delta);
                 if (lane.recordIters)
-                    lane.replay.back().push_back(delta);
+                    lane.replay.push_back(delta);
 
-                if (hot.done[s] == 0.0) {
+                if (done[s] == 0.0) {
                     ++s;
                     continue;
                 }
                 lane.iterations = it;
                 lane.residual = delta;
-                lane.converged = hot.done[s] == 2.0;
-                lane.wBus = hot.wb[s];
-                lane.wMem = hot.wm[s];
-                lane.rTotal = hot.rt[s];
+                lane.converged = done[s] == 2.0;
+                lane.wBus = hot[H::kWb][s];
+                lane.wMem = hot[H::kWm][s];
+                lane.rTotal = hot[H::kRt][s];
                 // Rebuild this iteration's measures from the pre-tick
                 // state via the shared scalar step - same inputs, same
                 // kernel, same bits as the fused computation that just
                 // ran.
-                lane.last = mvaStep(lane.consts, hot.prevWb[s],
-                                    hot.prevWm[s], hot.prevRt[s]);
+                lane.last =
+                    mvaStep(lane.consts, prev_wb[s], prev_wm[s], prev_rt[s]);
             }
-            if (lane.endAttempt()) {
-                finishLane(hot.lane[s]);
-                hot.removeSlot(s);
-            } else {
-                hot.restartSlot(s, lane);
-                ++s;
-            }
+            finishLane(hot.lane[s]);
+            hot.removeSlot(s);
         }
 
         // Top up freed slots from the pending queue. Deferred to after

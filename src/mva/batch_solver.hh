@@ -8,12 +8,11 @@
  * dense slot compaction so converged cells drop out.
  *
  * Each lane is the same MvaLane record (mva/lane.hh) the scalar
- * MvaSolver::trySolve runs: admission, the recovery ladder, budgets,
- * disposition and trace replay are that shared code, so a failed
- * attempt restarts only the lane that needs it. Only the per-tick
- * arithmetic is the engine's own - a fused, branch-free SoA tick -
- * and a block with an armed solver fault or a time-budgeted lane runs
- * the shared scalar lane driver instead.
+ * MvaSolver::trySolve runs: admission, budgets, disposition and trace
+ * replay are that shared code. Only the lockstep loop is the engine's
+ * own - a fused SoA tick over the shared mvaStep - and a block with
+ * an armed solver fault or a time-budgeted lane runs the shared
+ * scalar lane driver instead.
  *
  * Determinism contract: every lane executes the *same arithmetic
  * sequence* as the scalar MvaSolver::trySolve of that cell (the step

@@ -54,9 +54,9 @@ HierarchicalResult::summary() const
 namespace {
 
 HierarchicalResult
-solveOnce(const HierarchicalConfig &c, const MvaOptions &opts,
-          double damping)
+solveOnce(const HierarchicalConfig &c, const MvaOptions &opts)
 {
+    const double damping = opts.damping;
     const double proc_total = static_cast<double>(c.totalProcessors());
     const double proc_cluster =
         static_cast<double>(c.processorsPerCluster);
@@ -91,10 +91,9 @@ solveOnce(const HierarchicalConfig &c, const MvaOptions &opts,
             r_new;
         q_l = std::clamp(q_l, 0.0, proc_cluster - 1.0);
         double u_l = proc_cluster * p_bus * t_hold / r_new;
-        double p_busy_l =
-            mvaPBusyFromUtilization(u_l, c.processorsPerCluster);
-        double w_l_new = std::max(0.0, q_l - p_busy_l) * t_hold +
-            p_busy_l * t_res_l;
+        double p_busy_l = mvaPBusy(u_l, proc_cluster);
+        double w_l_new =
+            mvaResidualWait(proc_cluster, q_l, p_busy_l, t_hold, t_res_l);
 
         // Global bus: only a request holding its local bus can compete
         // for the global bus, so at most one per cluster - the
@@ -106,19 +105,24 @@ solveOnce(const HierarchicalConfig &c, const MvaOptions &opts,
         q_g = std::clamp(q_g, 0.0, competitors - 1.0);
         double u_g = proc_total * p_bus * c.pRemote * c.tGlobalBus /
             r_new;
-        double p_busy_g = mvaPBusyFromUtilization(
-            u_g, static_cast<unsigned>(competitors));
-        double w_g_new = std::max(0.0, q_g - p_busy_g) * c.tGlobalBus +
-            p_busy_g * c.tGlobalBus / 2.0;
+        double p_busy_g = mvaPBusy(u_g, competitors);
+        double w_g_new = mvaResidualWait(competitors, q_g, p_busy_g,
+                                         c.tGlobalBus, c.tGlobalBus / 2.0);
 
-        double delta = std::fabs(r_new - r_total);
-        w_l = damping * w_l_new + (1.0 - damping) * w_l;
-        w_g = damping * w_g_new + (1.0 - damping) * w_g;
+        // Damped update; the step is the largest relative change over
+        // both waits and R.
+        double w_l_next = damping * w_l_new + (1.0 - damping) * w_l;
+        double w_g_next = damping * w_g_new + (1.0 - damping) * w_g;
+        double step = std::max(mvaRelStep(r_new, r_total),
+                               std::max(mvaRelStep(w_l_next, w_l),
+                                        mvaRelStep(w_g_next, w_g)));
+        w_l = w_l_next;
+        w_g = w_g_next;
         r_total = r_new;
         res.iterations = it;
         res.localBusUtil = std::min(u_l, 1.0);
         res.globalBusUtil = std::min(u_g, 1.0);
-        if (delta < opts.tolerance * std::max(1.0, std::fabs(r_total))) {
+        if (mvaConverged(step, opts.tolerance)) {
             res.converged = true;
             break;
         }
@@ -142,13 +146,11 @@ solveHierarchical(const HierarchicalConfig &config,
     ScopedMetricTimer solve_timer("mva.hierarchical.solve_us");
     TraceSpan solve_span(TraceLevel::Phase, "mva.hierarchical.solve",
                          config.totalProcessors());
-    HierarchicalResult res = runRecoveryLadder(
+    HierarchicalResult res = solveExtension(
         options, "mva.hierarchical", "solveHierarchical",
         strprintf(" (C=%u, P=%u)", config.clusters,
                   config.processorsPerCluster),
-        [&](double damping) {
-            return solveOnce(config, options, damping);
-        });
+        [&] { return solveOnce(config, options); });
     NumericGuard("solveHierarchical",
                  strprintf("C=%u P=%u", config.clusters,
                            config.processorsPerCluster))

@@ -83,13 +83,13 @@ struct HierarchicalResult
 };
 
 /**
- * Solve the two-level model by fixed-point iteration (same numerical
- * scheme as MvaSolver, including the damped fallback at saturation).
+ * Solve the two-level model by damped fixed-point iteration from zero
+ * waits, with MvaSolver's equation terms and stop test (mva/kernel.hh).
  *
- * Of @p options it honours maxIterations, tolerance, damping (the
- * first rung of runRecoveryLadder, mva/lane.hh) and onNonConvergence.
- * Invalid options, or a non-default timeBudget, iterationBudget or
- * recordTrace, throw an InvalidArgument SolveException.
+ * Of @p options it honours maxIterations, tolerance, damping and
+ * onNonConvergence (solveExtension, mva/lane.hh). Invalid options, or
+ * a non-default timeBudget, iterationBudget or recordTrace, throw an
+ * InvalidArgument SolveException.
  */
 HierarchicalResult solveHierarchical(const HierarchicalConfig &config,
                                      const MvaOptions &options = {});

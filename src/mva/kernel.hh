@@ -3,18 +3,19 @@
 /**
  * @file
  * The shared per-iteration core of the customized MVA model: one
- * update step of eqs. (1)-(13) plus the admission checks. The scalar
- * lane driver (mva/lane.hh) wraps the step with the ladder, budgets
- * and disposition; the batch engine's fused SoA tick (mva/
- * batch_solver.cc) re-expresses the same step branch-free.
+ * update step of eqs. (1)-(13), its per-term helpers, the stop test,
+ * and the admission checks. The scalar lane driver (mva/lane.hh)
+ * wraps the step with budgets and disposition, the batch engine's
+ * fused SoA tick (mva/batch_solver.cc) runs the same step over many
+ * lanes at once, and the multiclass and hierarchical extensions build
+ * their fixed points from the same helpers.
  *
- * Bit-identity contract: the lane driver calls mvaStep() and the
- * fused tick computes the same arithmetic sequence on identical
- * (constants, state), both applying the damped update in the same
- * expression order, so a batch lane is bit-identical to a scalar
- * solve of the same cell. Anything that could split the two - a
- * reordered sum, a fused multiply-add in one inlining context but not
- * the other - must not be introduced here (src/mva/CMakeLists.txt
+ * Bit-identity contract: the lane driver and the fused tick call
+ * mvaStep on identical (constants, state) and apply the damped update
+ * in the same expression order, so a batch lane is bit-identical to a
+ * scalar solve of the same cell. Anything that could split the two -
+ * a reordered sum, a fused multiply-add in one inlining context but
+ * not the other - must not be introduced here (src/mva/CMakeLists.txt
  * compiles the module with -ffp-contract=off for the same reason).
  */
 
@@ -26,7 +27,6 @@
 #include "mva/result.hh"
 #include "mva/solver.hh"
 #include "util/expected.hh"
-#include "util/fixed_point.hh"
 #include "workload/derived.hh"
 
 namespace snoop {
@@ -93,51 +93,141 @@ mvaExp2(double x)
 }
 
 /**
- * P(an arriving request finds the server busy), estimated from the
- * server utilization with the arriving customer removed - the
- * correction the paper applies in eq. (8) for the bus and repeats for
- * the memory modules.
+ * The Appendix B constants of one workload at N processors: they
+ * depend only on the workload and N, so every solve computes them
+ * once, before its first iteration.
+ */
+struct MvaAppendixB
+{
+    double p = 0;          ///< P(block is shared-touched)
+    double pPrime = 0;     ///< per-customer miss factor p'
+    double log2PPrime = 0; ///< log2(p') when 0 < p' < 1, else 0
+    double tInt = 0;       ///< t_interference
+};
+
+/** Appendix B for @p d at @p num_proc processors. */
+inline MvaAppendixB
+mvaAppendixB(const DerivedInputs &d, double num_proc)
+{
+    MvaAppendixB b;
+    // p and the supplier-selection factor are fixed by the workload;
+    // p' and t_interference follow directly.
+    b.p = d.pA + d.pB;
+    const double supplier_frac =
+        num_proc > 1.0 ? std::min(1.0, 2.0 / (num_proc - 1.0)) : 0.0;
+    b.pPrime = d.pB +
+        d.pA * supplier_frac * d.csupFrac * (1.0 - d.repTerm);
+    // Hoisted for eq. (13): p'^q = 2^(q * log2(p')). Only the
+    // interior branch (0 < p' < 1) consumes it; the boundary branches
+    // leave it at the 0 placeholder.
+    // snoop-lint: fp-ok
+    b.log2PPrime = (b.pPrime > 0.0 && b.pPrime < 1.0)
+        ? std::log2(b.pPrime)
+        : 0.0;
+    b.tInt = (b.p > 0.0)
+        ? 1.0 + (d.pA / b.p) * supplier_frac * d.csupFrac *
+            (kMvaBlockCycles + d.wbCsupply * kMvaBlockCycles)
+        : 0.0;
+    return b;
+}
+
+/*
+ * The per-term helpers below are written in select form: every branch
+ * is computed and the condition picks one (a discarded branch may
+ * form a NaN, which the select drops). That commits the value a
+ * branch would, and it lets the batch engine's fused tick, which
+ * inlines them through mvaStep, if-convert and vectorize.
+ */
+
+/**
+ * Eq. (13): the mean number of consecutive interfering snoops an
+ * arrival that finds @p q requests queued waits behind. p'^q is
+ * formed as 2^(q * log2(p')) through mvaExp2, which has the same bits
+ * scalar or vectorized.
  */
 inline double
-mvaPBusyFromUtilization(double util, unsigned n)
+mvaInterference(const MvaAppendixB &b, double q)
 {
-    if (n <= 1)
-        return 0.0;
-    // A utilization is a probability; iteration transients can push
-    // the raw estimate past 1, which the fixed point then corrects.
-    double u = std::clamp(util, 0.0, 1.0);
-    double denom = 1.0 - u / static_cast<double>(n);
-    if (denom <= 0.0)
-        return 1.0;
-    double p = (u - u / static_cast<double>(n)) / denom;
-    return std::clamp(p, 0.0, 1.0);
+    double n_int = b.p * (1.0 - mvaExp2(q * b.log2PPrime)) /
+        (1.0 - b.pPrime);
+    n_int = (b.pPrime >= 1.0) ? b.p * q : n_int;
+    n_int = (b.pPrime <= 0.0) ? b.p : n_int;
+    return (q > 0.0 && b.p > 0.0) ? n_int : 0.0;
+}
+
+/**
+ * Eqs. (8) and (12): P(an arriving request finds the server busy),
+ * estimated from the server utilization with the arriving customer
+ * removed, for a server shared by @p customers. A utilization is a
+ * probability; iteration transients can push the raw estimate past 1,
+ * which the fixed point then corrects.
+ */
+inline double
+mvaPBusy(double util, double customers)
+{
+    const double u = std::clamp(util, 0.0, 1.0);
+    const double denom = 1.0 - u / customers;
+    double p = std::clamp((u - u / customers) / denom, 0.0, 1.0);
+    p = (denom <= 0.0) ? 1.0 : p;
+    return (customers > 1.0) ? p : 0.0;
+}
+
+/**
+ * Eq. (5): the wait of an arrival at a server shared by @p customers -
+ * the residual life @p t_residual of the request in service (if the
+ * server is busy) plus a full access time @p t_access for every other
+ * of the @p q queued requests. A lone customer never waits.
+ */
+inline double
+mvaResidualWait(double customers, double q, double p_busy,
+                double t_access, double t_residual)
+{
+    const double w =
+        std::max(0.0, q - p_busy) * t_access + p_busy * t_residual;
+    return (customers > 1.0) ? w : 0.0;
+}
+
+/**
+ * The relative step of one component of the iterate:
+ * |x_k - x_{k-1}| / max(1, |x_k|).
+ */
+inline double
+mvaRelStep(double next, double prev)
+{
+    return std::fabs(next - prev) / std::max(1.0, std::fabs(next));
+}
+
+/**
+ * The stop test of every fixed point in the model: the largest
+ * relative step @p s over the whole iterate is below @p tol. A
+ * non-finite step never stops, so the drivers check for it first.
+ */
+inline bool
+mvaConverged(double s, double tol)
+{
+    return s < tol;
 }
 
 /**
  * Everything in eqs. (1)-(13) that is fixed across iterations of one
  * cell: the derived workload probabilities and timings, plus the
- * Appendix-B quantities (p, p', t_interference) that depend only on
- * the workload and N. Every lane computes one at admission (hoisting
- * them out of the loop is value-neutral).
+ * Appendix B quantities. Every lane computes one at admission
+ * (hoisting them out of the loop is value-neutral).
  */
 struct MvaStepConstants
 {
-    unsigned n = 0;      ///< processor count (branch decisions)
-    double numProc = 0;  ///< N as a double (arithmetic)
-    double tau = 0;      ///< mean time between bus requests
-    double pLocal = 0;   ///< P(local interference applies)
-    double pBc = 0;      ///< P(broadcast per request)
-    double pRr = 0;      ///< P(remote read per request)
-    double tRead = 0;    ///< remote-read service time
-    double memFactor = 0;///< memory-module demand factor
-    double tWrite = 0;   ///< bus write (broadcast) service time
-    double tSupply = 0;  ///< cache-supply adjustment in R
-    double dMem = 0;     ///< memory-module service time
-    double modules = 0;  ///< number of memory modules (double)
-    double p = 0;        ///< Appendix B: P(block is shared-touched)
-    double pPrime = 0;   ///< Appendix B: per-customer miss factor
-    double log2PPrime = 0; ///< log2(pPrime) when 0 < pPrime < 1, else 0
-    double tInt = 0;     ///< Appendix B: t_interference
+    double numProc = 0;    ///< N
+    double tau = 0;        ///< mean time between bus requests
+    double pLocal = 0;     ///< P(local interference applies)
+    double pBc = 0;        ///< P(broadcast per request)
+    double pRr = 0;        ///< P(remote read per request)
+    double tRead = 0;      ///< remote-read service time
+    double memFactor = 0;  ///< memory-module demand factor
+    double tWrite = 0;     ///< bus write (broadcast) service time
+    double tSupply = 0;    ///< cache-supply adjustment in R
+    double dMem = 0;       ///< memory-module service time
+    double invModules = 0; ///< 1 / number of memory modules
+    MvaAppendixB appendixB;
 };
 
 /** Derive the per-cell constants for @p n processors. */
@@ -145,7 +235,6 @@ inline MvaStepConstants
 mvaStepConstants(const DerivedInputs &d, unsigned n)
 {
     MvaStepConstants c;
-    c.n = n;
     c.numProc = static_cast<double>(n);
     c.tau = d.tau;
     c.pLocal = d.pLocal;
@@ -156,26 +245,8 @@ mvaStepConstants(const DerivedInputs &d, unsigned n)
     c.tWrite = d.timing.tWrite;
     c.tSupply = d.timing.tSupply;
     c.dMem = d.timing.dMem;
-    c.modules = static_cast<double>(d.timing.numModules);
-
-    // Appendix B: p and the supplier-selection factor are fixed by
-    // the workload; p' and t_interference follow directly.
-    c.p = d.pA + d.pB;
-    const double supplier_frac =
-        n > 1 ? std::min(1.0, 2.0 / (c.numProc - 1.0)) : 0.0;
-    c.pPrime = d.pB +
-        d.pA * supplier_frac * d.csupFrac * (1.0 - d.repTerm);
-    // Hoisted for eq. (13): pPrime^qBus = 2^(qBus * log2(pPrime)).
-    // Only the interior branch (0 < pPrime < 1) consumes it; the
-    // boundary branches leave it at the 0 placeholder.
-    // snoop-lint: fp-ok
-    c.log2PPrime = (c.pPrime > 0.0 && c.pPrime < 1.0)
-        ? std::log2(c.pPrime)
-        : 0.0;
-    c.tInt = (c.p > 0.0)
-        ? 1.0 + (d.pA / c.p) * supplier_frac * d.csupFrac *
-            (kMvaBlockCycles + d.wbCsupply * kMvaBlockCycles)
-        : 0.0;
+    c.invModules = 1.0 / static_cast<double>(d.timing.numModules);
+    c.appendixB = mvaAppendixB(d, c.numProc);
     return c;
 }
 
@@ -205,8 +276,9 @@ struct MvaStepValues
  * One update step of the fixed point: from the current iterate
  * (wBus, wMem, rTotal) compute the next undamped iterate and all
  * per-iteration measures. Pure - no damping, injection, tracing, or
- * convergence logic - the lane driver (mva/lane.hh) wraps it with
- * all of that.
+ * convergence logic - and branch-free, so the scalar lane
+ * (mva/lane.hh) and the batch engine's fused tick both run this one
+ * copy of the equations.
  */
 inline MvaStepValues
 mvaStep(const MvaStepConstants &c, double w_bus, double w_mem,
@@ -217,113 +289,57 @@ mvaStep(const MvaStepConstants &c, double w_bus, double w_mem,
     // --- Mean queue length seen by an arrival, eq. (6) -----------
     o.rBc = c.pBc * (w_bus + w_mem + c.tWrite);
     o.rRr = c.pRr * (w_bus + c.tRead);
-    double q_bus = (c.n > 1)
-        ? (c.numProc - 1.0) * (o.rBc + o.rRr) / r_total
-        : 0.0;
+    const double q_bus = (c.numProc - 1.0) * (o.rBc + o.rRr) / r_total;
     // Closed system: with the arriving cache removed, at most N-1
     // requests can be queued. (Also bounds the iteration
     // transients that otherwise oscillate at saturation.)
-    o.qBus = std::min(q_bus, c.numProc - 1.0);
+    o.qBus = std::min((c.numProc > 1.0) ? q_bus : 0.0, c.numProc - 1.0);
 
-    // --- Cache interference, eq. (13) ----------------------------
-    o.nInt = 0.0;
-    if (c.n > 1 && o.qBus > 0.0 && c.p > 0.0) {
-        if (c.pPrime >= 1.0) {
-            o.nInt = c.p * o.qBus;
-        } else if (c.pPrime <= 0.0) {
-            o.nInt = c.p;
-        } else {
-            // pPrime^qBus via the hoisted log2 and the deterministic
-            // exp2 above: one transcendental per iteration becomes a
-            // short polynomial, and - unlike std::pow - it has the
-            // same bit pattern whether evaluated scalar or in the
-            // batch solver's vectorized tick.
-            o.nInt = c.p *
-                (1.0 - mvaExp2(o.qBus * c.log2PPrime)) /
-                (1.0 - c.pPrime);
-        }
-    }
-
-    // --- Response time, eq. (1)-(4) ------------------------------
-    o.rLocal = c.pLocal * o.nInt * c.tInt;
+    // --- Cache interference, eq. (13) and response time, (1)-(4) --
+    o.nInt = mvaInterference(c.appendixB, o.qBus);
+    o.rLocal = c.pLocal * o.nInt * c.appendixB.tInt;
     o.rNew = c.tau + o.rLocal + o.rBc + o.rRr + c.tSupply;
 
     // --- Bus submodel, eq. (7)-(10) ------------------------------
-    double bus_demand = c.pBc * (w_mem + c.tWrite) + c.pRr * c.tRead;
+    const double bus_demand =
+        c.pBc * (w_mem + c.tWrite) + c.pRr * c.tRead;
     o.uBus = c.numProc * bus_demand / o.rNew;
-    o.pBusyBus = mvaPBusyFromUtilization(o.uBus, c.n);
-
-    o.tBus = 0.0;
-    o.tResBus = 0.0;
-    double p_bus_total = c.pBc + c.pRr;
-    if (p_bus_total > 0.0) {
-        // eq. (9): access time weighted by request mix
-        o.tBus = (c.pBc * (c.tWrite + w_mem) + c.pRr * c.tRead) /
-            p_bus_total;
-        // eq. (10): residual life weighted by time-in-service
-        double weight_bc = c.pBc * (c.tWrite + w_mem);
-        double weight_rr = c.pRr * c.tRead;
-        double weight_total = weight_bc + weight_rr;
-        if (weight_total > 0.0) {
-            o.tResBus =
-                weight_bc / weight_total * (c.tWrite + w_mem) / 2.0 +
-                weight_rr / weight_total * c.tRead / 2.0;
-        }
-    }
-
-    // eq. (5): residual life of the request in service plus a full
-    // access time for every other queued request.
-    o.wBusNew = (c.n > 1)
-        ? std::max(0.0, o.qBus - o.pBusyBus) * o.tBus +
-            o.pBusyBus * o.tResBus
-        : 0.0;
+    o.pBusyBus = mvaPBusy(o.uBus, c.numProc);
+    // eq. (9): access time weighted by request mix; eq. (10):
+    // residual life weighted by time-in-service
+    const double t_bc = c.tWrite + w_mem;
+    const double weight_bc = c.pBc * t_bc;
+    const double weight_rr = c.pRr * c.tRead;
+    const double p_bus_total = c.pBc + c.pRr;
+    const double weight_total = weight_bc + weight_rr;
+    const double t_bus = weight_total / p_bus_total;
+    const double t_res = weight_bc / weight_total * t_bc / 2.0 +
+        weight_rr / weight_total * c.tRead / 2.0;
+    o.tBus = (p_bus_total > 0.0) ? t_bus : 0.0;
+    o.tResBus = (p_bus_total > 0.0 && weight_total > 0.0) ? t_res : 0.0;
+    o.wBusNew = mvaResidualWait(c.numProc, o.qBus, o.pBusyBus, o.tBus,
+                                o.tResBus);
 
     // --- Memory submodel, eq. (11)-(12) --------------------------
-    o.uMem = c.numProc * (1.0 / c.modules) * c.memFactor * c.dMem /
-        o.rNew;
-    o.pBusyMem = mvaPBusyFromUtilization(o.uMem, c.n);
+    o.uMem = c.numProc * c.invModules * c.memFactor * c.dMem / o.rNew;
+    o.pBusyMem = mvaPBusy(o.uMem, c.numProc);
     o.wMemNew = o.pBusyMem * c.dMem / 2.0;
 
     return o;
 }
 
 /**
- * The size of one damped step, relative to the new iterate: the
- * largest of |x_k - x_{k-1}| / max(1, |x_k|) over the whole state
- * (wBus, wMem, R). Only meaningful on a finite iterate, which both
- * drivers check before they act on it.
+ * The size of one damped step of the flat model: the largest
+ * mvaRelStep over the whole iterate (wBus, wMem, R). Only meaningful
+ * on a finite iterate, which both drivers check before they act on it.
  */
 inline double
 mvaStepSize(double w_bus_next, double w_bus, double w_mem_next,
             double w_mem, double r_next, double r)
 {
-    const double sb = std::fabs(w_bus_next - w_bus) /
-        std::max(1.0, std::fabs(w_bus_next));
-    const double sm = std::fabs(w_mem_next - w_mem) /
-        std::max(1.0, std::fabs(w_mem_next));
-    const double sr =
-        std::fabs(r_next - r) / std::max(1.0, std::fabs(r_next));
-    return std::max(sr, std::max(sb, sm));
-}
-
-/**
- * The stop test of the damped fixed point: true when the distance
- * left to the fixed point, estimated by the geometric tail of a
- * contraction, s * rho / (1 - rho) with rho = s / s_prev the observed
- * ratio of successive step sizes (mvaStepSize), is below @p tol;
- * written without a division
- * so it stays a branch-free select in the SIMD tick. @p s_prev is 0 on
- * the first step of an attempt, so no attempt stops on one step unless
- * that step is exactly zero; a step that did not shrink never stops.
- * The scalar lane and the fused tick both call this on the same
- * values, which keeps batch and scalar solves bit-identical. The `|`
- * is deliberate: a short-circuit `||` is control flow, which stops
- * GCC from vectorizing the fused tick's loop.
- */
-inline bool
-mvaConverged(double s, double s_prev, double tol)
-{
-    return (s == 0.0) | (s * s < tol * (s_prev - s));
+    return std::max(mvaRelStep(r_next, r),
+                    std::max(mvaRelStep(w_bus_next, w_bus),
+                             mvaRelStep(w_mem_next, w_mem)));
 }
 
 /**

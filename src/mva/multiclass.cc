@@ -15,98 +15,63 @@ namespace snoop {
 
 namespace {
 
-constexpr double kAppendixBBlockCycles = 4.0;
-
 MulticlassResult
 solveOnce(const std::vector<ProcessorClass> &classes,
-          const MvaOptions &opts, double damping)
+          const MvaOptions &opts)
 {
-    size_t num_classes = classes.size();
+    const size_t num_classes = classes.size();
     const BusTiming &timing = classes.front().inputs.timing;
     const double t_write = timing.tWrite;
     const double t_supply = timing.tSupply;
     const double d_mem = timing.dMem;
-    const double modules = static_cast<double>(timing.numModules);
+    const double inv_modules = 1.0 / static_cast<double>(timing.numModules);
+    const double damping = opts.damping;
 
     double n_total = 0.0;
     for (const auto &c : classes)
         n_total += static_cast<double>(c.count);
 
-    // Appendix-B interference constants per class.
-    std::vector<double> p_k(num_classes), p_prime_k(num_classes),
-        log2_p_prime_k(num_classes), t_int_k(num_classes);
-    double supplier_frac =
-        n_total > 1.0 ? std::min(1.0, 2.0 / (n_total - 1.0)) : 0.0;
-    for (size_t k = 0; k < num_classes; ++k) {
-        const auto &d = classes[k].inputs;
-        p_k[k] = d.pA + d.pB;
-        p_prime_k[k] = d.pB +
-            d.pA * supplier_frac * d.csupFrac * (1.0 - d.repTerm);
-        // Hoisted for the eq. (13) form: p'^q = 2^(q * log2(p')),
-        // one transcendental per class instead of one per iteration,
-        // with the exponential through the deterministic mvaExp2
-        // (mva/kernel.hh) rather than libm pow.
-        // snoop-lint: fp-ok
-        log2_p_prime_k[k] =
-            (p_prime_k[k] > 0.0 && p_prime_k[k] < 1.0)
-            ? std::log2(p_prime_k[k])
-            : 0.0;
-        t_int_k[k] = p_k[k] > 0.0
-            ? 1.0 + (d.pA / p_k[k]) * supplier_frac * d.csupFrac *
-                (kAppendixBBlockCycles +
-                 d.wbCsupply * kAppendixBBlockCycles)
-            : 0.0;
-    }
+    std::vector<MvaAppendixB> appendix_b(num_classes);
+    for (size_t k = 0; k < num_classes; ++k)
+        appendix_b[k] = mvaAppendixB(classes[k].inputs, n_total);
 
     std::vector<double> w_bus(num_classes, 0.0);
     double w_mem = 0.0;
     std::vector<double> r(num_classes);
     for (size_t k = 0; k < num_classes; ++k)
         r[k] = classes[k].inputs.tau + t_supply;
+    std::vector<double> r_bc(num_classes), r_rr(num_classes),
+        q(num_classes), r_new(num_classes);
 
     MulticlassResult res;
     res.classes.resize(num_classes);
 
     for (int it = 1; it <= opts.maxIterations; ++it) {
         // Per-class bus cycle components at current waits.
-        std::vector<double> r_bc(num_classes), r_rr(num_classes);
         for (size_t k = 0; k < num_classes; ++k) {
             const auto &d = classes[k].inputs;
             r_bc[k] = d.pBc * (w_bus[k] + w_mem + t_write);
             r_rr[k] = d.pRr * (w_bus[k] + d.tRead);
         }
 
-        // New response times via per-class arrival queues.
-        std::vector<double> r_new(num_classes);
-        double max_delta = 0.0;
+        // The bus queue an arriving class-k request finds, eq. (6):
+        // every class's population with one class-k customer removed.
         for (size_t k = 0; k < num_classes; ++k) {
-            const auto &d = classes[k].inputs;
-            double q = 0.0;
+            double qk = 0.0;
             for (size_t j = 0; j < num_classes; ++j) {
                 double pop = static_cast<double>(classes[j].count) -
                     (j == k ? 1.0 : 0.0);
-                q += pop * (r_bc[j] + r_rr[j]) / r[j];
+                qk += pop * (r_bc[j] + r_rr[j]) / r[j];
             }
-            q = std::clamp(q, 0.0, n_total - 1.0);
+            q[k] = std::clamp(qk, 0.0, n_total - 1.0);
+        }
 
-            double n_int = 0.0;
-            if (q > 0.0 && p_k[k] > 0.0) {
-                if (p_prime_k[k] >= 1.0)
-                    n_int = p_k[k] * q;
-                else if (p_prime_k[k] <= 0.0)
-                    n_int = p_k[k];
-                else
-                    n_int = p_k[k] *
-                        (1.0 - mvaExp2(q * log2_p_prime_k[k])) /
-                        (1.0 - p_prime_k[k]);
-            }
-            double r_local = d.pLocal * n_int * t_int_k[k];
+        // New response times, eqs. (1)-(4) with eq. (13).
+        for (size_t k = 0; k < num_classes; ++k) {
+            const auto &d = classes[k].inputs;
+            double r_local = d.pLocal *
+                mvaInterference(appendix_b[k], q[k]) * appendix_b[k].tInt;
             r_new[k] = d.tau + r_local + r_bc[k] + r_rr[k] + t_supply;
-            max_delta = std::max(
-                max_delta, std::fabs(r_new[k] - r[k]) /
-                    std::max(1.0, std::fabs(r[k])));
-
-            res.classes[k].responseTime = r_new[k];
         }
 
         // Shared-resource utilizations from the new response times.
@@ -119,8 +84,7 @@ solveOnce(const std::vector<ProcessorClass> &classes,
             double demand =
                 d.pBc * (w_mem + t_write) + d.pRr * d.tRead;
             u_bus += pop * demand / r_new[k];
-            u_mem += pop * (1.0 / modules) * d.memFactor * d_mem /
-                r_new[k];
+            u_mem += pop * inv_modules * d.memFactor * d_mem / r_new[k];
             res.classes[k].busDemandShare = pop * demand / r_new[k];
 
             double lam_bc = pop * d.pBc / r_new[k];
@@ -137,33 +101,30 @@ solveOnce(const std::vector<ProcessorClass> &classes,
         }
         double t_bus = rate_total > 0.0 ? t_bus_num / rate_total : 0.0;
         double t_res = t_res_den > 0.0 ? t_res_num / t_res_den : 0.0;
-        const unsigned customers = static_cast<unsigned>(n_total);
-        double p_busy_bus = mvaPBusyFromUtilization(u_bus, customers);
-        double p_busy_mem = mvaPBusyFromUtilization(u_mem, customers);
-        double w_mem_new = p_busy_mem * d_mem / 2.0;
+        double p_busy_bus = mvaPBusy(u_bus, n_total);
+        double p_busy_mem = mvaPBusy(u_mem, n_total);
 
+        // Damped update of every wait; the step is the largest
+        // relative change over all waits and response times.
+        double step = 0.0;
         for (size_t k = 0; k < num_classes; ++k) {
-            double q = 0.0;
-            for (size_t j = 0; j < num_classes; ++j) {
-                double pop = static_cast<double>(classes[j].count) -
-                    (j == k ? 1.0 : 0.0);
-                q += pop * (r_bc[j] + r_rr[j]) / r[j];
-            }
-            q = std::clamp(q, 0.0, n_total - 1.0);
-            double w_new = (n_total > 1.0)
-                ? std::max(0.0, q - p_busy_bus) * t_bus +
-                    p_busy_bus * t_res
-                : 0.0;
-            w_bus[k] = damping * w_new + (1.0 - damping) * w_bus[k];
+            double w_new = mvaResidualWait(n_total, q[k], p_busy_bus,
+                                           t_bus, t_res);
+            double w_next = damping * w_new + (1.0 - damping) * w_bus[k];
+            step = std::max(step, std::max(mvaRelStep(w_next, w_bus[k]),
+                                           mvaRelStep(r_new[k], r[k])));
+            w_bus[k] = w_next;
         }
-        w_mem = damping * w_mem_new + (1.0 - damping) * w_mem;
-        r = r_new;
+        double w_mem_next = damping * (p_busy_mem * d_mem / 2.0) +
+            (1.0 - damping) * w_mem;
+        step = std::max(step, mvaRelStep(w_mem_next, w_mem));
+        w_mem = w_mem_next;
+        r.swap(r_new);
 
         res.iterations = it;
         res.busUtil = std::min(u_bus, 1.0);
         res.memUtil = std::min(u_mem, 1.0);
-        res.wMem = w_mem;
-        if (max_delta < opts.tolerance) {
+        if (mvaConverged(step, opts.tolerance)) {
             res.converged = true;
             break;
         }
@@ -172,10 +133,12 @@ solveOnce(const std::vector<ProcessorClass> &classes,
     double share_total = 0.0;
     res.totalSpeedup = 0.0;
     res.wBus = 0.0;
+    res.wMem = w_mem;
     for (size_t k = 0; k < num_classes; ++k) {
         const auto &cls = classes[k];
         res.classes[k].name = cls.name;
         res.classes[k].count = cls.count;
+        res.classes[k].responseTime = r[k];
         res.classes[k].speedup = static_cast<double>(cls.count) *
             (cls.inputs.tau + t_supply) / r[k];
         res.totalSpeedup += res.classes[k].speedup;
@@ -223,11 +186,9 @@ solveMulticlass(const std::vector<ProcessorClass> &classes,
     ScopedMetricTimer solve_timer("mva.multiclass.solve_us");
     TraceSpan solve_span(TraceLevel::Phase, "mva.multiclass.solve",
                          classes.size());
-    MulticlassResult res = runRecoveryLadder(
+    MulticlassResult res = solveExtension(
         options, "mva.multiclass", "solveMulticlass", "",
-        [&](double damping) {
-            return solveOnce(classes, options, damping);
-        });
+        [&] { return solveOnce(classes, options); });
 
     NumericGuard guard("solveMulticlass",
                        strprintf("%zu classes", classes.size()));

@@ -58,13 +58,16 @@ struct MulticlassResult
 
 /**
  * Solve the multi-class model. All classes must share timing constants
- * (throws SolveException otherwise). With a single class the result
- * matches MvaSolver::solve exactly.
+ * (throws SolveException otherwise). With a single class, or with k
+ * identical classes, it lands on MvaSolver's fixed point: it runs the
+ * same equation terms (mva/kernel.hh) and stop test, but forms the
+ * bus access and residual times from per-class rates, so its last
+ * digits can differ.
  *
- * Of @p options it honours maxIterations, tolerance, damping (the
- * first rung of runRecoveryLadder, mva/lane.hh) and onNonConvergence.
- * Invalid options, or a non-default timeBudget, iterationBudget or
- * recordTrace, throw an InvalidArgument SolveException.
+ * Of @p options it honours maxIterations, tolerance, damping and
+ * onNonConvergence (solveExtension, mva/lane.hh). Invalid options, or
+ * a non-default timeBudget, iterationBudget or recordTrace, throw an
+ * InvalidArgument SolveException.
  */
 MulticlassResult solveMulticlass(const std::vector<ProcessorClass> &classes,
                                  const MvaOptions &options = {});

@@ -8,10 +8,22 @@
 #include <string>
 #include <vector>
 
-#include "util/fixed_point.hh"
 #include "workload/derived.hh"
 
 namespace snoop {
+
+/**
+ * How a solve's single fixed-point attempt ended (MvaResult::attempts,
+ * kept as a one-entry record).
+ */
+struct SolveAttempt
+{
+    double damping = 1.0;   ///< damping factor of the attempt
+    int iterations = 0;     ///< iterations performed
+    double residual = 0.0;  ///< final |R_k - R_{k-1}| residual
+    bool converged = false; ///< the attempt reached the tolerance
+    bool nonFinite = false; ///< it aborted on a NaN/inf iterate
+};
 
 /**
  * Performance measures for one (workload, protocol, N) configuration,
@@ -49,16 +61,16 @@ struct MvaResult
     double tInterference = 0; ///< mean cycles per interfering snoop
 
     // solver diagnostics (Section 3.2)
-    int iterations = 0;     ///< iterations of the final attempt
+    int iterations = 0;     ///< iterations performed
     bool converged = false; ///< tolerance reached within the limit
     double residual = 0;    ///< final |R_k - R_{k-1}| residual
-    /** The solve aborted on a non-finite iterate (all attempts). */
+    /** The solve aborted on a non-finite iterate. */
     bool nonFinite = false;
-    /** The time/iteration budget cut the ladder short (MvaOptions). */
+    /** The time/iteration budget cut the solve short (MvaOptions). */
     bool budgetExhausted = false;
     /** The solve started from a warm-start seed (MvaSeed). */
     bool warmStarted = false;
-    /** One entry per damping-ladder attempt, in execution order. */
+    /** The solve's one attempt, as a record (docs/CORRECTNESS.md). */
     std::vector<SolveAttempt> attempts;
     /** |R_k - R_{k-1}| per iteration, for the convergence study. */
     std::vector<double> convergenceTrace;

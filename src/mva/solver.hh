@@ -14,27 +14,35 @@
 #include "mva/result.hh"
 #include "protocol/config.hh"
 #include "util/expected.hh"
-#include "util/fixed_point.hh"
 #include "workload/derived.hh"
 #include "workload/params.hh"
 
 namespace snoop {
+
+/**
+ * What a solver does when the iteration budget runs out before the
+ * tolerance is reached. An unconverged fixed point consumed as if
+ * converged is exactly the failure mode the paper's accuracy claim
+ * cannot survive, so the default is an error; returning the last
+ * iterate is an explicit opt-in for a caller that reads converged.
+ */
+enum class NonConvergencePolicy {
+    Fatal,  ///< an error from trySolve(), a throw from solve() (default)
+    Accept, ///< return silently; caller promises to check converged
+};
 
 /** Numerical options for the MVA fixed point. */
 struct MvaOptions
 {
     int maxIterations = 500;   ///< iteration budget
     /**
-     * Stop threshold on the distance left to the fixed point,
-     * relative to max(1, |x|) for each of wBus, wMem and R: an attempt
-     * stops once its last relative step s, extrapolated over the
-     * geometric tail of a contraction at the observed rate
-     * rho = s / s_prev, is below it (s * rho / (1 - rho) < tolerance;
-     * mvaConverged in mva/kernel.hh). The extrapolation is an
-     * estimate: at the default damping R lands within about 10x the
-     * tolerance of the fixed point (docs/MODEL.md).
-     * solveMulticlass and solveHierarchical keep their own step tests
-     * against it.
+     * Stop threshold: a solve stops once its last step moved every
+     * component x of the iterate - wBus, wMem and R for MvaSolver,
+     * every wait and response time for solveMulticlass and
+     * solveHierarchical - by less than this relative to max(1, |x|)
+     * (mvaConverged in mva/kernel.hh). At the default damping that
+     * lands R within a few times the tolerance of the fixed point
+     * (docs/MODEL.md, "Solution technique").
      */
     double tolerance = 1e-10;
     /**
@@ -48,21 +56,18 @@ struct MvaOptions
     double damping = 0.5;
     /** Record the per-iteration residual trace in the result. */
     bool recordTrace = false;
-    /**
-     * Behavior when the damping fallback ladder is exhausted without
-     * convergence (see NonConvergencePolicy in util/fixed_point.hh).
-     */
+    /** Behavior when the solve ends without converging. */
     NonConvergencePolicy onNonConvergence = NonConvergencePolicy::Fatal;
     /**
-     * Wall-clock budget in seconds across all ladder attempts; 0
-     * means unbudgeted. Exhaustion stops the ladder and is recorded
-     * in MvaResult::budgetExhausted, then judged by the
-     * onNonConvergence policy like any other unconverged solve.
+     * Wall-clock budget in seconds; 0 means unbudgeted. Exhaustion
+     * stops the solve and is recorded in MvaResult::budgetExhausted,
+     * then judged by the onNonConvergence policy like any other
+     * unconverged solve.
      */
     double timeBudget = 0.0;
     /**
-     * Total iteration budget across all ladder attempts; 0 means
-     * each attempt gets maxIterations on its own.
+     * Iteration budget; 0 means maxIterations alone caps the solve.
+     * A solve it stops is recorded as budgetExhausted.
      */
     long iterationBudget = 0;
 };
@@ -71,9 +76,8 @@ struct MvaOptions
  * A warm-start seed for the MVA fixed point: the waiting-time state
  * of a previously solved neighboring configuration. Seeding replaces
  * Section 3.2's all-zero start, so a query near a known solution
- * converges in a handful of iterations instead of from cold. The
- * recovery ladder restarts from the seed, and a non-finite seed is
- * rejected as InvalidArgument.
+ * converges in a handful of iterations instead of from cold. A
+ * non-finite seed is rejected as InvalidArgument.
  */
 struct MvaSeed
 {
@@ -115,8 +119,8 @@ class MvaSolver
 
     /**
      * Solve for @p n processors without terminating or throwing.
-     * Errors: InvalidArgument (n == 0), NonFiniteIterate (a NaN/inf
-     * iterate survived the damping ladder), NonConvergence (only under
+     * Errors: InvalidArgument (n == 0), NonFiniteIterate (the iterate
+     * became NaN/inf), NonConvergence (only under
      * NonConvergencePolicy::Fatal, the default), NumericRange (a
      * finished measure violates its defining range). Under Accept an
      * unconverged solve is a *value* with converged == false.
@@ -131,9 +135,8 @@ class MvaSolver
     /**
      * Solve for @p n processors starting the fixed point from
      * @p seed instead of the all-zero state (warm-start
-     * continuation). Every recovery-ladder attempt restarts from the
-     * seed. Additional error: InvalidArgument on a non-finite or
-     * negative seed component.
+     * continuation). Additional error: InvalidArgument on a
+     * non-finite or negative seed component.
      */
     [[nodiscard]] Expected<MvaResult> trySolve(const DerivedInputs &inputs,
                                  unsigned n, const MvaSeed &seed) const;

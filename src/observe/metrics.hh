@@ -7,7 +7,7 @@
  *
  * Where the trace layer (observe/trace.hh) answers "what happened in
  * what order", the registry answers "how much, in total": iteration
- * counts, ladder attempts, solve wall-clock. It is armed by
+ * counts, solves, solve wall-clock. It is armed by
  * SNOOP_METRICS=<path> (the CSV is written at observeFinalize() /
  * process exit through the atomic-file path) or programmatically via
  * metrics().setEnabled(true).

@@ -43,8 +43,8 @@ namespace snoop {
 enum class SolveErrorCode {
     InvalidArgument,  ///< malformed options, spec, or query field
     UnknownProtocol,  ///< protocol name not in the catalog
-    NonConvergence,   ///< iteration budget exhausted, ladder included
-    NonFiniteIterate, ///< NaN/inf iterate survived the recovery ladder
+    NonConvergence,   ///< iteration cap reached before the tolerance
+    NonFiniteIterate, ///< the fixed-point iterate became NaN/inf
     NumericRange,     ///< finished result violates its defining range
     BudgetExhausted,  ///< per-solve wall-clock/iteration budget hit
     InjectedFault,    ///< deliberately injected by util/fault.hh

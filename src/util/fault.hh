@@ -28,9 +28,8 @@
  *  | site                      | effect                                |
  *  |---------------------------|---------------------------------------|
  *  | mva.nan                   | NaN bus wait inside the MVA iteration |
- *  | mva.nonconverge           | every ladder attempt fails (MVA,      |
+ *  | mva.nonconverge           | the solve never converges (MVA,       |
  *  |                           | multiclass, hierarchical)             |
- *  | mva.first_attempt         | first ladder attempt fails (recovers) |
  *  | sweep.cell                | keyed: sweep cell throws              |
  *  | sweep.checkpoint          | keyed by checkpoint ordinal: the      |
  *  |                           | sweep aborts after that commit (the   |

@@ -242,9 +242,9 @@ TEST(Analyzer, FaultedSaturationProbeIsOneStructuredError)
     // Saturation probes only compare busUtil against the target, so
     // they tolerate non-convergence whatever the analyzer's policy:
     // under mva.nonconverge the knee does not move. A probe that fails
-    // outright (a NaN iterate on every rung) must come back as an
-    // error naming the probe, not abort the process. Both hold under
-    // the default options and under an explicit Fatal policy.
+    // outright (a NaN iterate) must come back as an error naming the
+    // probe, not abort the process. Both hold under the default
+    // options and under an explicit Fatal policy.
     auto wl = presets::appendixA(SharingLevel::FivePercent);
     auto protocol = ProtocolConfig::writeOnce();
     MvaOptions fatal;

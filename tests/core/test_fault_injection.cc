@@ -98,8 +98,8 @@ TEST_F(FaultInjection, SweepCellFaultIsIsolated)
 TEST_F(FaultInjection, UnconvergedSweepPublishesNoNumber)
 {
     // Non-convergence is an error under the default options: with
-    // every ladder rung failing, a default-Analyzer sweep fails every
-    // cell instead of publishing unconverged numbers.
+    // every solve failing, a default-Analyzer sweep fails every cell
+    // instead of publishing unconverged numbers.
     ASSERT_TRUE(setFaultSpecs("mva.nonconverge").ok());
     testing::internal::CaptureStderr();
     auto res = runSweep(hswSpec());
@@ -253,59 +253,10 @@ TEST_F(FaultInjection, IoFsyncFaultIsAnErrorNotSilentSuccess)
     std::remove(path.c_str());
 }
 
-TEST_F(FaultInjection, MvaLadderRecoversFromFirstAttemptFault)
-{
-    // Poison only the first MVA attempt: the recovery ladder retries
-    // at heavier damping and the solve still lands.
-    ASSERT_TRUE(setFaultSpecs("mva.first_attempt").ok());
-    MvaSolver solver;
-    auto inputs = DerivedInputs::compute(
-        presets::appendixA(SharingLevel::FivePercent),
-        ProtocolConfig::writeOnce());
-    auto r = solver.solve(inputs, 8);
-    EXPECT_TRUE(r.converged);
-    ASSERT_GE(r.attempts.size(), 2u);
-    EXPECT_FALSE(r.attempts.front().converged);
-    EXPECT_TRUE(r.attempts.back().converged);
-    EXPECT_LT(r.attempts.back().damping, 1.0);
-
-    // The same solve without the fault needs exactly one attempt.
-    clearFaultSpecs();
-    auto clean = solver.solve(inputs, 8);
-    ASSERT_EQ(clean.attempts.size(), 1u);
-    EXPECT_DOUBLE_EQ(clean.attempts.front().damping, 0.5);
-}
-
-TEST_F(FaultInjection, LadderFiresForConfiguredDampingBelowHalf)
-{
-    // Regression for the dead-ladder bug: the old loop iterated the
-    // shared rungs and *broke* on the first rung >= the configured
-    // damping, so with damping 0.3 the 0.5 rung terminated the
-    // ladder and a failed first attempt was never rescued. The fix
-    // skips ineligible rungs instead: attempt 0 runs at 0.3, and the
-    // first retry runs at 0.25 (0.5 is skipped, not a terminator).
-    ASSERT_TRUE(setFaultSpecs("mva.first_attempt").ok());
-    MvaOptions opts;
-    opts.damping = 0.3;
-    MvaSolver solver(opts);
-    auto inputs = DerivedInputs::compute(
-        presets::appendixA(SharingLevel::FivePercent),
-        ProtocolConfig::writeOnce());
-    auto r = solver.trySolve(inputs, 8);
-    ASSERT_TRUE(r.ok()) << r.error().describe();
-    EXPECT_TRUE(r.value().converged);
-    const auto &attempts = r.value().attempts;
-    ASSERT_GE(attempts.size(), 2u);
-    EXPECT_DOUBLE_EQ(attempts[0].damping, 0.3);
-    EXPECT_FALSE(attempts[0].converged);
-    EXPECT_DOUBLE_EQ(attempts[1].damping, 0.25);
-    EXPECT_TRUE(attempts.back().converged);
-}
-
 TEST_F(FaultInjection, NanFaultSurfacesAsStructuredError)
 {
-    // fixed_point.nan poisons every attempt: the ladder exhausts and
-    // the failure comes back as NonFiniteIterate, not a crash.
+    // mva.nan poisons the iterate: the failure comes back as
+    // NonFiniteIterate, not a crash.
     ASSERT_TRUE(setFaultSpecs("mva.nan").ok());
     MvaSolver solver;
     auto inputs = DerivedInputs::compute(

@@ -213,9 +213,9 @@ TEST(Hierarchical, BadOptionsThrowNamingTheField)
     }
 }
 
-/** Ladder tests arm fault sites and Phase tracing; both start and end
+/** Fault tests arm fault sites and Phase tracing; both start and end
  * cleared. */
-class HierarchicalLadder : public testing::Test
+class HierarchicalFaults : public testing::Test
 {
   protected:
     void SetUp() override
@@ -230,7 +230,7 @@ class HierarchicalLadder : public testing::Test
         observeReset();
     }
 
-    /** (damping, converged) of each traced attempt, in rung order. */
+    /** (damping, converged) of each traced attempt, in order. */
     static std::vector<std::pair<double, bool>> tracedAttempts()
     {
         std::vector<std::pair<double, bool>> out;
@@ -246,25 +246,7 @@ class HierarchicalLadder : public testing::Test
     }
 };
 
-TEST_F(HierarchicalLadder, LadderFiresForConfiguredDampingBelowHalf)
-{
-    // 0.5 is not below the configured 0.3, so it is skipped rather
-    // than ending the ladder: the failed first attempt is retried at
-    // 0.25, which converges.
-    ASSERT_TRUE(setFaultSpecs("mva.first_attempt").ok());
-    MvaOptions opts;
-    opts.damping = 0.3;
-    auto res = solveHierarchical(base(), opts);
-    EXPECT_TRUE(res.converged);
-    auto attempts = tracedAttempts();
-    ASSERT_EQ(attempts.size(), 2u);
-    EXPECT_DOUBLE_EQ(attempts[0].first, 0.3);
-    EXPECT_FALSE(attempts[0].second);
-    EXPECT_DOUBLE_EQ(attempts[1].first, 0.25);
-    EXPECT_TRUE(attempts[1].second);
-}
-
-TEST_F(HierarchicalLadder, FatalPolicyThrowsAfterEveryRungFails)
+TEST_F(HierarchicalFaults, NonconvergeIsOneAttemptAndAFatalError)
 {
     ASSERT_TRUE(setFaultSpecs("mva.nonconverge").ok());
     // Fatal is the default: default-constructed options throw too.
@@ -282,9 +264,11 @@ TEST_F(HierarchicalLadder, FatalPolicyThrowsAfterEveryRungFails)
             EXPECT_NE(e.error().message.find("(C=4, P=4)"),
                       std::string::npos);
         }
+        // One attempt at the configured damping, and no retry.
         auto attempts = tracedAttempts();
-        ASSERT_EQ(attempts.size(), 4u);
-        EXPECT_DOUBLE_EQ(attempts.back().first, 0.05);
+        ASSERT_EQ(attempts.size(), 1u);
+        EXPECT_DOUBLE_EQ(attempts[0].first, 0.5);
+        EXPECT_FALSE(attempts[0].second);
     }
 }
 

@@ -58,7 +58,7 @@ TEST(Multiclass, PPrimeBoundaryBranchesMatchFlatSolver)
             d.csupFrac = 0.0;
         for (unsigned n : {2u, 4u, 8u, 16u, 64u}) {
             SCOPED_TRACE("N=" + std::to_string(n));
-            const double p_prime = mvaStepConstants(d, n).pPrime;
+            const double p_prime = mvaStepConstants(d, n).appendixB.pPrime;
             if (p_prime_one)
                 ASSERT_GE(p_prime, 1.0);
             else
@@ -213,9 +213,9 @@ TEST(Multiclass, BadOptionsThrowNamingTheField)
     }
 }
 
-/** Ladder tests arm fault sites and Phase tracing; both start and end
+/** Fault tests arm fault sites and Phase tracing; both start and end
  * cleared. */
-class MulticlassLadder : public testing::Test
+class MulticlassFaults : public testing::Test
 {
   protected:
     void SetUp() override
@@ -230,7 +230,7 @@ class MulticlassLadder : public testing::Test
         observeReset();
     }
 
-    /** (damping, converged) of each traced attempt, in rung order. */
+    /** (damping, converged) of each traced attempt, in order. */
     static std::vector<std::pair<double, bool>> tracedAttempts()
     {
         std::vector<std::pair<double, bool>> out;
@@ -246,27 +246,7 @@ class MulticlassLadder : public testing::Test
     }
 };
 
-TEST_F(MulticlassLadder, LadderFiresForConfiguredDampingBelowHalf)
-{
-    // 0.5 is not below the configured 0.3, so it is skipped rather
-    // than ending the ladder: the failed first attempt is retried at
-    // 0.25, which converges.
-    ASSERT_TRUE(setFaultSpecs("mva.first_attempt").ok());
-    MvaOptions opts;
-    opts.damping = 0.3;
-    auto res = solveMulticlass(
-        {{"all", 8, appendixAInputs(SharingLevel::FivePercent, "")}},
-        opts);
-    EXPECT_TRUE(res.converged);
-    auto attempts = tracedAttempts();
-    ASSERT_EQ(attempts.size(), 2u);
-    EXPECT_DOUBLE_EQ(attempts[0].first, 0.3);
-    EXPECT_FALSE(attempts[0].second);
-    EXPECT_DOUBLE_EQ(attempts[1].first, 0.25);
-    EXPECT_TRUE(attempts[1].second);
-}
-
-TEST_F(MulticlassLadder, FatalPolicyThrowsAfterEveryRungFails)
+TEST_F(MulticlassFaults, NonconvergeIsOneAttemptAndAFatalError)
 {
     ASSERT_TRUE(setFaultSpecs("mva.nonconverge").ok());
     // Fatal is the default: default-constructed options throw too.
@@ -285,9 +265,11 @@ TEST_F(MulticlassLadder, FatalPolicyThrowsAfterEveryRungFails)
             EXPECT_EQ(e.error().code, SolveErrorCode::NonConvergence);
             EXPECT_EQ(e.error().site, "solveMulticlass");
         }
+        // One attempt at the configured damping, and no retry.
         auto attempts = tracedAttempts();
-        ASSERT_EQ(attempts.size(), 4u);
-        EXPECT_DOUBLE_EQ(attempts.back().first, 0.05);
+        ASSERT_EQ(attempts.size(), 1u);
+        EXPECT_DOUBLE_EQ(attempts[0].first, 0.5);
+        EXPECT_FALSE(attempts[0].second);
     }
 }
 
