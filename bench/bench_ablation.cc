@@ -119,20 +119,6 @@ report()
                 "Section 3.)\n");
 }
 
-void
-BM_Ablation_FullVsStripped(benchmark::State &state)
-{
-    auto inputs = DerivedInputs::compute(
-        presets::appendixA(SharingLevel::TwentyPercent),
-        ProtocolConfig::writeOnce());
-    for (auto _ : state) {
-        double acc = ablatedSpeedup(inputs, 10, false, false) +
-            ablatedSpeedup(inputs, 10, true, true);
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_Ablation_FullVsStripped);
-
 } // namespace
 } // namespace snoop::bench
 

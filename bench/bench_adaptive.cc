@@ -47,20 +47,6 @@ report()
                 "phase and the same sweep locates the crossover.\n");
 }
 
-void
-BM_Adaptive_Sweep(benchmark::State &state)
-{
-    MvaSolver solver;
-    auto wl = presets::appendixA(SharingLevel::TwentyPercent);
-    for (auto _ : state) {
-        double acc = 0.0;
-        for (double p : {0.0, 0.25, 0.5, 0.75, 1.0})
-            acc += solver.solve(rwbAdaptiveInputs(wl, p), 20).speedup;
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_Adaptive_Sweep);
-
 } // namespace
 } // namespace snoop::bench
 

@@ -77,25 +77,6 @@ report()
                 "protocols without these modifications.\"\n");
 }
 
-void
-BM_Asymptotic_FullDesignSpace(benchmark::State &state)
-{
-    MvaSolver solver;
-    for (auto _ : state) {
-        double acc = 0.0;
-        for (auto level : kSharingLevels) {
-            auto wl = presets::appendixA(level);
-            for (unsigned idx = 0; idx < 16; ++idx) {
-                auto inputs = DerivedInputs::compute(
-                    wl, ProtocolConfig::fromIndex(idx));
-                acc += solver.solve(inputs, 1000).speedup;
-            }
-        }
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_Asymptotic_FullDesignSpace);
-
 } // namespace
 } // namespace snoop::bench
 

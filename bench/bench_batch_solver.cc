@@ -13,47 +13,28 @@
  * results are bit-identical to the scalar ones, then times the batch
  * engine once more on the full pool. The comparison is written as
  * JSON (default: BENCH_batch_solver.json in the current directory,
- * or the path given as argv[1]).
+ * or the one path argument).
  *
  * `--smoke` runs one quick repetition and reports without gating; the
  * full run exits nonzero if bit-identity breaks or the single-core
  * batch speedup falls below the 4x acceptance floor.
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common.hh"
 #include "mva/batch_solver.hh"
-#include "mva/solver.hh"
-#include "observe/trace.hh"
 #include "util/atomic_file.hh"
-#include "util/logging.hh"
 #include "util/parallel.hh"
-#include "util/strutil.hh"
 
 namespace snoop {
 namespace {
 
-double
-elapsedMs(const std::function<void()> &fn)
-{
-    auto start = std::chrono::steady_clock::now();
-    fn();
-    auto end = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::milli>(end - start).count();
-}
-
-/** Bitwise equality, the standard the determinism contract promises. */
-bool
-sameBits(double a, double b)
-{
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
+using bench::elapsedMs;
+using bench::sameBits;
 
 /** The Table 4-1-shaped grid: every paper cell plus the large-N tail. */
 std::vector<MvaJob>
@@ -199,13 +180,7 @@ run(const char *out_path, bool smoke)
 int
 main(int argc, char **argv)
 {
-    const char *out_path = "BENCH_batch_solver.json";
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else
-            out_path = argv[i];
-    }
-    return snoop::run(out_path, smoke);
+    auto args = snoop::bench::gateArgs(argc, argv,
+                                       "BENCH_batch_solver.json", true);
+    return snoop::run(args.outPath, args.smoke);
 }

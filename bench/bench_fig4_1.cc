@@ -102,24 +102,6 @@ report()
                 at(0, 20), at(1, 20), at(2, 20));
 }
 
-void
-BM_Fig41_AllCurves(benchmark::State &state)
-{
-    MvaSolver solver;
-    for (auto _ : state) {
-        double acc = 0.0;
-        for (const auto &s : kSeries) {
-            auto inputs = DerivedInputs::compute(
-                presets::appendixA(s.level),
-                ProtocolConfig::fromModString(s.mods));
-            for (unsigned n : kCurveNs)
-                acc += solver.solve(inputs, n).speedup;
-        }
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_Fig41_AllCurves);
-
 } // namespace
 } // namespace snoop::bench
 

@@ -96,19 +96,6 @@ report()
                 "underestimate (see src/mva/hierarchical.hh).\n");
 }
 
-void
-BM_Hierarchical_Solve(benchmark::State &state)
-{
-    auto d = DerivedInputs::compute(
-        presets::appendixA(SharingLevel::FivePercent),
-        ProtocolConfig::fromModString("1"));
-    auto cfg = hierarchicalFromFlat(
-        d, static_cast<unsigned>(state.range(0)), 4, 0.8);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(solveHierarchical(cfg).speedup);
-}
-BENCHMARK(BM_Hierarchical_Solve)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
 } // namespace
 } // namespace snoop::bench
 

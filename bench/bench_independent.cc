@@ -119,26 +119,6 @@ report()
     reportArchibaldBaer();
 }
 
-void
-BM_Independent_AllChecks(benchmark::State &state)
-{
-    MvaSolver solver;
-    for (auto _ : state) {
-        double acc = 0.0;
-        acc += solver.solve(
-            DerivedInputs::compute(
-                presets::appendixA(SharingLevel::FivePercent),
-                ProtocolConfig::fromModString("123")), 9)
-            .processingPower;
-        acc += solver.solve(
-            DerivedInputs::compute(presets::highSharing(),
-                                   ProtocolConfig::writeOnce()), 3)
-            .busUtil;
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_Independent_AllChecks);
-
 } // namespace
 } // namespace snoop::bench
 

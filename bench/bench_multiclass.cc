@@ -81,18 +81,6 @@ report()
     std::fputs(u.render().c_str(), stdout);
 }
 
-void
-BM_Multiclass_Solve(benchmark::State &state)
-{
-    auto compute = inputsFor(SharingLevel::FivePercent, "", 2.5);
-    auto io = inputsFor(SharingLevel::TwentyPercent, "", 1.0);
-    std::vector<ProcessorClass> classes = {{"compute", 8, compute},
-                                           {"io", 4, io}};
-    for (auto _ : state)
-        benchmark::DoNotOptimize(solveMulticlass(classes).totalSpeedup);
-}
-BENCHMARK(BM_Multiclass_Solve);
-
 } // namespace
 } // namespace snoop::bench
 

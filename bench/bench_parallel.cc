@@ -11,44 +11,26 @@
  * once serially (1 job) and once on the full pool, verifies the
  * outputs are bit-identical, and writes the wall-clock comparison as
  * a JSON entry (default: BENCH_parallel.json in the current
- * directory, or the path given as argv[1]).
+ * directory, or the one path argument).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common.hh"
 #include "core/sweep.hh"
-#include "observe/trace.hh"
 #include "sim/prob_sim.hh"
 #include "util/atomic_file.hh"
-#include "util/logging.hh"
 #include "util/parallel.hh"
-#include "util/strutil.hh"
-
-#include <thread>
 
 namespace snoop {
 namespace {
 
-double
-elapsedMs(const std::function<void()> &fn)
-{
-    auto start = std::chrono::steady_clock::now();
-    fn();
-    auto end = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::milli>(end - start).count();
-}
-
-/** Bitwise equality, the standard the determinism contract promises. */
-bool
-sameBits(double a, double b)
-{
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
+using bench::elapsedMs;
+using bench::sameBits;
 
 SweepSpec
 sweepSpec()
@@ -228,5 +210,7 @@ run(const char *out_path)
 int
 main(int argc, char **argv)
 {
-    return snoop::run(argc > 1 ? argv[1] : "BENCH_parallel.json");
+    return snoop::run(
+        snoop::bench::gateArgs(argc, argv, "BENCH_parallel.json", false)
+            .outPath);
 }

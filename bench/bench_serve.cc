@@ -16,26 +16,27 @@
  *
  * and writes the latency and fixed-point-iteration comparison as
  * JSON (default: BENCH_serve.json in the current directory, or the
- * path given as argv[1]). Exits nonzero when a cache hit is not at
+ * one path argument). Exits nonzero when a cache hit is not at
  * least 10x cheaper than a cold solve or when warm-started solves do
  * not converge in fewer iterations than cold ones - the two numbers
  * the serve layer is for.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common.hh"
 #include "observe/metrics.hh"
 #include "serve/service.hh"
 #include "util/atomic_file.hh"
-#include "util/logging.hh"
 #include "util/parallel.hh"
 
 namespace snoop {
 namespace {
+
+using bench::elapsedUs;
 
 constexpr unsigned kQueries = 64;
 constexpr unsigned kN = 96;
@@ -65,16 +66,6 @@ queries()
         out.push_back(req);
     }
     return out;
-}
-
-double
-elapsedUs(const std::function<void()> &fn)
-{
-    auto start = std::chrono::steady_clock::now();
-    fn();
-    auto end = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::micro>(end - start)
-        .count();
 }
 
 /** (count, total) of a counter in the current metrics snapshot. */
@@ -246,5 +237,7 @@ run(const char *out_path)
 int
 main(int argc, char **argv)
 {
-    return snoop::run(argc > 1 ? argv[1] : "BENCH_serve.json");
+    return snoop::run(
+        snoop::bench::gateArgs(argc, argv, "BENCH_serve.json", false)
+            .outPath);
 }

@@ -7,11 +7,16 @@
  *  - in contrast, detailed-model cost explodes with N (an hour of
  *    MicroVAX-II time at 10 processors for the GTPN).
  *
- * This bench times the MVA solve across N, prints iteration counts,
- * and shows the state-space growth of the timed-Petri-net baseline -
- * the scaling contrast the paper is about (absolute times are
+ * The report (stdout) prints iteration counts and the state-space
+ * growth of the timed-Petri-net baseline - the scaling contrast the
+ * paper is about. A timing table follows on stderr: the MVA solve,
+ * the Petri-net build + solve, and one simulator point, each by N and
+ * each the median of repeated runs (absolute times are
  * hardware-dependent; the shape is not).
  */
+
+#include <algorithm>
+#include <vector>
 
 #include "common.hh"
 #include "petri/coherence_net.hh"
@@ -19,6 +24,80 @@
 
 namespace snoop::bench {
 namespace {
+
+/** The bus Petri net of an N-processor machine with inputs @p d. */
+CoherenceNetParams
+netParams(const DerivedInputs &d, unsigned n)
+{
+    CoherenceNetParams p;
+    p.numProcessors = n;
+    p.execTime = d.tau + d.timing.tSupply;
+    p.pLocal = d.pLocal;
+    p.pBc = d.pBc;
+    p.pRr = d.pRr;
+    p.tRead = d.tRead;
+    return p;
+}
+
+/** Median wall time of @p runs calls of @p fn, in microseconds. */
+double
+medianUs(int runs, const std::function<void()> &fn)
+{
+    std::vector<double> us;
+    for (int r = 0; r < runs; ++r)
+        us.push_back(elapsedUs(fn));
+    std::nth_element(us.begin(), us.begin() + runs / 2, us.end());
+    return us[runs / 2];
+}
+
+/**
+ * The cost of each model by N, on stderr so the report on stdout stays
+ * byte-stable: the MVA solve, the Petri net's build + solve, and one
+ * 100k-request simulator point. The whole table takes well under a
+ * second.
+ */
+void
+timings(const DerivedInputs &inputs)
+{
+    const int mva_runs = 201, net_runs = 5, sim_runs = 3;
+    Table t({"model", "N", "median", "runs"});
+    t.setAlign(0, Align::Left);
+    MvaSolver solver;
+    for (unsigned n : {1u, 10u, 100u, 1000u, 10000u}) {
+        double us = medianUs(mva_runs, [&] {
+            (void)solver.solve(inputs, n);
+        });
+        t.addRow({"MVA solve", strprintf("%u", n),
+                  strprintf("%.2f us", us), strprintf("%d", mva_runs)});
+    }
+    for (unsigned n : {1u, 2u, 3u, 4u, 5u}) {
+        double us = medianUs(net_runs, [&] {
+            auto net = makeCoherenceNet(netParams(inputs, n));
+            (void)net.net.analyze();
+        });
+        t.addRow({"Petri net build + solve", strprintf("%u", n),
+                  strprintf("%.3f ms", us / 1000.0),
+                  strprintf("%d", net_runs)});
+    }
+    SimConfig sc;
+    sc.workload = presets::appendixA(SharingLevel::FivePercent);
+    sc.protocol = ProtocolConfig::writeOnce();
+    sc.measuredRequests = 100000;
+    for (unsigned n : {2u, 10u}) {
+        sc.numProcessors = n;
+        double us = medianUs(sim_runs, [&] {
+            ++sc.seed;
+            (void)simulate(sc);
+        });
+        t.addRow({"simulator, 100k requests", strprintf("%u", n),
+                  strprintf("%.1f ms", us / 1000.0),
+                  strprintf("%d", sim_runs)});
+    }
+    std::fflush(stdout);
+    std::fprintf(stderr, "\nsolve cost by N (wall clock, median of "
+                         "the runs):\n%s",
+                 t.render().c_str());
+}
 
 void
 report()
@@ -63,16 +142,8 @@ report()
     // Detailed-model state-space explosion.
     banner("detailed-model cost: reachable markings of the bus net");
     Table g({"N", "reachable markings"});
-    auto d = inputs;
     for (unsigned n : {1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
-        CoherenceNetParams p;
-        p.numProcessors = n;
-        p.execTime = d.tau + d.timing.tSupply;
-        p.pLocal = d.pLocal;
-        p.pBc = d.pBc;
-        p.pRr = d.pRr;
-        p.tRead = d.tRead;
-        auto net = makeCoherenceNet(p);
+        auto net = makeCoherenceNet(netParams(inputs, n));
         g.addRow({strprintf("%u", n),
                   strprintf("%zu", net.net.countReachableStates())});
     }
@@ -81,72 +152,9 @@ report()
                 "in this count), vs the size-independent MVA fixed "
                 "point - the \"hours to seconds\" contrast of the "
                 "paper.\n");
-}
 
-void
-BM_Solver_ByN(benchmark::State &state)
-{
-    MvaSolver solver;
-    auto inputs = DerivedInputs::compute(
-        presets::appendixA(SharingLevel::FivePercent),
-        ProtocolConfig::writeOnce());
-    unsigned n = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(solver.solve(inputs, n).speedup);
+    timings(inputs);
 }
-BENCHMARK(BM_Solver_ByN)->Arg(1)->Arg(10)->Arg(100)->Arg(1000)
-    ->Arg(10000);
-
-void
-BM_Solver_DerivedInputs(benchmark::State &state)
-{
-    auto wl = presets::appendixA(SharingLevel::FivePercent);
-    auto cfg = ProtocolConfig::fromModString("14");
-    for (auto _ : state) {
-        auto d = DerivedInputs::compute(wl, cfg);
-        benchmark::DoNotOptimize(d.tRead);
-    }
-}
-BENCHMARK(BM_Solver_DerivedInputs);
-
-void
-BM_DetailedNet_ByN(benchmark::State &state)
-{
-    auto d = DerivedInputs::compute(
-        presets::appendixA(SharingLevel::FivePercent),
-        ProtocolConfig::writeOnce());
-    CoherenceNetParams p;
-    p.numProcessors = static_cast<unsigned>(state.range(0));
-    p.execTime = d.tau + d.timing.tSupply;
-    p.pLocal = d.pLocal;
-    p.pBc = d.pBc;
-    p.pRr = d.pRr;
-    p.tRead = d.tRead;
-    for (auto _ : state) {
-        auto net = makeCoherenceNet(p);
-        benchmark::DoNotOptimize(
-            coherenceNetSpeedup(net, net.net.analyze()));
-    }
-}
-BENCHMARK(BM_DetailedNet_ByN)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_DetailedSim_ByN(benchmark::State &state)
-{
-    SimConfig sc;
-    sc.numProcessors = static_cast<unsigned>(state.range(0));
-    sc.workload = presets::appendixA(SharingLevel::FivePercent);
-    sc.protocol = ProtocolConfig::writeOnce();
-    sc.measuredRequests = 100000;
-    uint64_t seed = 1;
-    for (auto _ : state) {
-        sc.seed = seed++;
-        benchmark::DoNotOptimize(simulate(sc).speedup);
-    }
-}
-BENCHMARK(BM_DetailedSim_ByN)->Arg(2)->Arg(10)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace snoop::bench

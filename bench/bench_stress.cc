@@ -50,33 +50,6 @@ report()
     std::fputs(t.render().c_str(), stdout);
 }
 
-void
-BM_Stress_MvaSolve(benchmark::State &state)
-{
-    MvaSolver solver;
-    auto inputs = DerivedInputs::compute(presets::stressTest(),
-                                         ProtocolConfig::writeOnce());
-    for (auto _ : state)
-        benchmark::DoNotOptimize(solver.solve(inputs, 10).speedup);
-}
-BENCHMARK(BM_Stress_MvaSolve);
-
-void
-BM_Stress_SimPoint(benchmark::State &state)
-{
-    SimConfig sc;
-    sc.workload = presets::stressTest();
-    sc.protocol = ProtocolConfig::writeOnce();
-    sc.numProcessors = 10;
-    sc.measuredRequests = 100000;
-    uint64_t seed = 1;
-    for (auto _ : state) {
-        sc.seed = seed++;
-        benchmark::DoNotOptimize(simulate(sc).speedup);
-    }
-}
-BENCHMARK(BM_Stress_SimPoint)->Unit(benchmark::kMillisecond);
-
 } // namespace
 } // namespace snoop::bench
 

@@ -11,13 +11,6 @@ report()
     reportTable41(Table41::B, "speedups for enhancement 1 (exclusive-on-miss)");
 }
 
-void
-BM_Table41b_MvaSweep(benchmark::State &state)
-{
-    mvaSubTableTiming(state, Table41::B);
-}
-BENCHMARK(BM_Table41b_MvaSweep);
-
 } // namespace
 } // namespace snoop::bench
 

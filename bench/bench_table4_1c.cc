@@ -12,13 +12,6 @@ report()
                   "speedups for enhancements 1 and 4 (broadcast update)");
 }
 
-void
-BM_Table41c_MvaSweep(benchmark::State &state)
-{
-    mvaSubTableTiming(state, Table41::C);
-}
-BENCHMARK(BM_Table41c_MvaSweep);
-
 } // namespace
 } // namespace snoop::bench
 

@@ -71,42 +71,6 @@ report()
                     ? "<" : ">");
 }
 
-void
-BM_Validation_OneSweepMva(benchmark::State &state)
-{
-    MvaSolver solver;
-    auto inputs = DerivedInputs::compute(
-        presets::appendixA(SharingLevel::FivePercent),
-        ProtocolConfig::writeOnce());
-    for (auto _ : state) {
-        double acc = 0.0;
-        for (unsigned n : {1u, 2u, 4u, 6u, 8u, 10u})
-            acc += solver.solve(inputs, n).speedup;
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_Validation_OneSweepMva);
-
-void
-BM_Validation_OneSweepSim(benchmark::State &state)
-{
-    uint64_t seed = 1;
-    for (auto _ : state) {
-        double acc = 0.0;
-        for (unsigned n : {1u, 2u, 4u, 6u, 8u, 10u}) {
-            SimConfig sc;
-            sc.numProcessors = n;
-            sc.workload = presets::appendixA(SharingLevel::FivePercent);
-            sc.protocol = ProtocolConfig::writeOnce();
-            sc.seed = seed++;
-            sc.measuredRequests = 100000;
-            acc += simulate(sc).speedup;
-        }
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_Validation_OneSweepSim)->Unit(benchmark::kMillisecond);
-
 } // namespace
 } // namespace snoop::bench
 

@@ -4,8 +4,7 @@
  * @file
  * Shared implementation of the three Table 4.1 regeneration benches
  * (experiments E1-E3 of DESIGN.md). Each sub-table bench calls
- * reportTable41() with its sub-table id and registers the same solver
- * timing benchmarks.
+ * reportTable41() with its sub-table id.
  */
 
 #include <vector>
@@ -85,24 +84,6 @@ reportTable41(Table41 sub_table, const std::string &caption)
     std::printf("worst deviation of our MVA from the paper's published "
                 "MVA column: %s\n",
                 formatPercent(worst_vs_paper, 2).c_str());
-}
-
-/** google-benchmark: one full sub-table of MVA solves. */
-inline void
-mvaSubTableTiming(benchmark::State &state, Table41 sub_table)
-{
-    MvaSolver solver;
-    auto mods = ProtocolConfig::fromModString(table41Mods(sub_table));
-    for (auto _ : state) {
-        double acc = 0.0;
-        for (const auto &row : paperTable41(sub_table)) {
-            auto inputs = DerivedInputs::compute(
-                presets::appendixA(row.level), mods);
-            for (unsigned n : table41Ns())
-                acc += solver.solve(inputs, n).speedup;
-        }
-        benchmark::DoNotOptimize(acc);
-    }
 }
 
 } // namespace snoop::bench
