@@ -134,15 +134,16 @@ struct HotSoA
 
 #if defined(__GNUC__) && defined(__x86_64__) && !defined(__clang__) && \
     !defined(__SANITIZE_THREAD__)
-/** Compile the fused tick once per x86 SIMD level and dispatch at
- * load time, so one portable binary still gets 4- or 8-wide lanes on
- * AVX2/AVX-512 hosts. Every clone performs the same IEEE operations
- * in the same order, so the selected clone never changes the bits.
- * Not under ThreadSanitizer: the instrumented ifunc resolver runs
- * before the TSan runtime is initialized and crashes the process
- * before main(). */
+/** Compile the fused tick a second time for AVX-512F and dispatch at
+ * load time, so one portable binary still gets 8-wide lanes on
+ * AVX-512 hosts. Other hosts run the scalar default: GCC 12 leaves
+ * an AVX2 clone scalar too, so one would add code and no width.
+ * Both clones perform the same IEEE operations in the same order, so
+ * the selected clone never changes the bits. Not under
+ * ThreadSanitizer: the instrumented ifunc resolver runs before the
+ * TSan runtime is initialized and crashes the process before main(). */
 #define SNOOP_MVA_TICK_CLONES \
-    __attribute__((target_clones("default", "avx2", "avx512f")))
+    __attribute__((target_clones("default", "avx512f")))
 #else
 #define SNOOP_MVA_TICK_CLONES
 #endif
