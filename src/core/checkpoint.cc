@@ -196,9 +196,9 @@ JsonValue
 mvaResultToJson(const MvaResult &result)
 {
     // The persisted subset: every performance measure plus the scalar
-    // solver diagnostics. attempts, convergenceTrace, and inputs stay
-    // in-process only (header rationale); none of them feed any sweep
-    // output, so restored cells render byte-identically.
+    // solver diagnostics. attempts and inputs stay in-process only
+    // (header rationale); neither feeds any sweep output, so restored
+    // cells render byte-identically.
     JsonValue::Object o;
     o["numProcessors"] = JsonValue(result.numProcessors);
     o["speedup"] = numberOrNull(result.speedup);

@@ -199,7 +199,7 @@ struct SweepResult
  * (core/checkpoint.hh), and a restart resumes from the last commit
  * with output byte-identical to an uninterrupted run. Restored cells
  * carry every performance measure bit-exactly but not the solver
- * diagnostics (attempts, convergenceTrace, derived inputs) - see
+ * diagnostics (attempts, derived inputs) - see
  * docs/SHARDING.md.
  *
  * Run-level failures (malformed spec, unreadable or mismatched

@@ -305,8 +305,7 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
             hot.push(lanes[i], i);
         else
             pending.push_back(i);
-        tracing = tracing || lanes[i].recordIters ||
-            lanes[i].opts.recordTrace;
+        tracing = tracing || lanes[i].recordIters;
     }
     size_t next = 0;
 
@@ -371,8 +370,6 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
                 }
             } else {
                 const double delta = hot[H::kDelta][s];
-                if (lane.opts.recordTrace)
-                    lane.convTrace.push_back(delta);
                 if (lane.recordIters)
                     lane.replay.push_back(delta);
 

@@ -88,7 +88,7 @@ struct HierarchicalResult
  *
  * Of @p options it honours maxIterations, tolerance, damping and
  * onNonConvergence (solveExtension, mva/lane.hh). Invalid options, or
- * a non-default timeBudget, iterationBudget or recordTrace, throw an
+ * a non-default timeBudget or iterationBudget, throw an
  * InvalidArgument SolveException.
  */
 HierarchicalResult solveHierarchical(const HierarchicalConfig &config,

@@ -212,8 +212,6 @@ MvaLane::step()
     const double delta = std::fabs(o.rNew - rTotal);
     const double step_size = mvaStepSize(w_bus_next, wBus, w_mem_next,
                                          wMem, o.rNew, rTotal);
-    if (opts.recordTrace)
-        convTrace.push_back(delta);
     if (recordIters)
         replay.push_back(delta);
 
@@ -278,7 +276,6 @@ MvaLane::finish()
     r.speedup = consts.numProc * (inputs.tau + consts.tSupply) / rTotal;
     r.processingPower = consts.numProc * inputs.tau / rTotal;
     r.attempts = {attempt};
-    r.convergenceTrace = std::move(convTrace);
 
     SNOOP_TRY(MvaResult fin, disposeMvaResult(std::move(r), opts, n, inputs));
     if (auto err = validateMvaResult(fin))

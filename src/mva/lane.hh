@@ -85,7 +85,6 @@ struct MvaLane
     bool timed = false, warm = false;
     bool recordIters = false; ///< buffer deltas for the trace replay
     clock::time_point deadline;
-    std::vector<double> convTrace;
     /** The iteration deltas buffered for the trace replay. */
     std::vector<double> replay;
 
@@ -146,8 +145,8 @@ runMvaLanes(MvaLane *lanes, size_t count, Done &&done)
  * The shared frame of the model's extensions (solveMulticlass,
  * solveHierarchical), whose fixed points carry more waits than a lane
  * holds. @p opts is admitted first: checkMvaOptions' rules, plus
- * timeBudget, iterationBudget and recordTrace, which these drivers do
- * not honour, left at their defaults; a violation throws an
+ * timeBudget and iterationBudget, which these drivers do not honour,
+ * left at their defaults; a violation throws an
  * InvalidArgument SolveException reported at @p site naming the
  * field. @p solve() then runs the fixed point from the cold start and
  * returns its result (`.converged`, `.iterations`); mva.nonconverge
@@ -170,7 +169,6 @@ solveExtension(const MvaOptions &opts, const char *scope,
     }
     const char *ignored = opts.timeBudget != 0.0 ? "timeBudget"
         : opts.iterationBudget != 0              ? "iterationBudget"
-        : opts.recordTrace                       ? "recordTrace"
                                                  : nullptr;
     if (ignored != nullptr) {
         throw SolveException(makeError(

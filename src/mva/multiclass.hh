@@ -66,7 +66,7 @@ struct MulticlassResult
  *
  * Of @p options it honours maxIterations, tolerance, damping and
  * onNonConvergence (solveExtension, mva/lane.hh). Invalid options, or
- * a non-default timeBudget, iterationBudget or recordTrace, throw an
+ * a non-default timeBudget or iterationBudget, throw an
  * InvalidArgument SolveException.
  */
 MulticlassResult solveMulticlass(const std::vector<ProcessorClass> &classes,

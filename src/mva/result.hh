@@ -72,8 +72,6 @@ struct MvaResult
     bool warmStarted = false;
     /** The solve's one attempt, as a record (docs/CORRECTNESS.md). */
     std::vector<SolveAttempt> attempts;
-    /** |R_k - R_{k-1}| per iteration, for the convergence study. */
-    std::vector<double> convergenceTrace;
 
     /** The derived inputs the solve consumed. */
     DerivedInputs inputs;

@@ -54,8 +54,6 @@ struct MvaOptions
      * "Solution technique").
      */
     double damping = 0.5;
-    /** Record the per-iteration residual trace in the result. */
-    bool recordTrace = false;
     /** Behavior when the solve ends without converging. */
     NonConvergencePolicy onNonConvergence = NonConvergencePolicy::Fatal;
     /**

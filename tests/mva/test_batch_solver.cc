@@ -1,8 +1,8 @@
 /**
  * Tests for the SoA batch engine (BatchMvaSolver): every lane must be
  * bit-identical to the scalar MvaSolver::trySolve of the same cell -
- * the same measures, diagnostics, attempt record, and convergence
- * trace, at any SNOOP_JOBS setting - and a faulted lane (non-finite
+ * the same measures, diagnostics, attempt record, and per-iteration
+ * trace deltas, at any SNOOP_JOBS setting - and a faulted lane (non-finite
  * inputs, injected solver faults, invalid arguments) must fail alone,
  * with the same structured error the scalar engine produces, without
  * perturbing its neighbors. Since both engines share the lane
@@ -18,9 +18,11 @@
 #include <utility>
 #include <vector>
 
+#include "iteration_deltas.hh"
 #include "mva/batch_solver.hh"
 #include "mva/kernel.hh"
 #include "mva/solver.hh"
+#include "observe/trace.hh"
 #include "util/fault.hh"
 #include "util/parallel.hh"
 
@@ -97,7 +99,6 @@ expectBitIdentical(const MvaResult &a, const MvaResult &b)
     EXPECT_EQ(a.nonFinite, b.nonFinite);
     EXPECT_EQ(a.budgetExhausted, b.budgetExhausted);
     EXPECT_EQ(a.warmStarted, b.warmStarted);
-    EXPECT_EQ(a.convergenceTrace, b.convergenceTrace);
     ASSERT_EQ(a.attempts.size(), b.attempts.size());
     for (size_t k = 0; k < a.attempts.size(); ++k) {
         EXPECT_EQ(a.attempts[k].damping, b.attempts[k].damping);
@@ -133,10 +134,12 @@ expectBatchMatchesScalar(const std::vector<Expected<MvaResult>> &batch,
  * against code that shares none of it. The stop test is spelled out
  * here too rather than calling the kernel's mvaStepSize/mvaConverged:
  * the solve stops once the largest relative step s over (wBus, wMem,
- * R) is below tol.
+ * R) is below tol. Each iteration's |R_k - R_{k-1}| is appended to
+ * @p deltas.
  */
 MvaResult
-referenceSolve(const DerivedInputs &d, unsigned n, const MvaOptions &opts)
+referenceSolve(const DerivedInputs &d, unsigned n, const MvaOptions &opts,
+               std::vector<double> &deltas)
 {
     const MvaStepConstants c = mvaStepConstants(d, n);
     const double damping = opts.damping;
@@ -162,8 +165,7 @@ referenceSolve(const DerivedInputs &d, unsigned n, const MvaOptions &opts)
         r_total = o.rNew;
         r.iterations = it;
         r.residual = delta;
-        if (opts.recordTrace)
-            r.convergenceTrace.push_back(delta);
+        deltas.push_back(delta);
         r.rLocal = o.rLocal;
         r.rBroadcast = o.rBc;
         r.rRemoteRead = o.rRr;
@@ -233,13 +235,29 @@ TEST_F(BatchSolver, BitIdenticalToScalarAcrossTheGridAtAnyJobCount)
 TEST_F(BatchSolver, BothEnginesMatchTheIndependentReferenceLoop)
 {
     MvaOptions opts;
-    opts.recordTrace = true;
     opts.onNonConvergence = NonConvergencePolicy::Accept;
     std::vector<MvaJob> jobs = tableGridJobs(opts);
-    auto scalar = scalarReference(jobs);
-    auto batch = BatchMvaSolver().solveBatch(jobs);
+    // Every solve replays its iteration deltas into the trace under a
+    // task of its own: batch lane i under traceKey i + 1, scalar cell
+    // i under task scalar_task + i.
+    const uint64_t scalar_task = jobs.size() + 1;
+    for (size_t i = 0; i < jobs.size(); ++i)
+        jobs[i].traceKey = i + 1;
+    observeReset();
+    setTrace(TraceLevel::Iteration);
+    std::vector<Expected<MvaResult>> scalar;
     for (size_t i = 0; i < jobs.size(); ++i) {
-        MvaResult ref = referenceSolve(jobs[i].inputs, jobs[i].n, opts);
+        TraceTaskScope scope(scalar_task + i);
+        scalar.push_back(
+            MvaSolver(opts).trySolve(jobs[i].inputs, jobs[i].n));
+    }
+    auto batch = BatchMvaSolver().solveBatch(jobs);
+    const std::vector<TraceEvent> events = snapshotTraceEvents();
+    observeReset();
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        std::vector<double> ref_deltas;
+        MvaResult ref =
+            referenceSolve(jobs[i].inputs, jobs[i].n, opts, ref_deltas);
         SCOPED_TRACE("cell " + std::to_string(i));
         EXPECT_TRUE(ref.converged);
         ASSERT_TRUE(scalar[i].ok());
@@ -248,6 +266,8 @@ TEST_F(BatchSolver, BothEnginesMatchTheIndependentReferenceLoop)
         EXPECT_EQ(batch[i].value().attempts.size(), 1u);
         expectBitIdentical(scalar[i].value(), ref);
         expectBitIdentical(batch[i].value(), ref);
+        EXPECT_EQ(iterationDeltas(events, scalar_task + i), ref_deltas);
+        EXPECT_EQ(iterationDeltas(events, i + 1), ref_deltas);
     }
 }
 

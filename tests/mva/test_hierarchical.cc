@@ -185,21 +185,19 @@ TEST(Hierarchical, BadConfigThrows)
 TEST(Hierarchical, BadOptionsThrowNamingTheField)
 {
     // Damping 0 once returned speedup 13.76 marked converged (9.58
-    // at damping 1); the budgets and the trace were silently ignored.
-    // All are rejected now.
+    // at damping 1); the budgets were silently ignored. All are
+    // rejected now.
     auto d = DerivedInputs::compute(
         presets::appendixA(SharingLevel::FivePercent),
         ProtocolConfig::writeOnce());
     const HierarchicalConfig cfg = hierarchicalFromFlat(d, 4, 4, 0.5);
-    std::vector<std::pair<MvaOptions, std::string>> cases(4);
+    std::vector<std::pair<MvaOptions, std::string>> cases(3);
     cases[0].first.damping = 0.0;
     cases[0].second = "damping";
     cases[1].first.timeBudget = 1.0;
     cases[1].second = "timeBudget";
     cases[2].first.iterationBudget = 3;
     cases[2].second = "iterationBudget";
-    cases[3].first.recordTrace = true;
-    cases[3].second = "recordTrace";
     for (const auto &[opts, field] : cases) {
         try {
             solveHierarchical(cfg, opts);

@@ -187,19 +187,17 @@ TEST(Multiclass, BadInputsThrow)
 TEST(Multiclass, BadOptionsThrowNamingTheField)
 {
     // Damping 0 once froze the waits at zero and returned speedup
-    // 13.34 marked converged (6.44 at damping 1); the budgets and the
-    // trace were silently ignored. All are rejected now.
+    // 13.34 marked converged (6.44 at damping 1); the budgets were
+    // silently ignored. All are rejected now.
     auto inputs = appendixAInputs(SharingLevel::FivePercent, "1");
     const std::vector<ProcessorClass> classes = {{"all", 16, inputs}};
-    std::vector<std::pair<MvaOptions, std::string>> cases(4);
+    std::vector<std::pair<MvaOptions, std::string>> cases(3);
     cases[0].first.damping = 0.0;
     cases[0].second = "damping";
     cases[1].first.timeBudget = 1.0;
     cases[1].second = "timeBudget";
     cases[2].first.iterationBudget = 3;
     cases[2].second = "iterationBudget";
-    cases[3].first.recordTrace = true;
-    cases[3].second = "recordTrace";
     for (const auto &[opts, field] : cases) {
         try {
             solveMulticlass(classes, opts);

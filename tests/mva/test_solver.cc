@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "iteration_deltas.hh"
 #include "mva/solver.hh"
+#include "observe/trace.hh"
 
 namespace snoop {
 namespace {
@@ -100,24 +102,28 @@ TEST(MvaSolver, ConvergesWithinPaperBudget)
 
 TEST(MvaSolver, TraceIsRecordedOnRequest)
 {
-    MvaOptions opts;
-    opts.recordTrace = true;
-    MvaSolver solver(opts);
+    observeReset();
+    setTrace(TraceLevel::Iteration);
+    MvaSolver solver;
     auto r = solver.solve(appendixAInputs(SharingLevel::FivePercent, ""), 6);
-    EXPECT_EQ(static_cast<int>(r.convergenceTrace.size()), r.iterations);
-    EXPECT_EQ(r.convergenceTrace.back(), r.residual);
+    const std::vector<double> deltas =
+        iterationDeltas(snapshotTraceEvents(), 0);
+    observeReset();
+    ASSERT_EQ(static_cast<int>(deltas.size()), r.iterations);
+    EXPECT_EQ(deltas.back(), r.residual);
     // The trace holds |R_k - R_{k-1}|, and the stop test (mvaConverged)
     // bounds R's step relative to max(1, |R|): the last entry is below
     // the tolerance on that scale.
-    EXPECT_LT(r.convergenceTrace.back() / std::max(1.0, r.responseTime),
+    EXPECT_LT(deltas.back() / std::max(1.0, r.responseTime),
               solver.options().tolerance);
 }
 
 TEST(MvaSolver, TraceOffByDefault)
 {
+    observeReset();
     MvaSolver solver;
-    auto r = solver.solve(appendixAInputs(SharingLevel::FivePercent, ""), 6);
-    EXPECT_TRUE(r.convergenceTrace.empty());
+    (void)solver.solve(appendixAInputs(SharingLevel::FivePercent, ""), 6);
+    EXPECT_TRUE(iterationDeltas(snapshotTraceEvents(), 0).empty());
 }
 
 TEST(MvaSolver, SweepMatchesIndividualSolves)
