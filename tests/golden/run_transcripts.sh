@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Golden byte test for the stdout of whole programs.
 #
-#   run_transcripts.sh <golden-dir> <workdir> <binary>... [-- <arg>...]
-#   run_transcripts.sh --generate <golden-dir> <workdir> <binary>... [-- <arg>...]
+#   run_transcripts.sh <golden-dir> <workdir> <binary>...
+#   run_transcripts.sh --generate <golden-dir> <workdir> <binary>...
 #
-# Runs each binary with the given arguments at SNOOP_JOBS=1 and 4 and
+# Runs each binary without arguments at SNOOP_JOBS=1 and 4 and
 # cmp's its stdout against <golden-dir>/<binary-name>.out. A binary
 # that exits non-zero fails the test; stderr is dropped. --generate
 # rewrites the goldens from the SNOOP_JOBS=1 runs instead. Used for the
-# Table 4.1 benches (with --benchmark_filter='^$', so only the tables
-# print) and for tools/calibrate.
+# bench report programs, tools/calibrate and examples/sensitivity_study.
 set -u
 . "$(dirname "$0")/golden_lib.sh"
 
@@ -18,17 +17,11 @@ if [ "${1:-}" = "--generate" ]; then
     GENERATE=1
     shift
 fi
-USAGE="usage: run_transcripts.sh [--generate] <golden-dir> <workdir> <binary>... [-- <arg>...]"
+USAGE="usage: run_transcripts.sh [--generate] <golden-dir> <workdir> <binary>..."
 GOLDEN=${1:?$USAGE}
 WORKDIR=${2:?$USAGE}
 shift 2
-BINARIES=()
-while [ $# -gt 0 ] && [ "$1" != "--" ]; do
-    BINARIES+=("$1")
-    shift
-done
-[ $# -gt 0 ] && shift
-ARGS=("$@")
+BINARIES=("$@")
 [ ${#BINARIES[@]} -gt 0 ] || { echo "$USAGE" >&2; exit 2; }
 
 mkdir -p "$WORKDIR"
@@ -40,7 +33,7 @@ run() {
     name=$(basename "$1")
     out="$WORKDIR/$name.j$2.out"
     env -u SNOOP_FAULT -u SNOOP_TRACE -u SNOOP_METRICS SNOOP_JOBS="$2" \
-        "$1" "${ARGS[@]}" > "$out" 2>/dev/null ||
+        "$1" > "$out" 2>/dev/null ||
         fail "$name at SNOOP_JOBS=$2 exited non-zero"
 }
 
@@ -50,8 +43,7 @@ for bin in "${BINARIES[@]}"; do
     if [ "$GENERATE" -eq 1 ]; then
         mkdir -p "$GOLDEN"
         run "$bin" 1
-        golden_write "$GOLDEN/$name.out" "$name${ARGS[*]:+ ${ARGS[*]}}" \
-            "$WORKDIR/$name.j1.out"
+        golden_write "$GOLDEN/$name.out" "$name" "$WORKDIR/$name.j1.out"
         continue
     fi
     for jobs in 1 4; do
