@@ -30,11 +30,8 @@
 #include "util/atomic_file.hh"
 #include "util/parallel.hh"
 
-namespace snoop {
+namespace snoop::bench {
 namespace {
-
-using bench::elapsedMs;
-using bench::sameBits;
 
 /** The Table 4-1-shaped grid: every paper cell plus the large-N tail. */
 std::vector<MvaJob>
@@ -175,12 +172,12 @@ run(const char *out_path, bool smoke)
 }
 
 } // namespace
-} // namespace snoop
+} // namespace snoop::bench
 
 int
 main(int argc, char **argv)
 {
     auto args = snoop::bench::gateArgs(argc, argv,
                                        "BENCH_batch_solver.json", true);
-    return snoop::run(args.outPath, args.smoke);
+    return snoop::bench::run(args.outPath, args.smoke);
 }

@@ -26,11 +26,8 @@
 #include "util/atomic_file.hh"
 #include "util/parallel.hh"
 
-namespace snoop {
+namespace snoop::bench {
 namespace {
-
-using bench::elapsedMs;
-using bench::sameBits;
 
 SweepSpec
 sweepSpec()
@@ -205,12 +202,12 @@ run(const char *out_path)
 }
 
 } // namespace
-} // namespace snoop
+} // namespace snoop::bench
 
 int
 main(int argc, char **argv)
 {
-    return snoop::run(
+    return snoop::bench::run(
         snoop::bench::gateArgs(argc, argv, "BENCH_parallel.json", false)
             .outPath);
 }

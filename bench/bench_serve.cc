@@ -33,10 +33,8 @@
 #include "util/atomic_file.hh"
 #include "util/parallel.hh"
 
-namespace snoop {
+namespace snoop::bench {
 namespace {
-
-using bench::elapsedUs;
 
 constexpr unsigned kQueries = 64;
 constexpr unsigned kN = 96;
@@ -232,12 +230,12 @@ run(const char *out_path)
 }
 
 } // namespace
-} // namespace snoop
+} // namespace snoop::bench
 
 int
 main(int argc, char **argv)
 {
-    return snoop::run(
+    return snoop::bench::run(
         snoop::bench::gateArgs(argc, argv, "BENCH_serve.json", false)
             .outPath);
 }
