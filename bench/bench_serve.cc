@@ -1,25 +1,21 @@
 /**
  * @file
  * Serve-layer benchmark: the acceptance gauge for the snoop_serve
- * cache and warm-start continuation (src/serve/, docs/SERVING.md).
+ * solution cache (src/serve/, docs/SERVING.md).
  *
  * It drives one query population - 64 near-duplicate analyze queries
  * on a hSw grid, the parameter-study traffic the service exists for -
- * through three regimes:
+ * through two regimes:
  *
  *  - cold:   every query solved from the Section 3.2 start, cache
  *            bypassed (the no-service baseline);
  *  - cached: the population served again over a primed cache (every
  *            query an exact hit);
- *  - warm:   a fresh cache primed with one anchor solve, every
- *            other query seeded from its nearest cached neighbor.
  *
- * and writes the latency and fixed-point-iteration comparison as
- * JSON (default: BENCH_serve.json in the current directory, or the
- * one path argument). Exits nonzero when a cache hit is not at
- * least 10x cheaper than a cold solve or when warm-started solves do
- * not converge in fewer iterations than cold ones - the two numbers
- * the serve layer is for.
+ * and writes the latency comparison as JSON (default:
+ * BENCH_serve.json in the current directory, or the one path
+ * argument). Exits nonzero when a cache hit is not at least 10x
+ * cheaper than a cold solve - the number the cache is for.
  */
 
 #include <cstdio>
@@ -87,32 +83,19 @@ run(const char *out_path)
     const int cached_reps = 50;
     const std::vector<Request> pop = queries();
 
-    // Iteration counts come from dedicated instrumented passes; the
-    // timed passes below run with the registry disabled so they
+    // The iteration count comes from a dedicated instrumented pass;
+    // the timed passes below run with the registry disabled so they
     // measure the service, not the metrics mutex.
     metrics().setEnabled(true);
     metrics().reset();
     {
-        ServeOptions opts;
-        opts.warmStart = false;
-        SolveService service(opts);
+        SolveService service;
         for (const Request &req : pop)
             service.handle(req);
     }
     auto [cold_solves, cold_iters] = counter("serve.cold_iterations");
     double cold_iter_mean =
         cold_solves ? cold_iters / static_cast<double>(cold_solves) : 0;
-
-    metrics().reset();
-    {
-        SolveService service;
-        service.handle(pop[0]); // anchor solves cold
-        for (unsigned i = 1; i < kQueries; ++i)
-            service.handle(pop[i]);
-    }
-    auto [warm_solves, warm_iters] = counter("serve.warm_iterations");
-    double warm_iter_mean =
-        warm_solves ? warm_iters / static_cast<double>(warm_solves) : 0;
     metrics().setEnabled(false);
 
     /** True when the response reports result.cached == expected. */
@@ -126,9 +109,7 @@ run(const char *out_path)
     // --- cold: cache bypassed, Section 3.2 start every time.
     double cold_us = 0.0;
     {
-        ServeOptions opts;
-        opts.warmStart = false;
-        SolveService service(opts);
+        SolveService service;
         std::vector<Request> bypass = pop;
         for (Request &req : bypass)
             req.noCache = true;
@@ -157,24 +138,9 @@ run(const char *out_path)
     }
     double cached_per_query = cached_us / (cached_reps * kQueries);
 
-    // --- warm: fresh cache, one anchor, neighbors seeded from it
-    // (and from each other as the pass fills the cache).
-    double warm_us = 0.0;
-    {
-        SolveService service;
-        service.handle(pop[0]); // anchor (cold, not timed)
-        warm_us = elapsedUs([&] {
-            for (unsigned i = 1; i < kQueries; ++i)
-                service.handle(pop[i]);
-        });
-    }
-    double warm_per_query = warm_us / (kQueries - 1);
-
-    bool warm_complete = warm_solves == kQueries - 1;
     double hit_speedup =
         cached_per_query > 0 ? cold_per_query / cached_per_query : 0;
     bool hit_ok = hits_complete && hit_speedup >= 10.0;
-    bool warm_ok = warm_complete && warm_iter_mean < cold_iter_mean;
 
     std::string json = strprintf(
         "{\n"
@@ -192,20 +158,13 @@ run(const char *out_path)
         "    \"repetitions\": %d, \"us_per_query\": %.2f,\n"
         "    \"all_hits\": %s,\n"
         "    \"speedup_vs_cold\": %.1f, \"at_least_10x\": %s\n"
-        "  },\n"
-        "  \"warm\": {\n"
-        "    \"us_per_query\": %.2f,\n"
-        "    \"solves\": %llu, \"iterations_mean\": %.2f,\n"
-        "    \"fewer_iterations_than_cold\": %s\n"
         "  }\n"
         "}\n",
         std::thread::hardware_concurrency(), kQueries, kN, kBaseHsw,
         kBaseHsw + (kQueries - 1) * kStep, kStep, cold_reps,
         cold_per_query, cold_iter_mean, cached_reps, cached_per_query,
         hits_complete ? "true" : "false", hit_speedup,
-        hit_ok ? "true" : "false", warm_per_query,
-        static_cast<unsigned long long>(warm_solves), warm_iter_mean,
-        warm_ok ? "true" : "false");
+        hit_ok ? "true" : "false");
 
     std::fputs(json.c_str(), stdout);
     AtomicFile out(out_path);
@@ -219,11 +178,6 @@ run(const char *out_path)
 
     if (!hit_ok) {
         warn("cache hits are not >= 10x cheaper than cold solves");
-        return 1;
-    }
-    if (!warm_ok) {
-        warn("warm-started solves did not converge in fewer "
-             "iterations than cold ones");
         return 1;
     }
     return 0;

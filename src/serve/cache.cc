@@ -106,21 +106,13 @@ SolutionCache::SolutionCache(size_t capacity, double quantum)
                   "SolutionCache: quantum must be positive and finite");
 }
 
-void
-SolutionCache::touch(Recency::iterator it)
-{
-    Recency &list = recency_[it->key.protocolIndex];
-    list.splice(list.begin(), list, it);
-    it->lastUse = ++clock_;
-}
-
 const MvaResult *
 SolutionCache::find(const CacheKey &key)
 {
-    Recency::iterator *it = index_.find(key);
+    Lru::iterator *it = index_.find(key);
     if (it == nullptr)
         return nullptr;
-    touch(*it);
+    lru_.splice(lru_.begin(), lru_, *it);
     return &(*it)->result;
 }
 
@@ -129,40 +121,29 @@ SolutionCache::insert(const CacheKey &key, const MvaResult &result)
 {
     SNOOP_REQUIRE(key.protocolIndex < kProtocolCount,
                   "SolutionCache: protocol index out of range");
-    if (Recency::iterator *it = index_.find(key)) {
+    if (Lru::iterator *it = index_.find(key)) {
         (*it)->result = result;
-        touch(*it);
+        lru_.splice(lru_.begin(), lru_, *it);
         return;
     }
     if (index_.size() >= capacity_) {
-        // Each list is in recency order, so the global LRU entry is
-        // the tail with the smallest stamp.
-        Recency *victim = nullptr;
-        for (Recency &list : recency_) {
-            if (!list.empty() &&
-                (victim == nullptr ||
-                 list.back().lastUse < victim->back().lastUse))
-                victim = &list;
-        }
-        index_.erase(victim->back().key);
-        victim->pop_back();
+        index_.erase(lru_.back().key);
+        lru_.pop_back();
         ++evictions_;
         metricAdd("serve.evictions");
     }
-    Recency &list = recency_[key.protocolIndex];
-    list.push_front(Entry{key, result, ++clock_});
-    index_.insertOrAssign(key, list.begin());
+    lru_.push_front(Entry{key, result});
+    index_.insertOrAssign(key, lru_.begin());
 }
 
 std::optional<MvaSeed>
 SolutionCache::nearest(const CacheKey &key) const
 {
-    if (key.protocolIndex >= kProtocolCount)
-        return std::nullopt;
     const Entry *best = nullptr;
     double best_dist = 0.0;
-    for (const Entry &entry : recency_[key.protocolIndex]) {
-        if (entry.key == key)
+    for (const Entry &entry : lru_) {
+        if (entry.key.protocolIndex != key.protocolIndex ||
+            entry.key == key)
             continue;
         double dist = 0.0;
         for (size_t i = 0; i < kCacheKeyFields; ++i) {
@@ -193,8 +174,7 @@ void
 SolutionCache::clear()
 {
     index_.clear();
-    for (Recency &list : recency_)
-        list.clear();
+    lru_.clear();
 }
 
 } // namespace snoop

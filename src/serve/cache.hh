@@ -3,8 +3,7 @@
 /**
  * @file
  * The memoized solution cache behind snoop_serve: canonicalized keys
- * over (protocol, workload, N), LRU eviction, and nearest-neighbor
- * lookup for warm-start continuation (docs/SERVING.md).
+ * over (protocol, workload, N) and LRU eviction (docs/SERVING.md).
  *
  * Key canonicalization quantizes every workload field to a fixed
  * grid, so two requests that differ below the solver's resolving
@@ -62,10 +61,9 @@ Expected<CacheKey> canonicalKey(const ProtocolConfig &protocol,
                                 unsigned n, double quantum);
 
 /**
- * A bounded LRU map from canonical keys to finished solves, plus the
- * nearest-neighbor scan that feeds warm-start seeds. Not internally
- * synchronized: the serve engine mutates it only from the serial
- * phases around each batch (see SolveService::handleBatch).
+ * A bounded LRU map from canonical keys to finished solves. Not
+ * internally synchronized: the serve engine mutates it only from the
+ * serial phases around each batch (see SolveService::handleBatch).
  */
 class SolutionCache
 {
@@ -98,8 +96,7 @@ class SolutionCache
 
     /**
      * Insert or overwrite @p key, evicting the least recently used
-     * entry (across all protocols) if full. Requires
-     * key.protocolIndex < kProtocolCount.
+     * entry if full. Requires key.protocolIndex < kProtocolCount.
      */
     void insert(const CacheKey &key, const MvaResult &result);
 
@@ -107,12 +104,10 @@ class SolutionCache
      * The seed of the nearest cached neighbor: same protocol, any
      * (workload, n), by squared relative distance over the key
      * fields. Exact matches are excluded (they are find()'s
-     * business). Only the request protocol's recency list is
-     * scanned, most recently used first, so the visit order is the
-     * single global LRU order restricted to that protocol.
-     * Deterministic: ties keep the most recently used entry - a pure
-     * function of the request history, never of thread scheduling.
-     * An out-of-range protocol index has no neighbors.
+     * business). The scan walks the whole LRU list, most recently
+     * used first, skipping other protocols; ties keep the most
+     * recently used entry. SolveService does not call it (every
+     * miss is a cold solve); perfbench's traced replay does.
      */
     std::optional<MvaSeed> nearest(const CacheKey &key) const;
 
@@ -124,22 +119,14 @@ class SolutionCache
     {
         CacheKey key;
         MvaResult result;
-        uint64_t lastUse; ///< clock_ at the last insert or hit
     };
-    using Recency = std::list<Entry>;
-
-    /** Move @p it to the front of its protocol's list and stamp it. */
-    void touch(Recency::iterator it);
+    using Lru = std::list<Entry>;
 
     size_t capacity_;
     double quantum_;
     uint64_t evictions_ = 0;
-    uint64_t clock_ = 0; // bumped on every insert and hit
-    // One list per protocol, front = most recently used. Each list is
-    // the global LRU order restricted to its protocol, so the global
-    // LRU entry is the list tail with the smallest lastUse.
-    std::array<Recency, kProtocolCount> recency_;
-    LookupMap<CacheKey, Recency::iterator, CacheKeyHash> index_;
+    Lru lru_; // front = most recently used
+    LookupMap<CacheKey, Lru::iterator, CacheKeyHash> index_;
 };
 
 } // namespace snoop

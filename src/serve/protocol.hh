@@ -53,7 +53,9 @@ struct Request
     double timeBudget = 0.0;     ///< per-request seconds; 0 = default
     long iterationBudget = 0;    ///< per-request iterations; 0 = default
     bool noCache = false;        ///< bypass lookup AND insertion
-    bool noWarmStart = false;    ///< force a cold solve on a miss
+    /** Accepted and ignored: every miss is a cold solve. Kept for
+     * old clients and perfbench's traced replay. */
+    bool noWarmStart = false;
 };
 
 /**

@@ -14,10 +14,10 @@ namespace snoop {
 
 /**
  * One solve unit of a batch: analyze has one, sweep one per system
- * size, rank one per protocol configuration. Cells are admitted and
- * seeded serially, solved in parallel by index, and harvested
- * serially - the struct is sized before the parallel phase and no
- * field is shared between workers.
+ * size, rank one per protocol configuration. Cells are admitted
+ * serially, solved in parallel by index, and harvested serially - the
+ * struct is sized before the parallel phase and no field is shared
+ * between workers.
  */
 struct SolveService::Cell
 {
@@ -29,7 +29,6 @@ struct SolveService::Cell
     CacheKey key;            ///< canonical identity (when hasKey)
     bool hasKey = false;     ///< false = noCache or admission failed
     bool cached = false;     ///< exact hit: result copied, no solve
-    MvaSeed seed;            ///< all-zero = cold start
     /** Set iff the cell failed (result is then not valid). */
     std::optional<SolveError> error;
 
@@ -63,7 +62,9 @@ resultJson(const MvaResult &r, bool cached)
     obj["iterations"] = JsonValue(r.iterations);
     obj["converged"] = JsonValue(r.converged);
     obj["cached"] = JsonValue(cached);
-    obj["warmStarted"] = JsonValue(r.warmStarted);
+    // Every miss solves cold, so this is always false; the key stays
+    // for clients and perfbench's byte-for-byte mirror of this object.
+    obj["warmStarted"] = JsonValue(false);
     return JsonValue(std::move(obj));
 }
 
@@ -136,7 +137,7 @@ SolveService::handleBatch(const std::vector<Request> &requests)
     metricAdd("serve.requests", static_cast<double>(requests.size()));
     requestsServed_ += requests.size();
 
-    // --- Phase 1 (serial): admission, cache reads, seed selection.
+    // --- Phase 1 (serial): admission and cache reads.
     // Every cache access happens here, against the pre-batch state,
     // in request order - the reads are a pure function of the request
     // history, independent of SNOOP_JOBS.
@@ -178,12 +179,6 @@ SolveService::handleBatch(const std::vector<Request> &requests)
                                 return;
                             }
                             metricAdd("serve.misses");
-                            if (opts_.warmStart && !req.noWarmStart) {
-                                if (auto seed = cache_.nearest(key)) {
-                                    cell.seed = *seed;
-                                    metricAdd("serve.warm_starts");
-                                }
-                            }
                         },
                         [&](SolveError &&e) { cell.error = std::move(e); });
             }
@@ -235,7 +230,6 @@ SolveService::handleBatch(const std::vector<Request> &requests)
         job.inputs = DerivedInputs::compute(req.workload, cell.protocol,
                                             opts_.timing);
         job.n = cell.n;
-        job.seed = cell.seed;
         job.opts = cellSolverOptions(req);
         job.traceKey = static_cast<uint64_t>(req.id) + 1;
         jobs.push_back(std::move(job));
@@ -251,9 +245,7 @@ SolveService::handleBatch(const std::vector<Request> &requests)
             std::move(solved[k]).match(
                 [&](MvaResult &&r) {
                     cell.result = std::move(r);
-                    metricAdd(cell.result.warmStarted
-                                  ? "serve.warm_iterations"
-                                  : "serve.cold_iterations",
+                    metricAdd("serve.cold_iterations",
                               cell.result.iterations);
                 },
                 [&](SolveError &&e) {

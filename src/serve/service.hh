@@ -3,19 +3,19 @@
 /**
  * @file
  * The snoop_serve engine: batched analysis requests over the MVA
- * solver, with a canonicalized solution cache, warm-start
- * continuation, per-request budgets, and structured failure payloads
- * (docs/SERVING.md).
+ * solver, with a canonicalized solution cache, per-request budgets,
+ * and structured failure payloads (docs/SERVING.md). A cache miss is
+ * a cold solve, so every answer is bit-identical to
+ * MvaSolver::trySolve on the same request.
  *
  * Determinism contract: a response is a pure function of the request
  * history - never of SNOOP_JOBS, thread scheduling, or wall-clock.
- * All cache reads (exact hits, warm-start seed selection) happen
- * serially against the pre-batch cache state, the solves run through
- * the lockstep SoA batch engine (BatchMvaSolver, itself bit-identical
- * to the scalar solver at any thread count), and inserts land
- * serially in request order afterwards. Replaying a session
- * byte-for-byte reproduces every response byte-for-byte at any
- * thread count.
+ * All cache reads happen serially against the pre-batch cache state,
+ * the solves run through the lockstep SoA batch engine
+ * (BatchMvaSolver, itself bit-identical to the scalar solver at any
+ * thread count), and inserts land serially in request order
+ * afterwards. Replaying a session byte-for-byte reproduces every
+ * response byte-for-byte at any thread count.
  */
 
 #include <cstdint>
@@ -55,8 +55,12 @@ struct ServeOptions
     double maxTimeBudget = 0.0;
     /** Service-wide ceiling on per-solve iterations; 0 = unbudgeted. */
     long maxIterationBudget = 0;
-    /** Seed cache-miss solves from the nearest cached neighbor. */
-    bool warmStart = true;
+    /**
+     * Unused by SolveService, which always solves a miss cold. Its
+     * only reader is perfbench's traced replay, which mirrors the
+     * daemon's per-line path; false keeps that mirror cold too.
+     */
+    bool warmStart = false;
     /** Numerical options for the underlying solver. */
     MvaOptions solver = defaultServeSolverOptions();
     /** Bus/memory timing constants for workload derivation. */

@@ -1,17 +1,18 @@
 /**
  * Tests for the SolveService batch engine: exact-hit memoization,
- * warm-start continuation (fewer fixed-point iterations, agreement
- * with the cold answer), the determinism contract across thread
- * counts, per-request admission control (budgets), deterministic
- * fault isolation, and the non-solve ops (saturation, rank, sweep,
- * stats, shutdown).
+ * answers bit-identical to a cold scalar solve (through an evicting
+ * cache), the determinism contract across thread counts, per-request
+ * admission control (budgets), deterministic fault isolation, and the
+ * non-solve ops (saturation, rank, sweep, stats, shutdown).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
+#include "random/rng.hh"
 #include "serve/service.hh"
 #include "util/fault.hh"
 #include "util/parallel.hh"
@@ -84,42 +85,130 @@ TEST(ServeService, NoCacheBypassesLookupAndInsertion)
     EXPECT_FALSE(flag(again, "cached"));
 }
 
-TEST(ServeService, WarmStartConvergesInFewerIterationsAndAgrees)
+/**
+ * A serve_explore-shaped analyze request: any of the 16 protocols,
+ * N in [4, 128], and six workload fields drawn over ranges where
+ * every protocol converges, rounded to 1e-4 like a parameter study.
+ */
+Request
+exploreReq(int64_t id, uint64_t &state)
 {
-    // Cold baseline for the perturbed query, on its own service.
-    Request probe = analyzeReq(1, 0.501);
-    probe.noWarmStart = true;
-    SolveService cold_service;
-    auto cold = cold_service.handle(probe);
-    double cold_iters = field(cold, "iterations");
-    EXPECT_FALSE(flag(cold, "warmStarted"));
-
-    // Same query warm-started from the cached 0.5 neighbor.
-    SolveService service;
-    service.handle(analyzeReq(1, 0.5));
-    auto warm = service.handle(analyzeReq(2, 0.501));
-    EXPECT_TRUE(flag(warm, "warmStarted"));
-    EXPECT_FALSE(flag(warm, "cached"));
-    EXPECT_LT(field(warm, "iterations"), cold_iters);
-
-    // The continuation lands on the same fixed point within the
-    // documented envelope (docs/SERVING.md): the stop test bounds the
-    // distance left to the fixed point, and the measured worst case
-    // over 60k serve_explore answers is 1.5e-9 relative.
-    for (const char *name : {"responseTime", "speedup", "busUtil"}) {
-        double a = field(cold, name), b = field(warm, name);
-        EXPECT_NEAR(a, b, 1e-8 * std::fabs(a)) << name;
+    struct Varied
+    {
+        double WorkloadParams::*member;
+        double lo, hi;
+    };
+    static constexpr Varied kVaried[] = {
+        {&WorkloadParams::tau, 1.5, 4.0},
+        {&WorkloadParams::hPrivate, 0.90, 0.99},
+        {&WorkloadParams::hSw, 0.3, 0.9},
+        {&WorkloadParams::rSw, 0.3, 0.8},
+        {&WorkloadParams::amodSw, 0.1, 0.6},
+        {&WorkloadParams::csupplySw, 0.2, 0.8},
+    };
+    Request req;
+    req.id = id;
+    req.op = RequestOp::Analyze;
+    req.protocol = ProtocolConfig::fromIndex(
+        static_cast<unsigned>(splitMix64(state) % kProtocolCount));
+    req.n = 4 + static_cast<unsigned>(splitMix64(state) % 125);
+    req.workload = presets::appendixA(SharingLevel::FivePercent);
+    for (const Varied &v : kVaried) {
+        double u = static_cast<double>(splitMix64(state) >> 11) * 0x1p-53;
+        req.workload.*(v.member) =
+            std::round((v.lo + u * (v.hi - v.lo)) * 1e4) / 1e4;
     }
+    return req;
 }
 
-TEST(ServeService, NoWarmStartForcesColdSolve)
+TEST(ServeService, EveryAnswerIsBitIdenticalToAColdSolve)
 {
-    SolveService service;
-    service.handle(analyzeReq(1, 0.5));
-    Request req = analyzeReq(2, 0.501);
-    req.noWarmStart = true;
-    auto r = service.handle(req);
-    EXPECT_FALSE(flag(r, "warmStarted"));
+    // A 24-entry cache under a stream of mostly fresh points: nearly
+    // every request misses, entries are evicted throughout, and a
+    // quarter of the stream repeats a recent request (a hit while it
+    // is still cached, a fresh miss once evicted). Every answer, read
+    // back off the wire, must be the cold scalar solve's bits.
+    ServeOptions opts;
+    opts.cacheCapacity = 24;
+    SolveService service(opts);
+    MvaSolver reference(defaultServeSolverOptions());
+    uint64_t state = 0x5eedull;
+    std::vector<Request> recent;
+    size_t misses = 0, hits = 0;
+    int64_t id = 0;
+    while (misses < 1000) {
+        // Batches of one to four requests, so the lockstep batch
+        // engine runs several lanes at once.
+        std::vector<Request> batch(1 + splitMix64(state) % 4);
+        for (Request &req : batch) {
+            if (recent.size() == 32 && splitMix64(state) % 4 == 0) {
+                req = recent[splitMix64(state) % recent.size()];
+                req.id = ++id;
+            } else {
+                req = exploreReq(++id, state);
+            }
+            if (recent.size() < 32)
+                recent.push_back(req);
+            else
+                recent[static_cast<size_t>(id) % 32] = req;
+        }
+        std::vector<JsonValue> responses = service.handleBatch(batch);
+        for (size_t i = 0; i < batch.size(); ++i) {
+            const Request &req = batch[i];
+            auto wire = parseJson(serializeJson(responses[i]));
+            ASSERT_TRUE(bool(wire)) << "id " << req.id;
+            const JsonValue *result = wire.value().get("result");
+            ASSERT_NE(result, nullptr) << serializeJson(responses[i]);
+            auto cold = reference.trySolve(
+                DerivedInputs::compute(req.workload, req.protocol), req.n);
+            ASSERT_TRUE(bool(cold)) << "id " << req.id;
+            const MvaResult &r = cold.value();
+            ++(result->get("cached")->asBool() ? hits : misses);
+            EXPECT_FALSE(result->get("warmStarted")->asBool());
+            const std::pair<const char *, double> fields[] = {
+                {"n", r.numProcessors},
+                {"speedup", r.speedup},
+                {"processingPower", r.processingPower},
+                {"responseTime", r.responseTime},
+                {"busUtil", r.busUtil},
+                {"memUtil", r.memUtil},
+                {"wBus", r.wBus},
+                {"wMem", r.wMem},
+                {"qBus", r.qBus},
+                {"iterations", static_cast<double>(r.iterations)},
+            };
+            for (const auto &[name, want] : fields)
+                EXPECT_EQ(std::bit_cast<uint64_t>(
+                              result->get(name)->asNumber()),
+                          std::bit_cast<uint64_t>(want))
+                    << name << ", id " << req.id;
+            EXPECT_EQ(result->get("converged")->asBool(), r.converged);
+        }
+        if (HasFailure())
+            FAIL() << "stopped at request " << id;
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(service.cache().evictions(), 900u);
+}
+
+TEST(ServeService, NoWarmStartIsAcceptedAndIgnored)
+{
+    // Two services with the same history; the second request differs
+    // only in the flag, so the answers must be the same bytes.
+    auto session = [](const char *flag) {
+        SolveService service;
+        service.handle(analyzeReq(1, 0.5));
+        auto req = parseRequestLine(
+            std::string("{\"id\":2,\"op\":\"analyze\",\"protocol\":\"13\","
+                        "\"preset\":\"appendixA5\",\"workload\":{\"hSw\":0.501},"
+                        "\"n\":16") +
+            flag + "}");
+        EXPECT_TRUE(bool(req));
+        return serializeJson(service.handle(req.value().front()));
+    };
+    std::string plain = session("");
+    EXPECT_EQ(session(",\"noWarmStart\":true"), plain);
+    EXPECT_NE(plain.find("\"warmStarted\":false"), std::string::npos);
 }
 
 TEST(ServeService, BatchResponsesAreIdenticalAtAnyThreadCount)

@@ -2,13 +2,14 @@
 # Scripted-session smoke test for the snoop_serve daemon.
 #
 #   run_serve_smoke.sh <path-to-snoop_serve>
+#   run_serve_smoke.sh --generate <path-to-snoop_serve>
 #
 # Drives scripted sessions through the real binary over stdin/stdout and
 # asserts on the response lines with grep - no interpreter needed:
 #
-#  1. a mixed session: cache miss -> exact hit -> warm-started
-#     neighbor, a sweep, a rank, a saturation search, a stats
-#     snapshot (metrics enabled), and a clean shutdown;
+#  1. a mixed session: cache miss -> exact hit -> a near neighbour
+#     that misses and solves cold, a sweep, a rank, a saturation
+#     search, a stats snapshot (metrics enabled), and a clean shutdown;
 #  2. the same solve session at SNOOP_JOBS=1 and SNOOP_JOBS=8,
 #     asserting byte-identical responses (the determinism contract of
 #     docs/SERVING.md);
@@ -21,19 +22,51 @@
 #     the committed transcript tests/serve/fixtures/table41_analyze.jsonl;
 #  6. a request line over the daemon's 1 MiB cap, answered with a
 #     structured error before the next line is served normally;
-#  7. ~150 warm-start requests through a 24-entry cache (protocol mix,
-#     exact repeats, near neighbours, ranks, sweeps, batches), compared
-#     byte for byte with tests/serve/fixtures/warm_responses.jsonl, so
-#     eviction order, hit re-touch and neighbour choice stay fixed;
+#  7. ~150 requests through a 24-entry cache (protocol mix, exact
+#     repeats, near neighbours, ranks, sweeps, batches), compared byte
+#     for byte with tests/serve/fixtures/evict_responses.jsonl, so
+#     eviction order and hit re-touch stay fixed;
 #  8. out-of-range --quantum / --max-time-budget / --max-iteration-
 #     budget values, each rejected with a message naming the option.
+#
+# --generate rewrites the two byte goldens (sessions 5 and 7) from the
+# given binary instead; run it only from a build whose answers are
+# known good, and review the diff.
 set -eu
 
-BIN=$1
+GENERATE=0
+if [ "${1:-}" = "--generate" ]; then
+    GENERATE=1
+    shift
+fi
+BIN=${1:?usage: run_serve_smoke.sh [--generate] <path-to-snoop_serve>}
 FIXTURES="$(dirname "$0")/../tests/serve/fixtures"
 GOLDEN="$FIXTURES/table41_analyze.jsonl"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
+
+# Session 5's requests: Write-Once, Enhancement 1 and Enhancements 1+4
+# at the 1%, 5% and 20% sharing levels.
+table41_requests() {
+    cat <<'EOF'
+{"id":1,"op":"analyze","protocol":"WriteOnce","preset":"appendixA1","n":4}
+{"id":2,"op":"analyze","protocol":"1","preset":"appendixA5","n":10}
+{"id":3,"op":"analyze","protocol":"14","preset":"appendixA20","n":20}
+{"id":4,"op":"analyze","protocol":"WriteOnce","preset":"appendixA5","n":100}
+EOF
+}
+
+# Session 7's daemon: a 24-entry cache that evicts throughout.
+evict_session() {
+    "$BIN" --cache-capacity=24 <"$FIXTURES/evict_requests.jsonl"
+}
+
+if [ "$GENERATE" = 1 ]; then
+    table41_requests | "$BIN" >"$GOLDEN"
+    evict_session >"$FIXTURES/evict_responses.jsonl"
+    echo "run_serve_smoke: rewrote $GOLDEN and evict_responses.jsonl"
+    exit 0
+fi
 
 fail() {
     echo "run_serve_smoke: FAIL: $1" >&2
@@ -64,45 +97,16 @@ EOF
 expect "$OUT" 1 '"cached":false' "a cold solve on the first query"
 expect "$OUT" 1 '"ok":true' "a success response"
 expect "$OUT" 2 '"cached":true' "an exact cache hit on the repeat"
-expect "$OUT" 3 '"warmStarted":true' "a warm-started neighbor solve"
-expect "$OUT" 3 '"cached":false' "the neighbor is a miss, not a hit"
+expect "$OUT" 3 '"cached":false' "the neighbour is a miss, not a hit"
+expect "$OUT" 3 '"warmStarted":false' "every miss is a cold solve"
 expect "$OUT" 4 '"op":"sweep"' "a sweep response"
 expect "$OUT" 5 '"ranking":\[' "a rank response"
 expect "$OUT" 6 '"found":true' "a saturation point inside the limit"
 expect "$OUT" 7 '"serve.hits":{"count":1' "one recorded cache hit"
 expect "$OUT" 7 '"serve.misses"' "recorded cache misses"
-expect "$OUT" 7 '"serve.warm_starts"' "recorded warm starts"
+expect "$OUT" 7 '"serve.cold_iterations"' "recorded solve iterations"
 expect "$OUT" 7 '"serve.request_us"' "per-request latency samples"
 expect "$OUT" 8 '"shutdown":true' "a shutdown acknowledgment"
-
-# --- Session 1b: warm-start efficiency -------------------------------
-# One cold solve primes the cache, then four near-duplicate queries
-# (hSw perturbed ~1e-3) are seeded from it. The seeded solves must
-# average fewer fixed-point iterations than the cold one - read off
-# the serve.{cold,warm}_iterations counters in the stats response
-# ("total" is summed iterations, "count" the solve count).
-OUT="$TMP/warm.out"
-SNOOP_METRICS="$TMP/warm-metrics.csv" "$BIN" --jobs=2 >"$OUT" <<'EOF'
-{"id":40,"op":"analyze","protocol":"Illinois","preset":"appendixA5","workload":{"hSw":0.5},"n":12}
-{"id":41,"op":"analyze","protocol":"Illinois","preset":"appendixA5","workload":{"hSw":0.501},"n":12}
-{"id":42,"op":"analyze","protocol":"Illinois","preset":"appendixA5","workload":{"hSw":0.502},"n":12}
-{"id":43,"op":"analyze","protocol":"Illinois","preset":"appendixA5","workload":{"hSw":0.503},"n":12}
-{"id":44,"op":"analyze","protocol":"Illinois","preset":"appendixA5","workload":{"hSw":0.504},"n":12}
-{"id":45,"op":"stats"}
-{"id":46,"op":"shutdown"}
-EOF
-stats=$(sed -n '6p' "$OUT")
-cold_total=$(echo "$stats" | sed -n 's/.*"serve.cold_iterations":{"count":[0-9]*,"total":\([0-9]*\).*/\1/p')
-cold_count=$(echo "$stats" | sed -n 's/.*"serve.cold_iterations":{"count":\([0-9]*\).*/\1/p')
-warm_total=$(echo "$stats" | sed -n 's/.*"serve.warm_iterations":{"count":[0-9]*,"total":\([0-9]*\).*/\1/p')
-warm_count=$(echo "$stats" | sed -n 's/.*"serve.warm_iterations":{"count":\([0-9]*\).*/\1/p')
-[ -n "$cold_total" ] && [ -n "$warm_total" ] ||
-    fail "missing iteration counters in the stats response" "$OUT"
-[ "$cold_count" = 1 ] && [ "$warm_count" = 4 ] ||
-    fail "expected 1 cold and 4 warm solves, got $cold_count/$warm_count" "$OUT"
-awk -v ct="$cold_total" -v wt="$warm_total" -v wc="$warm_count" \
-    'BEGIN { exit !(wt / wc < ct) }' ||
-    fail "warm mean iterations ($warm_total/$warm_count) not below cold ($cold_total)" "$OUT"
 
 # --- Session 2: determinism across thread counts ---------------------
 SESSION2='{"id":1,"op":"batch","requests":[{"id":10,"op":"analyze","protocol":"Illinois","preset":"appendixA5","n":8},{"id":11,"op":"analyze","protocol":"Dragon","preset":"appendixA5","n":8},{"id":12,"op":"rank","preset":"appendixA1","n":12}]}
@@ -142,16 +146,10 @@ expect "$OUT" 4 '"ok":false' "the non-finite workload value is rejected"
 expect "$OUT" 5 '"ok":true' "the daemon still serves after the garbage"
 
 # --- Session 5: golden bytes at Table 4.1 points --------------------
-# Write-Once, Enhancement 1 and Enhancements 1+4 at the 1%, 5% and 20%
-# sharing levels. The encoder's bytes are a format contract (sweep
-# checkpoint checksums hash them), so a regex match is not enough.
+# The encoder's bytes are a format contract (sweep checkpoint checksums
+# hash them), so a regex match is not enough.
 OUT="$TMP/golden.out"
-"$BIN" >"$OUT" <<'EOF'
-{"id":1,"op":"analyze","protocol":"WriteOnce","preset":"appendixA1","n":4}
-{"id":2,"op":"analyze","protocol":"1","preset":"appendixA5","n":10}
-{"id":3,"op":"analyze","protocol":"14","preset":"appendixA20","n":20}
-{"id":4,"op":"analyze","protocol":"WriteOnce","preset":"appendixA5","n":100}
-EOF
+table41_requests | "$BIN" >"$OUT"
 cmp -s "$OUT" "$GOLDEN" ||
     fail "analyze responses differ from $GOLDEN" "$OUT"
 
@@ -171,15 +169,14 @@ expect "$OUT" 1 '"code":"invalid-argument"' "the oversized line is an error"
 expect "$OUT" 1 'exceeds 1048576 bytes' "the error names the cap"
 expect "$OUT" 2 '"id":61,"ok":true' "the next line is served normally"
 
-# --- Session 7: golden bytes for warm starts ------------------------
-# Which cached neighbour seeds a miss changes the answer's low bits, so
-# a byte comparison pins the seed choice, not just the fixed point.
-# The small cache evicts throughout the session; the closing stats
-# line records the final size and eviction count.
-OUT="$TMP/warm_golden.out"
-"$BIN" --cache-capacity=24 <"$FIXTURES/warm_requests.jsonl" >"$OUT"
-cmp -s "$OUT" "$FIXTURES/warm_responses.jsonl" ||
-    fail "warm-start responses differ from warm_responses.jsonl" "$OUT"
+# --- Session 7: golden bytes through an evicting cache ---------------
+# The small cache evicts throughout the session, so each answer's
+# "cached" flag pins the eviction order and hit re-touch; the closing
+# stats line records the final size and eviction count.
+OUT="$TMP/evict_golden.out"
+evict_session >"$OUT"
+cmp -s "$OUT" "$FIXTURES/evict_responses.jsonl" ||
+    fail "responses differ from evict_responses.jsonl" "$OUT"
 
 # --- Session 8: option errors name the option ------------------------
 bad_option() { # bad_option <flag> <message>

@@ -41,8 +41,6 @@ main(int argc, char **argv)
     cli.addOption("jobs", "0",
                   "worker threads for batch solves (0 = SNOOP_JOBS / "
                   "hardware)");
-    cli.addFlag("no-warm-start",
-                "never seed cache-miss solves from cached neighbors");
     cli.parse(argc, argv);
 
     ServeOptions opts;
@@ -75,7 +73,6 @@ main(int argc, char **argv)
                      ">= 0\n");
         return 1;
     }
-    opts.warmStart = !cli.getFlag("no-warm-start");
 
     int jobs = cli.getInt("jobs");
     if (jobs > 0)
