@@ -1,8 +1,7 @@
 #include "protocol/catalog.hh"
 
-#include <algorithm>
-
-#include "util/strutil.hh"
+#include <cctype>
+#include <string_view>
 
 namespace snoop {
 
@@ -36,26 +35,65 @@ protocolCatalog()
     return catalog;
 }
 
+namespace {
+
+bool
+isSeparator(char c)
+{
+    return c == '-' || c == '_';
+}
+
+char
+lowered(char c)
+{
+    return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+}
+
+/** @p key equals @p name ignoring case, with every '-' and '_' of
+ * @p key skipped; compared in place, without a lowered copy. */
+bool
+sameName(std::string_view key, std::string_view name)
+{
+    size_t j = 0;
+    for (char c : key) {
+        if (isSeparator(c))
+            continue;
+        if (j == name.size() || lowered(c) != lowered(name[j]))
+            return false;
+        ++j;
+    }
+    return j == name.size();
+}
+
+} // namespace
+
 std::optional<ProtocolConfig>
 findProtocol(const std::string &name)
 {
-    std::string key = toLower(trim(name));
-    key.erase(std::remove_if(key.begin(), key.end(),
-                             [](char c) { return c == '-' || c == '_'; }),
-              key.end());
+    // The name less surrounding whitespace (as trim() drops it).
+    size_t b = 0, e = name.size();
+    while (b < e && std::isspace(static_cast<unsigned char>(name[b])))
+        ++b;
+    while (e > b && std::isspace(static_cast<unsigned char>(name[e - 1])))
+        --e;
+    const std::string_view key(name.data() + b, e - b);
     for (const auto &p : protocolCatalog()) {
-        std::string cname = toLower(p.name);
-        if (key == cname)
+        if (sameName(key, p.name))
             return p.config;
     }
     // Accept a bare modification string, including the empty string
     // (plain Write-Once) only when explicitly "writeonce" above.
-    if (!key.empty() &&
-        std::all_of(key.begin(), key.end(),
-                    [](char c) { return c >= '1' && c <= '4'; })) {
-        return ProtocolConfig::fromModString(key);
+    std::string mods;
+    for (char c : key) {
+        if (isSeparator(c))
+            continue;
+        if (c < '1' || c > '4')
+            return std::nullopt;
+        mods.push_back(c);
     }
-    return std::nullopt;
+    if (mods.empty())
+        return std::nullopt;
+    return ProtocolConfig::fromModString(mods);
 }
 
 std::vector<std::string>

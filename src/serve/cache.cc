@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "observe/metrics.hh"
 
@@ -117,12 +118,12 @@ SolutionCache::find(const CacheKey &key)
 }
 
 void
-SolutionCache::insert(const CacheKey &key, const MvaResult &result)
+SolutionCache::insert(const CacheKey &key, MvaResult result)
 {
     SNOOP_REQUIRE(key.protocolIndex < kProtocolCount,
                   "SolutionCache: protocol index out of range");
     if (Lru::iterator *it = index_.find(key)) {
-        (*it)->result = result;
+        (*it)->result = std::move(result);
         lru_.splice(lru_.begin(), lru_, *it);
         return;
     }
@@ -132,7 +133,7 @@ SolutionCache::insert(const CacheKey &key, const MvaResult &result)
         ++evictions_;
         metricAdd("serve.evictions");
     }
-    lru_.push_front(Entry{key, result});
+    lru_.push_front(Entry{key, std::move(result)});
     index_.insertOrAssign(key, lru_.begin());
 }
 

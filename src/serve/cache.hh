@@ -97,8 +97,10 @@ class SolutionCache
     /**
      * Insert or overwrite @p key, evicting the least recently used
      * entry if full. Requires key.protocolIndex < kProtocolCount.
+     * The result is taken by value, so a caller done with its solve
+     * moves it in instead of copying its attempts and inputs.
      */
-    void insert(const CacheKey &key, const MvaResult &result);
+    void insert(const CacheKey &key, MvaResult result);
 
     /**
      * The seed of the nearest cached neighbor: same protocol, any

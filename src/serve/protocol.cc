@@ -1,7 +1,6 @@
 #include "serve/protocol.hh"
 
 #include <cmath>
-#include <limits>
 #include <optional>
 
 #include "protocol/catalog.hh"
@@ -138,6 +137,14 @@ parseUnsignedField(const JsonValue &req, const char *name,
 /** System sizes above this bound are a typo, not a machine. */
 constexpr unsigned kMaxN = 1u << 20;
 
+/** Whether @p d truncates to an int64_t: a cast from outside
+ * [-2^63, 2^63) is undefined behaviour. */
+bool
+fitsInt64(double d)
+{
+    return d >= -0x1p63 && d < 0x1p63;
+}
+
 } // namespace
 
 Expected<Request>
@@ -150,6 +157,10 @@ parseRequest(const JsonValue &value)
     if (const JsonValue *id = value.get("id")) {
         if (!id->isNumber())
             return badRequest("'id' must be a number");
+        if (!fitsInt64(id->asNumber())) {
+            return badRequest("'id' = %g is outside the 64-bit integer "
+                              "range", id->asNumber());
+        }
         req.id = static_cast<int64_t>(id->asNumber());
     }
 
@@ -244,8 +255,7 @@ parseRequest(const JsonValue &value)
         if (!budget->isNumber() || !(budget->asNumber() >= 0.0) ||
             budget->asNumber() !=
                 std::floor(budget->asNumber()) ||
-            budget->asNumber() >
-                static_cast<double>(std::numeric_limits<long>::max())) {
+            !fitsInt64(budget->asNumber())) {
             return badRequest(
                 "'iterationBudget' must be a non-negative integer");
         }
@@ -300,7 +310,7 @@ recoverRequestId(const std::string &line)
     SNOOP_TRY_OR(const JsonValue &doc, parseJson(line),
                  [](SolveError &&) { return int64_t{0}; });
     const JsonValue *id = doc.get("id");
-    if (id == nullptr || !id->isNumber())
+    if (id == nullptr || !id->isNumber() || !fitsInt64(id->asNumber()))
         return 0;
     return static_cast<int64_t>(id->asNumber());
 }

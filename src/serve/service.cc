@@ -12,6 +12,37 @@
 
 namespace snoop {
 
+namespace {
+
+/**
+ * The fields an analyze, sweep or rank answer publishes, copied out
+ * of a cache hit or a fresh solve: no attempts vector, no
+ * DerivedInputs.
+ */
+struct Published
+{
+    unsigned n = 0;
+    double speedup = 0.0;
+    double processingPower = 0.0;
+    double responseTime = 0.0;
+    double busUtil = 0.0;
+    double memUtil = 0.0;
+    double wBus = 0.0;
+    double wMem = 0.0;
+    double qBus = 0.0;
+    int iterations = 0;
+    bool converged = false;
+
+    static Published of(const MvaResult &r)
+    {
+        return {r.numProcessors, r.speedup, r.processingPower,
+                r.responseTime, r.busUtil, r.memUtil, r.wBus, r.wMem,
+                r.qBus, r.iterations, r.converged};
+    }
+};
+
+} // namespace
+
 /**
  * One solve unit of a batch: analyze has one, sweep one per system
  * size, rank one per protocol configuration. Cells are admitted
@@ -28,12 +59,12 @@ struct SolveService::Cell
     // filled by the serial admission phase
     CacheKey key;            ///< canonical identity (when hasKey)
     bool hasKey = false;     ///< false = noCache or admission failed
-    bool cached = false;     ///< exact hit: result copied, no solve
+    bool cached = false;     ///< exact hit: fields copied, no solve
     /** Set iff the cell failed (result is then not valid). */
     std::optional<SolveError> error;
 
-    // filled by the parallel solve phase (or the hit copy)
-    MvaResult result;
+    // filled by the solve phase (or from the hit)
+    Published result;
 };
 
 namespace {
@@ -46,43 +77,101 @@ struct RequestPlan
     size_t cellCount = 0;
 };
 
-JsonValue
-resultJson(const MvaResult &r, bool cached)
+const char *
+boolText(bool b)
 {
-    JsonValue::Object obj;
-    obj["n"] = JsonValue(r.numProcessors);
-    obj["speedup"] = JsonValue(r.speedup);
-    obj["processingPower"] = JsonValue(r.processingPower);
-    obj["responseTime"] = JsonValue(r.responseTime);
-    obj["busUtil"] = JsonValue(r.busUtil);
-    obj["memUtil"] = JsonValue(r.memUtil);
-    obj["wBus"] = JsonValue(r.wBus);
-    obj["wMem"] = JsonValue(r.wMem);
-    obj["qBus"] = JsonValue(r.qBus);
-    obj["iterations"] = JsonValue(r.iterations);
-    obj["converged"] = JsonValue(r.converged);
-    obj["cached"] = JsonValue(cached);
-    // Every miss solves cold, so this is always false; the key stays
-    // for clients and perfbench's byte-for-byte mirror of this object.
-    obj["warmStarted"] = JsonValue(false);
-    return JsonValue(std::move(obj));
+    return b ? "true" : "false";
 }
 
-JsonValue
-cellJson(const SolveService::Cell &cell)
+/** okResponse(id, op, result)'s bytes up to the result value. */
+void
+openOk(std::string &out, int64_t id, RequestOp op)
 {
-    if (cell.error) {
-        JsonValue::Object obj;
-        obj["n"] = JsonValue(cell.n);
-        obj["protocol"] = JsonValue(cell.protocol.name());
-        obj["ok"] = JsonValue(false);
-        obj["error"] = errorJson(*cell.error);
-        return JsonValue(std::move(obj));
+    out += "{\"id\":";
+    serializeNumber(static_cast<double>(id), out);
+    out += ",\"ok\":true,\"op\":\"";
+    out += to_string(op);
+    out += "\",\"result\":";
+}
+
+/**
+ * One answer's result object, in serializeJson's sorted key order.
+ * A sweep or rank cell names its @p protocol, which adds "ok" and
+ * "protocol" in their sorted places; an analyze result passes none.
+ */
+void
+writeResult(std::string &out, const Published &r, bool cached,
+            const std::string *protocol)
+{
+    out += "{\"busUtil\":";
+    serializeNumber(r.busUtil, out);
+    out += ",\"cached\":";
+    out += boolText(cached);
+    out += ",\"converged\":";
+    out += boolText(r.converged);
+    out += ",\"iterations\":";
+    serializeNumber(r.iterations, out);
+    out += ",\"memUtil\":";
+    serializeNumber(r.memUtil, out);
+    out += ",\"n\":";
+    serializeNumber(r.n, out);
+    if (protocol != nullptr)
+        out += ",\"ok\":true";
+    out += ",\"processingPower\":";
+    serializeNumber(r.processingPower, out);
+    if (protocol != nullptr) {
+        out += ",\"protocol\":";
+        serializeString(*protocol, out);
     }
-    JsonValue v = resultJson(cell.result, cell.cached);
-    v.set("protocol", JsonValue(cell.protocol.name()));
-    v.set("ok", JsonValue(true));
-    return v;
+    out += ",\"qBus\":";
+    serializeNumber(r.qBus, out);
+    out += ",\"responseTime\":";
+    serializeNumber(r.responseTime, out);
+    out += ",\"speedup\":";
+    serializeNumber(r.speedup, out);
+    out += ",\"wBus\":";
+    serializeNumber(r.wBus, out);
+    out += ",\"wMem\":";
+    serializeNumber(r.wMem, out);
+    // Every miss solves cold, so this is always false; the key stays
+    // for clients and perfbench's byte-for-byte mirror of this object.
+    out += ",\"warmStarted\":false}";
+}
+
+/** One sweep or rank cell: its result, or its error. */
+void
+writeCell(std::string &out, const SolveService::Cell &cell)
+{
+    const std::string protocol = cell.protocol.name();
+    if (!cell.error) {
+        writeResult(out, cell.result, cell.cached, &protocol);
+        return;
+    }
+    out += "{\"error\":";
+    serializeJson(errorJson(*cell.error), out);
+    out += ",\"n\":";
+    serializeNumber(cell.n, out);
+    out += ",\"ok\":false,\"protocol\":";
+    serializeString(protocol, out);
+    out.push_back('}');
+}
+
+/** A sweep's or rank's response line: {"<member>":[cells...]}. */
+void
+writeCells(std::string &out, int64_t id, RequestOp op, const char *member,
+           const std::vector<SolveService::Cell> &cells,
+           const std::vector<size_t> &order)
+{
+    openOk(out, id, op);
+    out += "{\"";
+    out += member;
+    out += "\":[";
+    for (size_t k = 0; k < order.size(); ++k) {
+        if (k > 0)
+            out.push_back(',');
+        writeCell(out, cells[order[k]]);
+    }
+    out += "]}}";
 }
 
 } // namespace
@@ -123,15 +212,14 @@ SolveService::cellSolverOptions(const Request &request) const
     return opts;
 }
 
-JsonValue
+std::string
 SolveService::handle(const Request &request)
 {
-    std::vector<Request> batch{request};
-    return handleBatch(batch).front();
+    return std::move(handleBatch({&request, 1}).front());
 }
 
-std::vector<JsonValue>
-SolveService::handleBatch(const std::vector<Request> &requests)
+std::vector<std::string>
+SolveService::handleBatch(std::span<const Request> requests)
 {
     ScopedMetricTimer batch_timer("serve.batch_us");
     metricAdd("serve.requests", static_cast<double>(requests.size()));
@@ -174,7 +262,7 @@ SolveService::handleBatch(const std::vector<Request> &requests)
                             cell.hasKey = true;
                             if (const MvaResult *hit = cache_.find(key)) {
                                 cell.cached = true;
-                                cell.result = *hit;
+                                cell.result = Published::of(*hit);
                                 metricAdd("serve.hits");
                                 return;
                             }
@@ -235,72 +323,70 @@ SolveService::handleBatch(const std::vector<Request> &requests)
         jobs.push_back(std::move(job));
         job_cell.push_back(ci);
     }
+    std::vector<Expected<MvaResult>> solved;
     {
         ScopedMetricTimer solve_timer("serve.solve_us");
-        std::vector<Expected<MvaResult>> solved =
-            batch_.solveBatch(jobs);
-        for (size_t k = 0; k < solved.size(); ++k) {
-            Cell &cell = cells[job_cell[k]];
-            const Request &req = requests[cell.request];
-            std::move(solved[k]).match(
-                [&](MvaResult &&r) {
-                    cell.result = std::move(r);
-                    metricAdd("serve.cold_iterations",
-                              cell.result.iterations);
-                },
-                [&](SolveError &&e) {
-                    cell.error = std::move(e).withContext(
-                        strprintf("serve::%s(id=%lld, %s, N=%u)",
-                                  to_string(req.op),
-                                  static_cast<long long>(req.id),
-                                  cell.protocol.name().c_str(), cell.n));
-                });
-        }
+        solved = batch_.solveBatch(jobs);
     }
 
-    // --- Phase 3 (serial): inserts in cell (= request) order, then
-    // response assembly in request order.
-    for (const Cell &cell : cells) {
-        if (cell.error || cell.cached || !cell.hasKey)
-            continue;
-        if (requests[cell.request].noCache)
-            continue;
-        cache_.insert(cell.key, cell.result);
+    // --- Phase 3 (serial): harvest and insert in job (= cell =
+    // request) order, each success moved into the cache. No cache
+    // read is left in the batch, so inserting while harvesting gives
+    // the order, and the cache state, of inserting afterwards.
+    for (size_t k = 0; k < solved.size(); ++k) {
+        Cell &cell = cells[job_cell[k]];
+        const Request &req = requests[cell.request];
+        std::move(solved[k]).match(
+            [&](MvaResult &&r) {
+                cell.result = Published::of(r);
+                metricAdd("serve.cold_iterations", r.iterations);
+                if (cell.hasKey)
+                    cache_.insert(cell.key, std::move(r));
+            },
+            [&](SolveError &&e) {
+                cell.error = std::move(e).withContext(
+                    strprintf("serve::%s(id=%lld, %s, N=%u)",
+                              to_string(req.op),
+                              static_cast<long long>(req.id),
+                              cell.protocol.name().c_str(), cell.n));
+            });
     }
 
-    std::vector<JsonValue> responses;
-    responses.reserve(requests.size());
+    // --- Phase 4 (serial): response assembly in request order.
+    // Analyze, sweep and rank answers are written field by field
+    // into their lines; the rare ops and errors go through a tree.
+    std::vector<std::string> responses(requests.size());
     for (size_t ri = 0; ri < requests.size(); ++ri) {
         const Request &req = requests[ri];
         const RequestPlan &plan = plans[ri];
+        std::string &line = responses[ri];
         ScopedMetricTimer request_timer("serve.request_us");
 
         if (plan.error) {
-            responses.push_back(errorResponse(req.id, *plan.error));
+            serializeJson(errorResponse(req.id, *plan.error), line);
             continue;
         }
 
         switch (req.op) {
           case RequestOp::Analyze: {
             const Cell &cell = cells[plan.firstCell];
-            if (cell.error)
-                responses.push_back(errorResponse(req.id, *cell.error));
-            else
-                responses.push_back(okResponse(
-                    req.id, req.op,
-                    resultJson(cell.result, cell.cached)));
+            if (cell.error) {
+                serializeJson(errorResponse(req.id, *cell.error), line);
+                break;
+            }
+            line.reserve(384);
+            openOk(line, req.id, req.op);
+            writeResult(line, cell.result, cell.cached, nullptr);
+            line.push_back('}');
             break;
           }
           case RequestOp::Sweep: {
             // Per-cell isolation: one failed size becomes an error
             // cell, the rest of the sweep still answers.
-            JsonValue::Array arr;
+            std::vector<size_t> order;
             for (size_t c = 0; c < plan.cellCount; ++c)
-                arr.push_back(cellJson(cells[plan.firstCell + c]));
-            JsonValue::Object result;
-            result["cells"] = JsonValue(std::move(arr));
-            responses.push_back(okResponse(
-                req.id, req.op, JsonValue(std::move(result))));
+                order.push_back(plan.firstCell + c);
+            writeCells(line, req.id, req.op, "cells", cells, order);
             break;
           }
           case RequestOp::Rank: {
@@ -319,13 +405,7 @@ SolveService::handleBatch(const std::vector<Request> &requests)
                         return false;
                     return ca.result.speedup > cb.result.speedup;
                 });
-            JsonValue::Array arr;
-            for (size_t c : order)
-                arr.push_back(cellJson(cells[c]));
-            JsonValue::Object result;
-            result["ranking"] = JsonValue(std::move(arr));
-            responses.push_back(okResponse(
-                req.id, req.op, JsonValue(std::move(result))));
+            writeCells(line, req.id, req.op, "ranking", cells, order);
             break;
           }
           case RequestOp::Saturation: {
@@ -333,13 +413,15 @@ SolveService::handleBatch(const std::vector<Request> &requests)
             // its answer is one integer, not a reusable solution.
             if (faultFires("serve.request",
                            static_cast<uint64_t>(req.id))) {
-                responses.push_back(errorResponse(
-                    req.id,
-                    injectedFault("serve.request",
-                                  static_cast<uint64_t>(req.id))));
+                serializeJson(
+                    errorResponse(req.id,
+                                  injectedFault(
+                                      "serve.request",
+                                      static_cast<uint64_t>(req.id))),
+                    line);
                 break;
             }
-            responses.push_back(
+            serializeJson(
                 analyzer_
                     .trySaturationPoint(req.protocol, req.workload,
                                         req.target, req.limit)
@@ -355,18 +437,20 @@ SolveService::handleBatch(const std::vector<Request> &requests)
                         },
                         [&](SolveError &&e) {
                             return errorResponse(req.id, std::move(e));
-                        }));
+                        }),
+                line);
             break;
           }
           case RequestOp::Stats:
-            responses.push_back(
-                okResponse(req.id, req.op, statsResult()));
+            serializeJson(okResponse(req.id, req.op, statsResult()),
+                          line);
             break;
           case RequestOp::Shutdown: {
             JsonValue::Object result;
             result["shutdown"] = JsonValue(true);
-            responses.push_back(okResponse(
-                req.id, req.op, JsonValue(std::move(result))));
+            serializeJson(okResponse(req.id, req.op,
+                                     JsonValue(std::move(result))),
+                          line);
             break;
           }
         }

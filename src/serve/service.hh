@@ -19,6 +19,8 @@
  */
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/analyzer.hh"
@@ -82,17 +84,20 @@ class SolveService
     /** Throws SolveException (InvalidArgument) on malformed options. */
     explicit SolveService(ServeOptions opts = {});
 
-    /** Serve one request (a singleton batch). */
-    JsonValue handle(const Request &request);
+    /** Serve one request (a singleton batch); its response line. */
+    std::string handle(const Request &request);
 
     /**
      * Serve a deterministic batch: admission and cache reads against
      * the pre-batch state, solves in parallel, inserts and response
-     * assembly in request order. Returns one response per request,
-     * in request order.
+     * assembly in request order. Returns one encoded response line
+     * (no newline) per request, in request order: analyze, sweep and
+     * rank answers are written field by field straight into the line,
+     * the other ops and every error through a JsonValue tree, in the
+     * same bytes serializeJson gives the tree of each.
      */
-    std::vector<JsonValue> handleBatch(
-        const std::vector<Request> &requests);
+    std::vector<std::string> handleBatch(
+        std::span<const Request> requests);
 
     /** The solution cache (inspection; tests and the stats op). */
     const SolutionCache &cache() const { return cache_; }

@@ -33,6 +33,15 @@ analyzeReq(int64_t id, double hsw, unsigned n = 16)
     return req;
 }
 
+/** The response line to @p req, parsed back. */
+JsonValue
+served(SolveService &service, const Request &req)
+{
+    auto v = parseJson(service.handle(req));
+    EXPECT_TRUE(bool(v));
+    return v ? std::move(v).value() : JsonValue();
+}
+
 double
 field(const JsonValue &response, const char *name)
 {
@@ -54,8 +63,8 @@ flag(const JsonValue &response, const char *name)
 TEST(ServeService, RepeatQueryIsAnExactHit)
 {
     SolveService service;
-    auto first = service.handle(analyzeReq(1, 0.5));
-    auto second = service.handle(analyzeReq(2, 0.5));
+    auto first = served(service, analyzeReq(1, 0.5));
+    auto second = served(service, analyzeReq(2, 0.5));
     EXPECT_TRUE(first.get("ok")->asBool());
     EXPECT_FALSE(flag(first, "cached"));
     EXPECT_TRUE(flag(second, "cached"));
@@ -70,7 +79,7 @@ TEST(ServeService, SubQuantumPerturbationStillHits)
 {
     SolveService service;
     service.handle(analyzeReq(1, 0.5));
-    auto hit = service.handle(analyzeReq(2, 0.5 + 1e-12));
+    auto hit = served(service, analyzeReq(2, 0.5 + 1e-12));
     EXPECT_TRUE(flag(hit, "cached"));
 }
 
@@ -81,7 +90,7 @@ TEST(ServeService, NoCacheBypassesLookupAndInsertion)
     req.noCache = true;
     service.handle(req);
     EXPECT_EQ(service.cache().size(), 0u);
-    auto again = service.handle(req);
+    auto again = served(service, req);
     EXPECT_FALSE(flag(again, "cached"));
 }
 
@@ -152,13 +161,16 @@ TEST(ServeService, EveryAnswerIsBitIdenticalToAColdSolve)
             else
                 recent[static_cast<size_t>(id) % 32] = req;
         }
-        std::vector<JsonValue> responses = service.handleBatch(batch);
+        std::vector<std::string> responses = service.handleBatch(batch);
         for (size_t i = 0; i < batch.size(); ++i) {
             const Request &req = batch[i];
-            auto wire = parseJson(serializeJson(responses[i]));
+            auto wire = parseJson(responses[i]);
             ASSERT_TRUE(bool(wire)) << "id " << req.id;
+            // The field writer's bytes are the codec's bytes for the
+            // same tree: sorted keys, shortest numbers.
+            EXPECT_EQ(serializeJson(wire.value()), responses[i]);
             const JsonValue *result = wire.value().get("result");
-            ASSERT_NE(result, nullptr) << serializeJson(responses[i]);
+            ASSERT_NE(result, nullptr) << responses[i];
             auto cold = reference.trySolve(
                 DerivedInputs::compute(req.workload, req.protocol), req.n);
             ASSERT_TRUE(bool(cold)) << "id " << req.id;
@@ -204,7 +216,7 @@ TEST(ServeService, NoWarmStartIsAcceptedAndIgnored)
                         "\"n\":16") +
             flag + "}");
         EXPECT_TRUE(bool(req));
-        return serializeJson(service.handle(req.value().front()));
+        return service.handle(req.value().front());
     };
     std::string plain = session("");
     EXPECT_EQ(session(",\"noWarmStart\":true"), plain);
@@ -237,8 +249,8 @@ TEST(ServeService, BatchResponsesAreIdenticalAtAnyThreadCount)
         // Two passes: the second hits the cache warm - both must be
         // schedule-independent.
         for (int pass = 0; pass < 2; ++pass)
-            for (const JsonValue &r : service.handleBatch(batch))
-                out += serializeJson(r) + "\n";
+            for (const std::string &r : service.handleBatch(batch))
+                out += r + "\n";
         return out;
     };
     std::string serial = transcript(1);
@@ -254,16 +266,18 @@ TEST(ServeService, InjectedFaultIsIsolatedToItsRequest)
     std::vector<Request> batch;
     for (int64_t id = 1; id <= 4; ++id)
         batch.push_back(analyzeReq(id, 0.4 + 0.02 * id));
-    auto responses = service.handleBatch(batch);
+    auto lines = service.handleBatch(batch);
     clearFaultSpecs();
-    ASSERT_EQ(responses.size(), 4u);
-    for (size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_EQ(lines.size(), 4u);
+    for (size_t i = 0; i < lines.size(); ++i) {
         int64_t id = batch[i].id;
-        bool ok = responses[i].get("ok")->asBool();
+        auto response = parseJson(lines[i]);
+        ASSERT_TRUE(bool(response)) << lines[i];
+        bool ok = response.value().get("ok")->asBool();
         EXPECT_EQ(ok, id % 2 != 0) << "id " << id;
         if (!ok) {
             const JsonValue *code =
-                responses[i].get("error")->get("code");
+                response.value().get("error")->get("code");
             EXPECT_EQ(code->asString(), "injected-fault");
         }
     }
@@ -276,7 +290,7 @@ TEST(ServeService, IterationBudgetBecomesStructuredError)
     SolveService service;
     Request req = analyzeReq(1, 0.5, 64);
     req.iterationBudget = 3;
-    auto r = service.handle(req);
+    auto r = served(service, req);
     ASSERT_FALSE(r.get("ok")->asBool());
     EXPECT_EQ(r.get("error")->get("code")->asString(),
               "budget-exhausted");
@@ -290,7 +304,7 @@ TEST(ServeService, ServiceCeilingClampsRequestBudgets)
     SolveService service(opts);
     Request req = analyzeReq(1, 0.5, 64);
     req.iterationBudget = 1000000; // cannot exceed the ceiling
-    auto r = service.handle(req);
+    auto r = served(service, req);
     ASSERT_FALSE(r.get("ok")->asBool());
     EXPECT_EQ(r.get("error")->get("code")->asString(),
               "budget-exhausted");
@@ -307,7 +321,7 @@ TEST(ServeService, SaturationRankSweepAndStats)
     sat.workload = presets::appendixA(SharingLevel::TwentyPercent);
     sat.target = 0.9;
     sat.limit = 256;
-    auto r = service.handle(sat);
+    auto r = served(service, sat);
     ASSERT_TRUE(r.get("ok")->asBool());
     EXPECT_TRUE(flag(r, "found"));
     EXPECT_GE(field(r, "n"), 1.0);
@@ -317,7 +331,7 @@ TEST(ServeService, SaturationRankSweepAndStats)
     rank.op = RequestOp::Rank;
     rank.workload = presets::appendixA(SharingLevel::FivePercent);
     rank.n = 16;
-    r = service.handle(rank);
+    r = served(service, rank);
     ASSERT_TRUE(r.get("ok")->asBool());
     const auto &ranking =
         r.get("result")->get("ranking")->asArray();
@@ -333,14 +347,14 @@ TEST(ServeService, SaturationRankSweepAndStats)
     sweep.protocol = ProtocolConfig::writeOnce();
     sweep.workload = presets::appendixA(SharingLevel::FivePercent);
     sweep.ns = {2, 4, 8};
-    r = service.handle(sweep);
+    r = served(service, sweep);
     ASSERT_TRUE(r.get("ok")->asBool());
     EXPECT_EQ(r.get("result")->get("cells")->asArray().size(), 3u);
 
     Request stats;
     stats.id = 4;
     stats.op = RequestOp::Stats;
-    r = service.handle(stats);
+    r = served(service, stats);
     ASSERT_TRUE(r.get("ok")->asBool());
     // 16 rank cells + 3 sweep cells are cached by now.
     EXPECT_EQ(r.get("result")->get("cache")->get("size")->asNumber(),
@@ -360,7 +374,7 @@ TEST(ServeService, RankPutsFailedCellsLastInIndexOrder)
         req.protocol = ProtocolConfig::fromIndex(idx);
         req.workload = presets::appendixA(SharingLevel::FivePercent);
         req.n = 16;
-        ASSERT_TRUE(service.handle(req).get("ok")->asBool());
+        ASSERT_TRUE(served(service, req).get("ok")->asBool());
     }
     ASSERT_TRUE(bool(setFaultSpecs("serve.request:every=2")));
     Request rank;
@@ -368,7 +382,7 @@ TEST(ServeService, RankPutsFailedCellsLastInIndexOrder)
     rank.op = RequestOp::Rank;
     rank.workload = presets::appendixA(SharingLevel::FivePercent);
     rank.n = 16;
-    auto r = service.handle(rank);
+    auto r = served(service, rank);
     clearFaultSpecs();
     ASSERT_TRUE(r.get("ok")->asBool());
     const auto &ranking = r.get("result")->get("ranking")->asArray();
@@ -397,11 +411,48 @@ TEST(ServeService, RankPutsFailedCellsLastInIndexOrder)
     EXPECT_EQ(service.cache().size(), cached.size());
 }
 
+TEST(ServeService, FieldWrittenLinesAreTheCodecsBytes)
+{
+    // Re-encoding a parsed answer through the tree codec must give the
+    // writer's line back: same sorted keys, same shortest numbers, in
+    // result objects, sweep and rank cells and their error cells.
+    SolveService service;
+    Request sweep;
+    sweep.id = -7;
+    sweep.op = RequestOp::Sweep;
+    sweep.protocol = ProtocolConfig::fromModString("24");
+    sweep.workload = presets::appendixA(SharingLevel::TwentyPercent);
+    sweep.ns = {1, 3, 64, 1000};
+    sweep.iterationBudget = 20; // the large sizes run out
+    Request rank;
+    rank.id = 1234567;
+    rank.op = RequestOp::Rank;
+    rank.workload = presets::highSharing();
+    rank.n = 33;
+    std::vector<Request> batch{analyzeReq(1, 0.45), analyzeReq(2, 0.45),
+                               sweep, rank};
+    ASSERT_TRUE(bool(setFaultSpecs("serve.request:every=3")));
+    std::vector<std::string> lines = service.handleBatch(batch);
+    std::vector<std::string> again = service.handleBatch(batch);
+    clearFaultSpecs();
+    lines.insert(lines.end(), again.begin(), again.end());
+    size_t errorCells = 0;
+    for (const std::string &line : lines) {
+        auto doc = parseJson(line);
+        ASSERT_TRUE(bool(doc)) << line;
+        EXPECT_EQ(serializeJson(doc.value()), line);
+        for (size_t at = line.find("\"ok\":false"); at != std::string::npos;
+             at = line.find("\"ok\":false", at + 1))
+            ++errorCells;
+    }
+    EXPECT_GT(errorCells, 0u);
+}
+
 TEST(ServeService, InvalidWorkloadFailsAdmission)
 {
     SolveService service;
     Request req = analyzeReq(1, 2.0); // hSw > 1 fails check()
-    auto r = service.handle(req);
+    auto r = served(service, req);
     ASSERT_FALSE(r.get("ok")->asBool());
     EXPECT_EQ(r.get("error")->get("code")->asString(),
               "invalid-argument");

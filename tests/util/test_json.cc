@@ -7,7 +7,8 @@
  * bound, the non-finite-number rejection the admission contract
  * relies on, and the SolveError round trip error cells ride on.
  * The number encoder is pinned byte for byte to the printf search
- * loop it replaced, over 2^20+ seeded doubles and every power of two.
+ * loop it replaced, over 2^20+ seeded doubles, every power of two,
+ * exact ties and large magnitudes.
  */
 
 #include <bit>
@@ -186,6 +187,61 @@ TEST(JsonNumbers, IntegerBranchMatchesPrintf)
               "999999999999999");
 }
 
+TEST(JsonNumbers, ExactTiesRoundToEvenAsPrintfDoes)
+{
+    // Between 2^50 and 2^51 the spacing is 1/4, so x.25 and x.75 are
+    // exact, their shortest round-trip form has 17 digits, and they
+    // sit exactly halfway between two 17-digit decimals: the shortest
+    // digits and %.17g must both break the tie to even.
+    std::vector<double> values;
+    uint64_t state = 0x71e5ULL;
+    for (int i = 0; i < 4096; ++i) {
+        double whole =
+            0x1p50 + static_cast<double>(splitMix64(state) >> 14);
+        for (double v : {whole + 0.25, whole + 0.75}) {
+            values.push_back(v);
+            values.push_back(-v);
+        }
+    }
+    EXPECT_EQ(encoderMismatches(values), 0u);
+    EXPECT_EQ(serializeJson(JsonValue(0x1p50 + 0.25)),
+              "1125899906842624.2");
+    EXPECT_EQ(serializeJson(JsonValue(0x1p50 + 0.75)),
+              "1125899906842624.8");
+}
+
+TEST(JsonNumbers, LargeMagnitudesAndFormBoundariesMatchPrintf)
+{
+    // Past the integer branch (|v| >= 1e15) %g prints fixed digits up
+    // to its precision and an exponent beyond; near 1e-4 it switches
+    // from "0.000d" to "de-05". Both edges, the famous 1e23 and the
+    // ends of the double range.
+    constexpr double kMax = std::numeric_limits<double>::max();
+    std::vector<double> values{
+        1e15, 1e15 + 0.125, 1e16, 1e17, 123456789012345678.0,
+        1.5e15, 4.35e15, 9007199254740993.0, 1e21, 1e22, 1e23,
+        9.999999999999999e22, 1.5e300, kMax,
+        std::nextafter(kMax, 0.0), 1e-4, 1.2345e-4, 9.9999e-5, 1e-5,
+        0.00012, 1.0000000000000002, 0.1 + 0.2,
+        std::numeric_limits<double>::min(),
+        std::nextafter(std::numeric_limits<double>::min(), 1.0)};
+    uint64_t state = 0xb16ULL;
+    for (int i = 0; i < 20000; ++i) {
+        int exp = 50 + static_cast<int>(splitMix64(state) % 974);
+        values.push_back(std::ldexp(1.0 + unitOf(state), exp));
+        double decade =
+            std::pow(10.0, static_cast<int>(splitMix64(state) % 10) - 7);
+        values.push_back(decade * (1.0 + unitOf(state)));
+    }
+    for (size_t i = 0, n = values.size(); i < n; ++i)
+        values.push_back(-values[i]);
+    EXPECT_EQ(encoderMismatches(values), 0u);
+    EXPECT_EQ(serializeJson(JsonValue(1e23)), "1e+23");
+    EXPECT_EQ(serializeJson(JsonValue(kMax)), "1.7976931348623157e+308");
+    EXPECT_EQ(serializeJson(JsonValue(1.2345e-4)), "0.00012345");
+    EXPECT_EQ(serializeJson(JsonValue(1.2345e-5)), "1.2345e-05");
+}
+
 TEST(JsonNumbers, NonFiniteValuesPrintAsPrintfDoes)
 {
     // Callers map these to null before serializing; the encoder still
@@ -277,6 +333,22 @@ TEST(Json, NonFiniteNumbersAreRejected)
     EXPECT_FALSE(bool(parseJson("[-1e999]")));
     EXPECT_FALSE(bool(parseJson("nan")));
     EXPECT_FALSE(bool(parseJson("Infinity")));
+}
+
+TEST(Json, NonJsonNumberTokensKeepStrtodsVerdict)
+{
+    // A token from_chars does not take whole goes to strtod, which
+    // decides it as the decoder always has: these are accepted...
+    EXPECT_EQ(parsed("+1").asNumber(), 1.0);
+    EXPECT_EQ(parsed("1.").asNumber(), 1.0);
+    EXPECT_EQ(parsed(".5").asNumber(), 0.5);
+    EXPECT_EQ(parsed("-.5").asNumber(), -0.5);
+    EXPECT_EQ(parsed("01").asNumber(), 1.0);
+    EXPECT_EQ(parsed("[1E+2]").asArray()[0].asNumber(), 100.0);
+    // ...and these are refused.
+    for (const char *bad : {"-", "+", "--1", "+-1", "1e", "1e+", "1.2.3",
+                            "0x10", "1-2", "[+]", "{\"a\":-}"})
+        EXPECT_FALSE(bool(parseJson(bad))) << bad;
 }
 
 TEST(Json, SubnormalsParseButTotalUnderflowIsRejected)

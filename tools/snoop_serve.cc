@@ -8,6 +8,10 @@
  * The process is a thin loop over serve::SolveService: parse, serve,
  * print, flush. Malformed and oversized lines become error responses,
  * never exits; the only ways out are EOF and the `shutdown` op.
+ *
+ * std::cin and std::cout are unsynced from C stdio, so each reads and
+ * writes through its own buffer instead of one stdio call per
+ * character; every response batch still ends in a flush.
  */
 
 #include <cstdio>
@@ -26,6 +30,11 @@ using namespace snoop;
 int
 main(int argc, char **argv)
 {
+    // Before any I/O on the standard streams. Diagnostics go to
+    // stderr through stdio and the responses to std::cout only, so
+    // nothing interleaves across the two.
+    std::ios::sync_with_stdio(false);
+
     CliParser cli("snoop_serve",
                   "Batched MVA analysis service over stdin/stdout "
                   "(line-delimited JSON; see docs/SERVING.md)");
@@ -119,10 +128,9 @@ main(int argc, char **argv)
         for (const Request &req : requests.value())
             shutdown = shutdown || req.op == RequestOp::Shutdown;
 
-        std::vector<JsonValue> responses =
-            service.handleBatch(requests.value());
-        for (const JsonValue &response : responses)
-            std::cout << serializeJson(response) << '\n';
+        for (const std::string &response :
+             service.handleBatch(requests.value()))
+            std::cout << response << '\n';
         std::cout << std::flush;
 
         if (shutdown)
