@@ -77,7 +77,8 @@ Expected<std::vector<Request>> parseRequestLine(const std::string &line);
 /**
  * The `id` member of a request line, best effort, for correlating
  * error responses to lines that failed to parse as requests; 0 when
- * even that much cannot be recovered.
+ * even that much cannot be recovered, or when the id lies outside
+ * [-2^63, 2^63) (which parseRequest refuses).
  */
 int64_t recoverRequestId(const std::string &line);
 
